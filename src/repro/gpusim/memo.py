@@ -24,7 +24,10 @@ Array fingerprints use SHA-256 over the raw bytes (the fastest hash in
 this interpreter on bulk input, ~1.8x BLAKE2b).  Arrays are treated
 as immutable once simulated (the repo-wide convention); a weakref-guarded
 identity cache makes re-hashing long-lived arrays (e.g. a graph's CSR
-``indices``) free without ever trusting a recycled ``id()``.
+``indices``) free without ever trusting a recycled ``id()``.  Each entry
+dies with its array through a keyed weakref callback, so a cold digest
+costs O(1) bookkeeping however many arrays a long-lived server keeps
+alive: there is no sweep and no size threshold.
 """
 
 from __future__ import annotations
@@ -59,11 +62,19 @@ __all__ = [
 # Array fingerprints
 # ----------------------------------------------------------------------
 
-#: id(array) -> (weakref, digest).  The weakref proves the id has not
-#: been recycled by the allocator (the aliasing trap ``id()``-keyed
-#: caches fall into after garbage collection).
-_DIGESTS: Dict[int, Tuple[weakref.ref, bytes]] = {}
-_DIGEST_SWEEP_AT = 4096
+#: id(array) -> (keyed weakref, digest).  The weakref proves the id has
+#: not been recycled by the allocator (the aliasing trap ``id()``-keyed
+#: caches fall into after garbage collection); its callback drops the
+#: entry when the array dies, so the cache holds only live arrays.
+_DIGESTS: Dict[int, Tuple[weakref.KeyedRef, bytes]] = {}
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    # A newer entry may already reuse the recycled id: leave it alone.
+    entry = _DIGESTS.get(ref.key)
+    if entry is not None and entry[0] is ref:
+        del _DIGESTS[ref.key]
+
 
 #: id(config) -> (config, repr) — ``dataclasses.astuple`` walks the whole
 #: frozen config on every call, which dominates fingerprinting of
@@ -98,13 +109,9 @@ def array_digest(arr: Optional[np.ndarray]) -> bytes:
     h.update(np.asarray(a.shape, dtype=np.int64).tobytes())
     h.update(a.data)
     digest = h.digest()[:16]
-    if len(_DIGESTS) >= _DIGEST_SWEEP_AT:
-        dead = [k for k, (ref, _) in _DIGESTS.items() if ref() is None]
-        for k in dead:
-            del _DIGESTS[k]
     try:
-        _DIGESTS[key] = (weakref.ref(arr), digest)
-    except TypeError:  # non-weakref-able input (e.g. np.matrix subclass)
+        _DIGESTS[key] = (weakref.KeyedRef(arr, _forget, key), digest)
+    except TypeError:  # non-weakref-able input (e.g. a plain list)
         pass
     return digest
 
@@ -371,4 +378,5 @@ def memo_stats() -> Dict[str, object]:
         "stream_cache_hit_rate": PERF.memo_hit_rate("stream_cache"),
         "perm_cache_entries": len(PERM_CACHE),
         "perm_cache_hit_rate": PERF.memo_hit_rate("perm_cache"),
+        "digest_cache_entries": len(_DIGESTS),
     }

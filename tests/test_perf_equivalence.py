@@ -9,6 +9,7 @@ duplicated durations, short streams, empty rows.
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -31,12 +32,15 @@ from repro.gpusim.executor import (
     _list_schedule_reference,
     _wave_schedule,
     simulate_kernel,
+    simulate_kernels,
 )
+from repro.gpusim import memo
 from repro.gpusim.memo import (
     KERNEL_MEMO,
     STREAM_CACHE,
     array_digest,
     clear_caches,
+    memo_stats,
 )
 
 
@@ -223,6 +227,62 @@ def test_array_digest_not_fooled_by_recycled_ids():
         digests.add(array_digest(arr))
         del arr  # allocator is free to recycle the address
     assert len(digests) == 20
+
+
+class _NoScanDict(dict):
+    """A digest cache that fails any whole-cache scan."""
+
+    def _scan(self, *args, **kwargs):
+        raise AssertionError("array_digest scanned the identity cache")
+
+    items = values = keys = __iter__ = _scan
+
+
+def test_array_digest_cold_path_never_scans_live_cache(monkeypatch):
+    alive = [np.arange(4) + i for i in range(10_000)]
+    for arr in alive:
+        array_digest(arr)
+    assert len(memo._DIGESTS) == len(alive)
+    monkeypatch.setattr(memo, "_DIGESTS", _NoScanDict(memo._DIGESTS))
+    fresh = np.arange(7)
+    assert array_digest(fresh) == array_digest(np.arange(7))
+    assert id(fresh) in memo._DIGESTS
+
+
+def test_array_digest_entry_dies_with_its_array():
+    arr = np.arange(8)
+    array_digest(arr)
+    key = id(arr)
+    assert key in memo._DIGESTS
+    del arr
+    assert key not in memo._DIGESTS
+
+
+def test_stale_keyed_ref_leaves_newer_entry_alone():
+    old, new = np.arange(3), np.arange(5)
+    digest = array_digest(new)
+    key = id(new)
+    memo._forget(weakref.KeyedRef(old, None, key))
+    assert memo._DIGESTS[key][0]() is new
+    assert memo._DIGESTS[key][1] == digest
+
+
+def test_array_digest_of_non_weakrefable_input_is_uncached():
+    values = [3, 1, 4, 1, 5]
+    digest = array_digest(values)
+    assert not memo._DIGESTS
+    assert digest == array_digest(np.asarray(values))
+
+
+def test_digest_cache_entries_falls_back_after_arrays_drop():
+    alive = [np.arange(4) + i for i in range(50)]
+    for arr in alive:
+        array_digest(arr)
+    report = simulate_kernels([_sample_kernel()], V100_SCALED)
+    assert report.extra["perf"]["memo"]["digest_cache_entries"] >= 50
+    grown = memo_stats()["digest_cache_entries"]
+    del alive, arr
+    assert memo_stats()["digest_cache_entries"] == grown - 50
 
 
 def test_stream_cache_off_and_on_identical():
