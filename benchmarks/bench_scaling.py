@@ -18,7 +18,7 @@ gate-comparable to simulator-speed records.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scaling.py [--quick]
-        [--parts 1 2 4 8] [--method edge_cut] [--workers N]
+        [--parts 1 2 4 8] [--method edge_cut]
 """
 
 from __future__ import annotations
@@ -107,19 +107,13 @@ def main() -> None:
                     default="edge_cut")
     ap.add_argument("--datasets", nargs="*", default=None)
     ap.add_argument("--models", nargs="*", default=None)
-    ap.add_argument("--workers", type=int, default=0,
-                    help="REPRO_WORKERS for partition-parallel "
-                         "simulation (0 = inherit environment)")
     ap.add_argument("--output", default=TRAJECTORY,
                     help="trajectory JSON file to append to")
     ns = ap.parse_args()
-    if ns.workers:
-        os.environ["REPRO_WORKERS"] = str(ns.workers)
 
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from repro.bench import bench_config
     from repro.frameworks.dgl_like import DGLLike
-    from repro.perf import workers
 
     spec = QUICK if ns.quick else FULL
     datasets = ns.datasets or spec["datasets"]
@@ -162,7 +156,6 @@ def main() -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "workload": "scaling-quick" if ns.quick else "scaling-full",
         "method": ns.method,
-        "workers": workers(),
         "curves": curves,
         "harness_seconds": round(time.perf_counter() - t_all, 3),
     }

@@ -9,7 +9,7 @@ across >= 3 tenants on different frameworks, see
   ``execute_one`` (the unbatched run path every ``run_*`` entry point
   uses): the live baseline;
 * ``batched`` — the same trace through ``PlanServer`` with
-  compatibility batching and the pooled cold-plan pre-simulation.
+  compatibility batching.
 
 Both modes must produce *identical simulated results* — a content hash
 over every request's simulated latency and kernel count is compared —
@@ -22,7 +22,6 @@ perf trajectory.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_serve.py [--quick] [--check]
-        [--workers N]
 
 ``--quick`` shrinks the trace (200 requests) for CI smoke runs; the
 full trace serves 1000 requests across 3 tenants.  ``--check`` is the
@@ -30,7 +29,7 @@ CI perf gate and reuses the two-signal rule from ``bench_speed.py``:
 fail only when *both* the batched wall-clock and the
 sequential/batched speedup ratio regress more than ``--tolerance``
 (default 20%) against the median comparable prior record (same
-workload, result hash, worker count, and cache-model tier).  The ratio
+workload and result hash).  The ratio
 is measured within one invocation, so machine-wide slow phases cancel
 out of it.
 """
@@ -105,7 +104,7 @@ def _trace(spec):
 def run_workload(spec, mode: str) -> dict:
     from repro.bench import bench_config
     from repro.frameworks import all_frameworks
-    from repro.perf import PERF, cache_model_mode, workers
+    from repro.perf import PERF
     from repro.serve import PlanServer, execute_one, replay
 
     ts, trace = _trace(spec)
@@ -156,8 +155,6 @@ def run_workload(spec, mode: str) -> dict:
         "requests": len(summaries),
         "rps": round(len(summaries) / max(seconds, 1e-9), 2),
         "result_hash": _result_hash(summaries),
-        "workers": workers(),
-        "cache_model_mode": cache_model_mode(),
         "plan_seconds": round(PERF.seconds.get("plan_compile", 0.0), 3),
         "run_seconds": round(PERF.seconds.get("plan_execute", 0.0), 3),
     }
@@ -181,15 +178,11 @@ def run_workload(spec, mode: str) -> dict:
 # Driver
 # ----------------------------------------------------------------------
 
-def _run_mode(
-    mode: str, quick: bool, workers: int = 0, repeats: int = 1
-) -> dict:
+def _run_mode(mode: str, quick: bool, repeats: int = 1) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [os.path.join(ROOT, "src"), env.get("PYTHONPATH")] if p
     )
-    if workers:
-        env["REPRO_WORKERS"] = str(workers)
     env.setdefault("MALLOC_MMAP_THRESHOLD_", "1073741824")
     env.setdefault("MALLOC_TRIM_THRESHOLD_", "1073741824")
     args = [sys.executable, os.path.abspath(__file__), "--worker", mode]
@@ -234,9 +227,6 @@ def main() -> None:
     ap.add_argument("--tolerance", type=float, default=0.20,
                     help="allowed fractional regression for --check "
                          "(default 0.20)")
-    ap.add_argument("--workers", type=int, default=0,
-                    help="REPRO_WORKERS for both modes "
-                         "(0 = inherit environment)")
     ap.add_argument("--worker", choices=["sequential", "batched"],
                     help=argparse.SUPPRESS)
     ap.add_argument("--output", default=TRAJECTORY,
@@ -254,8 +244,7 @@ def main() -> None:
         "REPRO_BENCH_REPEATS", "3" if quick else "1"
     ))
     print(f"workload: {workload}")
-    batched = _run_mode("batched", quick, workers=ns.workers,
-                        repeats=repeats)
+    batched = _run_mode("batched", quick, repeats=repeats)
     print(f"batched:    {batched['seconds']:8.2f}s  "
           f"{batched['rps']:7.1f} req/s  "
           f"p50 {batched['p50_ms']:.1f}ms  p95 {batched['p95_ms']:.1f}ms  "
@@ -263,8 +252,7 @@ def main() -> None:
           f"cache hit {batched['plan_cache_hit_rate']:.2f}  "
           f"fanned out {batched['batch_dedup_rate']:.2f}")
 
-    sequential = _run_mode("sequential", quick, workers=ns.workers,
-                           repeats=repeats)
+    sequential = _run_mode("sequential", quick, repeats=repeats)
     print(f"sequential: {sequential['seconds']:8.2f}s  "
           f"{sequential['rps']:7.1f} req/s")
 
@@ -281,8 +269,6 @@ def main() -> None:
             "fast_seconds": batched["seconds"],
             "speedup": round(speedup, 2),
             "result_hash": batched["result_hash"],
-            "workers": batched.get("workers", 1),
-            "cache_model_mode": batched.get("cache_model_mode", "exact"),
         }
         error = gate_verdict(
             _load_trajectory(ns.output), record, ns.tolerance
@@ -307,8 +293,6 @@ def main() -> None:
         "fast_seconds": batched["seconds"],
         "speedup": round(speedup, 2),
         "result_hash": batched["result_hash"],
-        "workers": batched.get("workers", 1),
-        "cache_model_mode": batched.get("cache_model_mode", "exact"),
         "requests": batched["requests"],
         "tenants": batched["tenants"],
         "rps": batched["rps"],

@@ -20,7 +20,6 @@ the codebase over time.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_speed.py [--quick] [--check]
-        [--workers N]
 
 ``--quick`` shrinks the workload (small datasets, short sweep) for CI
 smoke runs; the full workload is the one the speedup targets quote.
@@ -36,9 +35,6 @@ wall-clock by tens of percent) cancel out of it; requiring both
 signals makes the gate insensitive to shared-runner noise while still
 tripping on genuine fast-path regressions.  A changed workload or
 result hash never gates against a stale baseline.
-``--workers N`` forwards to ``REPRO_WORKERS`` (the parallel stream
-analyzer) and is recorded alongside the cache-model tier so trajectory
-records are attributable to their configuration.
 """
 
 from __future__ import annotations
@@ -83,7 +79,7 @@ def _result_hash(obj) -> str:
 def run_workload(spec) -> dict:
     from repro.bench import fig7_overall, fig4_throughput_sweep, sweep_config
     from repro.graph import load_dataset
-    from repro.perf import PERF, cache_model_mode, fastpath_enabled, workers
+    from repro.perf import PERF, fastpath_enabled
 
     # Dataset construction is not what this harness measures.
     for name in set(spec["fig7_datasets"]) | set(spec["fig12_datasets"]):
@@ -138,17 +134,9 @@ def run_workload(spec) -> dict:
     hits = counts.get("kernel_memo_hit", 0)
     misses = counts.get("kernel_memo_miss", 0)
     secs = PERF.seconds
-    pool_wall = secs.get("pool_wall", 0.0)
     out = {
         "seconds": round(seconds, 3),
         "result_hash": _result_hash(results),
-        "workers": workers(),
-        "cache_model_mode": cache_model_mode(),
-        "pool_utilization": (
-            round(secs.get("pool_busy", 0.0)
-                  / (pool_wall * workers()), 4)
-            if pool_wall > 0 and workers() > 1 else 0.0
-        ),
         "perf_seconds": {k: round(v, 3) for k, v in secs.items()},
         # Compile-once/run-many split: time spent in the staged plan
         # pipeline vs. executing compiled plans through the simulator.
@@ -172,8 +160,7 @@ def run_workload(spec) -> dict:
 # ----------------------------------------------------------------------
 
 def _run_mode(
-    mode: str, quick: bool, workers: int = 0, repeats: int = 1,
-    warm_plans: bool = False,
+    mode: str, quick: bool, repeats: int = 1, warm_plans: bool = False,
 ) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -182,8 +169,6 @@ def _run_mode(
     flag = "0" if mode == "reference" else "1"
     env["REPRO_FASTPATH"] = flag
     env["REPRO_KERNEL_MEMO"] = flag
-    if workers:
-        env["REPRO_WORKERS"] = str(workers)
     if warm_plans:
         env["REPRO_BENCH_WARM_PLANS"] = "1"
     # Pin glibc's mmap/trim thresholds so large transient arrays are not
@@ -224,18 +209,16 @@ def _comparable(trajectory: list, record: dict, field: str) -> list:
     """Prior records gate-comparable to ``record`` carrying ``field``.
 
     Only records with the same workload *and* result hash compare (a
-    changed workload or simulator output resets the trajectory), and —
-    since timings are configuration-specific — the same worker count
-    and cache-model tier (default-filled, so records written before
-    those fields existed keep gating serial/exact runs).
+    changed workload or simulator output resets the trajectory).
+    Legacy records with ``workers > 1`` were timed through a
+    multi-process worker pool the simulator no longer has; they never
+    join the serial baseline.
     """
     return [
         r for r in trajectory
         if r.get("workload") == record.get("workload")
         and r.get("result_hash") == record.get("result_hash")
-        and r.get("workers", 1) == record.get("workers", 1)
-        and r.get("cache_model_mode", "exact")
-        == record.get("cache_model_mode", "exact")
+        and r.get("workers", 1) == 1
         and r.get(field)
     ]
 
@@ -334,9 +317,6 @@ def main() -> None:
     ap.add_argument("--tolerance", type=float, default=0.20,
                     help="allowed fractional regression for --check "
                          "(default 0.20)")
-    ap.add_argument("--workers", type=int, default=0,
-                    help="REPRO_WORKERS for the measured workers "
-                         "(0 = inherit environment)")
     ap.add_argument("--warm-plans", action="store_true",
                     dest="warm_plans",
                     help="after the measured cold pass, run the "
@@ -361,22 +341,17 @@ def main() -> None:
         "REPRO_BENCH_REPEATS", "3" if quick else "1"
     ))
     print(f"workload: {'quick' if quick else 'full'}")
-    fast = _run_mode("fast", quick, workers=ns.workers, repeats=repeats,
+    fast = _run_mode("fast", quick, repeats=repeats,
                      warm_plans=ns.warm_plans)
-    pool_note = (
-        f"  pool util {fast['pool_utilization']:.2f}"
-        if fast.get("pool_utilization") else ""
-    )
     print(f"fast:      {fast['seconds']:8.2f}s  "
           f"memo hit rate {fast['kernel_memo_hit_rate']:.2f}  "
           f"(plan {fast['plan_seconds']:.2f}s / "
-          f"run {fast['run_seconds']:.2f}s){pool_note}")
+          f"run {fast['run_seconds']:.2f}s)")
     if fast.get("warm_seconds") is not None:
         print(f"warm:      {fast['warm_seconds']:8.2f}s  "
               f"(plan cache + kernel memo populated)")
 
-    ref = _run_mode("reference", quick, workers=ns.workers,
-                    repeats=repeats)
+    ref = _run_mode("reference", quick, repeats=repeats)
     print(f"reference: {ref['seconds']:8.2f}s")
 
     if ref["result_hash"] != fast["result_hash"]:
@@ -392,8 +367,6 @@ def main() -> None:
             "fast_seconds": fast["seconds"],
             "speedup": round(speedup, 2),
             "result_hash": fast["result_hash"],
-            "workers": fast.get("workers", 1),
-            "cache_model_mode": fast.get("cache_model_mode", "exact"),
         }
         error = gate_verdict(
             _load_trajectory(ns.output), record, ns.tolerance
@@ -415,8 +388,6 @@ def main() -> None:
         "fast_seconds": fast["seconds"],
         "speedup": round(speedup, 2),
         "result_hash": ref["result_hash"],
-        "workers": fast.get("workers", 1),
-        "cache_model_mode": fast.get("cache_model_mode", "exact"),
         "kernel_memo_hit_rate": fast["kernel_memo_hit_rate"],
         "stream_cache_hits": fast["stream_cache_hits"],
         "plan_seconds": fast["plan_seconds"],
@@ -429,8 +400,6 @@ def main() -> None:
         record["fast_seconds_runs"] = fast["seconds_runs"]
     if fast.get("warm_seconds") is not None:
         record["warm_seconds"] = fast["warm_seconds"]
-    if fast.get("pool_utilization"):
-        record["pool_utilization"] = fast["pool_utilization"]
     trajectory = _load_trajectory(ns.output)
     trajectory.append(record)
     with open(ns.output, "w") as fh:

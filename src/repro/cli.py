@@ -455,8 +455,6 @@ def cmd_bench(args) -> int:
         forwarded.append("--quick")
     if args.check:
         forwarded.append("--check")
-    if args.workers:
-        forwarded.extend(["--workers", str(args.workers)])
     if args.tolerance is not None:
         forwarded.extend(["--tolerance", str(args.tolerance)])
     if getattr(args, "warm_plans", False):
@@ -862,8 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="small workload for smoke runs")
     sp.add_argument("--check", action="store_true",
                     help="CI perf gate against BENCH_speed.json")
-    sp.add_argument("--workers", type=int, default=0,
-                    help="REPRO_WORKERS for the measured runs")
     sp.add_argument("--warm-plans", action="store_true",
                     dest="warm_plans",
                     help="also measure the warm plan-cache path")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
 import subprocess
 import tempfile
@@ -314,6 +315,8 @@ int merge_pairs(const double* negs, const long* us, const long* vs,
 }
 """
 
+logger = logging.getLogger(__name__)
+
 _LIB = None
 _TRIED = False
 
@@ -411,7 +414,12 @@ def _load() -> "ctypes.CDLL | None":
         return None
     try:
         _LIB = _build()
-    except Exception:
+    except Exception as exc:
+        logger.warning(
+            "native accelerator unavailable: build with compiler %r "
+            "failed (%s: %s); using the pure-Python fallback",
+            os.environ.get("CC", "cc"), type(exc).__name__, exc,
+        )
         _LIB = None
     return _LIB
 

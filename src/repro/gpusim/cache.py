@@ -42,14 +42,13 @@ try:  # pragma: no cover - scipy is a declared dependency
 except ImportError:  # pragma: no cover
     _sptools = None
 
-from ..perf import cache_model_mode, fastpath_enabled
+from ..perf import fastpath_enabled
 from . import _native
 
 __all__ = [
     "previous_occurrence",
     "window_hits",
     "window_hits_from_prev",
-    "approx_hits_from_prev",
     "lru_hits",
     "reuse_distances",
     "reuse_distances_from_prev",
@@ -210,8 +209,6 @@ def effective_window(
     stream: np.ndarray,
     capacity_rows: int,
     prev: np.ndarray | None = None,
-    samples: int = 8,
-    max_eval: int = 65536,
     est_cache: "Dict[int, float] | None" = None,
 ) -> int:
     """Largest access-count window whose working set fits in the cache.
@@ -224,8 +221,7 @@ def effective_window(
     ``est_cache`` optionally memoizes D(w) evaluations per window (the
     estimator is a pure function of ``prev``); callers searching the
     same stream at several capacities share the expensive full-stream
-    probe.  ``samples``/``max_eval`` tune the estimator's sampling
-    density (the approximate tier coarsens both).
+    probe.
     """
     if prev is None:
         prev = previous_occurrence(np.asarray(stream))
@@ -241,10 +237,10 @@ def effective_window(
 
     def estimate(w: int) -> float:
         if est_cache is None:
-            return estimate_distinct_in_window(prev, w, samples, max_eval)
+            return estimate_distinct_in_window(prev, w)
         val = est_cache.get(w)
         if val is None:
-            val = estimate_distinct_in_window(prev, w, samples, max_eval)
+            val = estimate_distinct_in_window(prev, w)
             est_cache[w] = val
         return val
 
@@ -301,40 +297,6 @@ def window_hits(
     if stream.shape[0] == 0:
         return np.zeros(0, dtype=bool)
     prev = previous_occurrence(stream)
-    return window_hits_from_prev(prev, capacity_rows, window=window)
-
-
-#: Sampling density of the approximate tier (``REPRO_CACHE_MODEL=approx``).
-#: Fewer window samples and coarser strides than the exact-mode defaults
-#: (8 / 65536); tests bound the resulting hit-rate error (see
-#: DESIGN.md §12 — |approx − exact LRU| <= 0.12 absolute hit rate on
-#: randomized streams, typically well under 0.05).
-APPROX_SAMPLES = 4
-APPROX_MAX_EVAL = 4096
-
-
-def approx_hits_from_prev(
-    prev: np.ndarray,
-    capacity_rows: int,
-    est_cache: "Dict[int, float] | None" = None,
-) -> np.ndarray:
-    """Sampled set-window estimate of the LRU hit mask (approximate tier).
-
-    Replaces exact wavelet-tree stack distances with Denning's
-    working-set inversion evaluated at reduced sampling density: find the
-    access-count window whose estimated working set matches the cache
-    capacity, then call every access with a same-row gap inside that
-    window a hit.  Near-linear time, no O(n log n) passes; the error
-    contract is validated in ``tests/test_cache_approx.py``.
-    """
-    window = effective_window(
-        None,
-        capacity_rows,
-        prev=prev,
-        samples=APPROX_SAMPLES,
-        max_eval=APPROX_MAX_EVAL,
-        est_cache=est_cache,
-    )
     return window_hits_from_prev(prev, capacity_rows, window=window)
 
 
@@ -480,20 +442,7 @@ def lru_hits(stream: np.ndarray, capacity_rows: int) -> np.ndarray:
 def hit_mask(
     stream: np.ndarray, capacity_rows: int, model: str = "window"
 ) -> np.ndarray:
-    """Dispatch between the window and exact LRU models.
-
-    When the approximate tier is opted in
-    (``REPRO_CACHE_MODEL=approx``), both models resolve to the sampled
-    set-window estimator — ``exact`` stays the default, so results are
-    bit-identical unless a caller explicitly switches modes.
-    """
-    if cache_model_mode() == "approx":
-        stream = np.asarray(stream)
-        if stream.shape[0] == 0:
-            return np.zeros(0, dtype=bool)
-        return approx_hits_from_prev(
-            previous_occurrence(stream), capacity_rows
-        )
+    """Dispatch between the window and exact LRU models."""
     if model == "window":
         return window_hits(stream, capacity_rows)
     if model == "lru":

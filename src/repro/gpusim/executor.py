@@ -38,15 +38,8 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from ..perf import (
-    PERF,
-    cache_model_mode,
-    fastpath_enabled,
-    memo_enabled,
-    workers,
-)
+from ..perf import PERF, fastpath_enabled, memo_enabled
 from .cache import (
-    approx_hits_from_prev,
     effective_window,
     hit_mask,
     index_ramp,
@@ -72,7 +65,6 @@ __all__ = [
     "simulate_kernel",
     "simulate_kernels",
     "simulate_plan",
-    "plan_memo_key",
     "block_durations",
     "interleaved_order",
 ]
@@ -179,14 +171,8 @@ def _plan_hits(
     plan: StreamPlan, capacity: int, model: str
 ) -> np.ndarray:
     """Hit mask (in permuted order) from a cached stream analysis."""
-    mode = cache_model_mode()
-    if mode == "approx":
-        return approx_hits_from_prev(
-            plan.prev, capacity,
-            est_cache=plan.distinct.setdefault("approx", {}),
-        )
     if model == "window":
-        window = plan.windows.get((capacity, mode))
+        window = plan.windows.get(capacity)
         if window is None:
             prev = plan.prev
             if (
@@ -200,9 +186,9 @@ def _plan_hits(
                 prev = plan.prev32
             window = effective_window(
                 None, capacity, prev=prev,
-                est_cache=plan.distinct.setdefault(mode, {}),
+                est_cache=plan.distinct,
             )
-            plan.windows[(capacity, mode)] = window
+            plan.windows[capacity] = window
         return window_hits_from_prev(plan.prev, capacity, window=window)
     if model == "lru":
         if plan.lru_distances is None:
@@ -654,20 +640,8 @@ def simulate_kernels(
     """
     snap = PERF.snapshot()
     report = RunReport(label=label, peak_mem_bytes=peak_mem_bytes)
-    kernels = list(kernels)
-    n_workers = workers()
-    parallel_info = None
-    if n_workers > 1 and len(kernels) > 1:
-        from .parallel import simulate_kernels_parallel
-
-        stats_list, parallel_info = simulate_kernels_parallel(
-            kernels, config, dispatch_overhead, n_workers
-        )
-        for stats in stats_list:
-            report.add(stats)
-    else:
-        for k in kernels:
-            report.add(simulate_kernel(k, config, dispatch_overhead))
+    for k in kernels:
+        report.add(simulate_kernel(k, config, dispatch_overhead))
     delta = PERF.delta_since(snap)
     counts = delta.get("counts", {})
     hits = counts.get("kernel_memo_hit", 0)
@@ -684,24 +658,16 @@ def simulate_kernels(
         "stream_cache_misses": counts.get("stream_cache_miss", 0),
         "memo": memo_stats(),
     }
-    if parallel_info is not None:
-        report.extra["perf"]["parallel"] = parallel_info
     return report
 
 
 def plan_memo_key(plan, config: GPUConfig | None = None):
-    """The :data:`PLAN_MEMO` address of one plan execution.
-
-    Exposed so the serve layer can peek at which plans of a batching
-    round will simulate cold (and push exactly those through the worker
-    pool) without perturbing the memo's hit/miss counters.
-    """
+    """The :data:`PLAN_MEMO` address of one plan execution."""
     cfg = config if config is not None else plan.gpu_config
     return (
         plan.plan_id,
         dataclasses.astuple(cfg),
         plan.dispatch_overhead,
-        cache_model_mode(),
     )
 
 

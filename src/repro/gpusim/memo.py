@@ -41,7 +41,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..perf import PERF, cache_model_mode
+from ..perf import PERF
 from .metrics import KernelStats
 
 __all__ = [
@@ -195,16 +195,12 @@ class StreamPlan:
 
     perm: np.ndarray
     prev: np.ndarray
-    #: (capacity, cache-model mode) -> effective window.
-    windows: Dict[Tuple[int, str], int] = dataclasses.field(
-        default_factory=dict
-    )
+    #: capacity -> effective window.
+    windows: Dict[int, int] = dataclasses.field(default_factory=dict)
     lru_distances: Optional[np.ndarray] = None
-    #: mode -> {window -> D(w) estimate}; shared across the capacities
-    #: probed against the same stream (the full-stream probe dominates).
-    distinct: Dict[str, Dict[int, float]] = dataclasses.field(
-        default_factory=dict
-    )
+    #: window -> D(w) estimate; shared across the capacities probed
+    #: against the same stream (the full-stream probe dominates).
+    distinct: Dict[int, float] = dataclasses.field(default_factory=dict)
     #: Narrow copy of ``prev`` for the window-search probes (estimates
     #: are dtype-independent); built once per stream, not per search.
     prev32: Optional[np.ndarray] = None
@@ -302,9 +298,6 @@ class KernelMemo:
                 kernel.tag,
                 _config_repr(config),
                 dispatch_overhead,
-                # The cache-model tier changes simulated numbers, so
-                # exact and approx results must never share an entry.
-                cache_model_mode(),
             )).encode()
         )
         return h.hexdigest()

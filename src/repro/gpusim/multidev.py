@@ -22,12 +22,11 @@ the BSP timeline here and the generalized happens-before checker
 the lint pass proves race-free is exactly the stream the timeline
 executes.
 
-Compute kernels are priced by the ordinary single-device machinery
-(memoized, and fanned out over the :mod:`repro.gpusim.parallel` worker
-pool when ``REPRO_WORKERS>1`` — one chunk per partition); transfer
-kernels are priced by the :class:`~repro.shard.cost.LinkConfig` link
-model.  The resulting :class:`~repro.gpusim.metrics.RunReport` carries
-all device streams' kernels (``total_time`` is therefore aggregate
+Compute kernels are priced by the ordinary (memoized) single-device
+machinery; transfer kernels are priced by the
+:class:`~repro.shard.cost.LinkConfig` link model.  The resulting
+:class:`~repro.gpusim.metrics.RunReport` carries all device streams'
+kernels (``total_time`` is therefore aggregate
 device-seconds); the multi-device *wall* clock and the per-device /
 cross-device breakdown land in ``report.extra["perf"]["shard"]``.
 """
@@ -37,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..perf import PERF, workers
+from ..perf import PERF
 from ..shard.cost import (
     LinkConfig,
     ghost_buffer,
@@ -424,30 +423,16 @@ def run_multidev(
     snap = PERF.snapshot()
     num = ss.num_devices
 
-    # Price compute kernels through the ordinary executor (memoized;
-    # one pool chunk per partition when REPRO_WORKERS > 1).
-    per_device_compute: Dict[int, List[int]] = {
-        d: [
-            i for i in range(len(ss.streams[d]))
-            if (d, i) not in ss.transfers
-        ]
-        for d in ss.streams
+    # Price compute kernels through the ordinary (memoized) executor,
+    # looked up at call time so patches of the executor module apply.
+    from .executor import simulate_kernel
+
+    stats: Dict[Node, KernelStats] = {
+        (d, i): simulate_kernel(
+            ss.streams[d][i], config, ss.dispatch_overhead
+        )
+        for d, i in ss.compute_nodes()
     }
-    compute_streams = [
-        [ss.streams[d][i] for i in per_device_compute[d]]
-        for d in sorted(ss.streams)
-    ]
-    from .parallel import simulate_partition_streams
-
-    stats_by_device, parallel_info = simulate_partition_streams(
-        compute_streams, config, ss.dispatch_overhead,
-        n_workers=workers(),
-    )
-
-    stats: Dict[Node, KernelStats] = {}
-    for d in sorted(ss.streams):
-        for i, st in zip(per_device_compute[d], stats_by_device[d]):
-            stats[(d, i)] = st
 
     # Price transfers on the link model.
     flops_per_second = config.peak_flops
@@ -544,8 +529,6 @@ def run_multidev(
             },
         },
     }
-    if parallel_info is not None:
-        report.extra["perf"]["parallel"] = parallel_info
     return report
 
 

@@ -31,9 +31,7 @@ __all__ = [
     "configure",
     "fastpath_enabled",
     "memo_enabled",
-    "cache_model_mode",
     "optimize_enabled",
-    "workers",
     "LatencyHistogram",
     "percentile",
 ]
@@ -49,8 +47,6 @@ def _env_flag(name: str, default: bool = True) -> bool:
 #: Module state for the switches (None = follow the environment).
 _FASTPATH: Optional[bool] = None
 _MEMO: Optional[bool] = None
-_CACHE_MODEL_MODE: Optional[str] = None
-_WORKERS: Optional[int] = None
 _OPTIMIZE: Optional[bool] = None
 
 
@@ -68,20 +64,6 @@ def memo_enabled() -> bool:
     return _env_flag("REPRO_KERNEL_MEMO")
 
 
-def cache_model_mode() -> str:
-    """``"exact"`` (default) or ``"approx"`` — the L2 cache-model tier.
-
-    ``approx`` (``REPRO_CACHE_MODEL=approx``) swaps exact reuse-distance
-    machinery for the sampled set-window estimator; it changes simulated
-    numbers within a documented error bound and is therefore strictly
-    opt-in.
-    """
-    if _CACHE_MODEL_MODE is not None:
-        return _CACHE_MODEL_MODE
-    raw = os.environ.get("REPRO_CACHE_MODEL", "exact").strip().lower()
-    return "approx" if raw == "approx" else "exact"
-
-
 def optimize_enabled() -> bool:
     """Whether the footprint-guided plan optimizer runs after compile.
 
@@ -95,53 +77,21 @@ def optimize_enabled() -> bool:
     return _env_flag("REPRO_OPTIMIZE_PLANS", default=False)
 
 
-def workers() -> int:
-    """Worker-process count for parallel kernel simulation.
-
-    ``1`` (the default, or any non-positive / unparsable value of
-    ``REPRO_WORKERS``) means in-process serial execution.
-    """
-    if _WORKERS is not None:
-        return _WORKERS
-    raw = os.environ.get("REPRO_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def configure(
     fastpath: Optional[bool] = None,
     memo: Optional[bool] = None,
-    cache_model: Optional[str] = None,
-    workers: Optional[int] = None,
     optimize: Optional[bool] = None,
 ) -> None:
     """Override the performance switches at runtime.
 
     ``None`` leaves a switch unchanged; to return a switch to
-    environment control pass the string ``"env"``.  ``cache_model``
-    accepts ``"exact"``/``"approx"``; ``workers`` a positive int.
+    environment control pass the string ``"env"``.
     """
-    global _FASTPATH, _MEMO, _CACHE_MODEL_MODE, _WORKERS, _OPTIMIZE
+    global _FASTPATH, _MEMO, _OPTIMIZE
     if fastpath is not None:
         _FASTPATH = None if fastpath == "env" else bool(fastpath)
     if memo is not None:
         _MEMO = None if memo == "env" else bool(memo)
-    if cache_model is not None:
-        if cache_model == "env":
-            _CACHE_MODEL_MODE = None
-        elif cache_model in ("exact", "approx"):
-            _CACHE_MODEL_MODE = cache_model
-        else:
-            raise ValueError(
-                f"cache_model must be 'exact' or 'approx', "
-                f"got {cache_model!r}"
-            )
-    if workers is not None:
-        _WORKERS = None if workers == "env" else max(1, int(workers))
     if optimize is not None:
         _OPTIMIZE = None if optimize == "env" else bool(optimize)
 

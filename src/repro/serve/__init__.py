@@ -16,9 +16,8 @@ The pipeline is explicit, one stage per module::
       -> plan resolution    (server.resolve_plan: cache hit or compile)
       -> compatibility batching
                             (batching.py: group by plan signature)
-      -> pooled execution   (server.PlanServer.flush: one simulate_plan
-                             per batch, cold kernels through the PR-6
-                             worker pool)
+      -> execution          (server.PlanServer.flush: one simulate_plan
+                             per batch)
       -> per-tenant report  (ServeResponse + LatencyHistogram stats)
 
 ``Framework.run_*`` routes through :func:`execute_one` — the

@@ -4,8 +4,7 @@ The server owns the pipeline's stateful stages: it queues admitted
 requests, resolves each compatibility batch to a plan through the
 content-addressed cache (:data:`~repro.core.plan.PLAN_CACHE` by
 default, with whatever admission/eviction policy it is configured
-with), pushes the round's cold plans through the PR-6 worker pool in
-one pass, executes every batch exactly once, and fans bit-identical
+with), executes every batch exactly once, and fans bit-identical
 results back to each member request while per-tenant latency
 histograms accumulate.
 
@@ -25,7 +24,7 @@ from ..frameworks.base import ForwardResult, Framework
 from ..gpusim.config import GPUConfig
 from ..gpusim.metrics import RunReport
 from ..graph.csr import CSRGraph
-from ..perf import PERF, LatencyHistogram, workers
+from ..perf import PERF, LatencyHistogram
 from .admission import AdmissionPolicy, admit
 from .batching import Batch, plan_batches
 from .request import InferenceRequest, ServeResponse
@@ -189,7 +188,6 @@ class PlanServer:
             "batches": 0, "fanned_out": 0, "cache_hits": 0,
             "flushes": 0, "max_batch": 0,
         }
-        self._pool_info: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Stage 1+2: admission and queueing
@@ -226,7 +224,7 @@ class PlanServer:
         return request.framework
 
     # ------------------------------------------------------------------
-    # Stages 3-6: resolution, batching, pooled execution, fan-out
+    # Stages 3-6: resolution, batching, execution, fan-out
     # ------------------------------------------------------------------
     def flush(self) -> List[ServeResponse]:
         """Process the queued window; responses in submission order."""
@@ -242,7 +240,6 @@ class PlanServer:
                 self._resolve_framework, self.sim,
             )
             resolved = self._resolve_batches(batches)
-            self._presimulate_cold(resolved)
             responses: Dict[str, ServeResponse] = {}
             for batch_id, (batch, plan, cache_hit) in enumerate(resolved):
                 self._execute_batch(
@@ -275,30 +272,6 @@ class PlanServer:
             )
             resolved.append((batch, plan, cache_hit))
         return resolved
-
-    def _presimulate_cold(self, resolved) -> None:
-        """Pooled execution: cold plans of this round share one pool pass.
-
-        Only plans whose whole-plan memo entry is missing go to the
-        pool; everything else replays from the memo.  Bit-identity with
-        serial execution is the pool's documented contract.
-        """
-        n_workers = workers()
-        if n_workers <= 1:
-            return
-        from ..gpusim.executor import plan_memo_key
-        from ..gpusim.memo import PLAN_MEMO
-        from ..gpusim.parallel import presimulate_plans
-
-        cold = [
-            plan for batch, plan, _ in resolved
-            if batch.cacheable
-            and not PLAN_MEMO.contains(plan_memo_key(plan, self.sim))
-        ]
-        if len(cold) > 1:
-            info = presimulate_plans(cold, n_workers, config=self.sim)
-            if info:
-                self._pool_info = info
 
     def _execute_batch(
         self, batch: Batch, plan, cache_hit: bool, batch_id: int,
@@ -416,5 +389,4 @@ class PlanServer:
                 t: h.summary()
                 for t, h in sorted(self._tenant_latency.items())
             },
-            "pool": dict(self._pool_info),
         }

@@ -1,7 +1,5 @@
 """Multi-device executor + generalized happens-before checker tests."""
 
-import os
-
 import pytest
 
 from repro.analysis.findings import CODES, ERROR, WARNING, explain_code
@@ -253,35 +251,3 @@ class TestNewCodesRegistered:
             "shardmem", "shardflow",
         }
 
-
-class TestPartitionParallelSimulation:
-    def test_pool_matches_serial_bit_for_bit(self, sharded2):
-        from repro.gpusim.multidev import run_multidev
-        from repro.gpusim.parallel import shutdown_pool
-
-        serial = run_multidev(
-            sharded2.shard, sharded2.plans, SIM,
-            streams=sharded2.streams,
-        )
-        prev = os.environ.get("REPRO_WORKERS")
-        os.environ["REPRO_WORKERS"] = "2"
-        try:
-            parallel = run_multidev(
-                sharded2.shard, sharded2.plans, SIM,
-                streams=sharded2.streams,
-            )
-        finally:
-            if prev is None:
-                os.environ.pop("REPRO_WORKERS", None)
-            else:
-                os.environ["REPRO_WORKERS"] = prev
-            shutdown_pool()
-        assert (serial.extra["perf"]["shard"]["wall_seconds"]
-                == parallel.extra["perf"]["shard"]["wall_seconds"])
-        for a, b in zip(serial.kernels, parallel.kernels):
-            assert a.name == b.name
-            assert a.makespan == b.makespan
-            assert a.bytes_dram == b.bytes_dram
-        info = parallel.extra["perf"].get("parallel")
-        if info is not None:
-            assert info["partitions"] == 2

@@ -8,6 +8,8 @@ is available, mirroring the library's own graceful fallback.
 """
 
 import heapq
+import logging
+import tempfile
 
 import numpy as np
 import pytest
@@ -154,8 +156,33 @@ class TestNativeDisabled:
             window_hits_from_prev(with_native_prev, 64),
         )
 
-    def test_env_var_disables_build(self, monkeypatch):
+    def test_env_var_disables_build(self, monkeypatch, caplog):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         monkeypatch.setattr(_native, "_LIB", None)
         monkeypatch.setattr(_native, "_TRIED", False)
-        assert not _native.available()
+        with caplog.at_level(logging.WARNING, logger=_native.__name__):
+            assert not _native.available()
+        assert not caplog.records  # an explicit opt-out is not a fault
+
+    def test_missing_compiler_warns_and_cleans_up(
+        self, monkeypatch, tmp_path, caplog
+    ):
+        missing = str(tmp_path / "no-such-cc")
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        monkeypatch.setenv("CC", missing)
+        # A fresh temp dir: no previously cached shared object is found.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(_native, "_LIB", None)
+        monkeypatch.setattr(_native, "_TRIED", False)
+        with caplog.at_level(logging.WARNING, logger=_native.__name__):
+            assert not _native.available()
+        warnings = [
+            r for r in caplog.records if r.levelno == logging.WARNING
+        ]
+        assert len(warnings) == 1
+        assert missing in warnings[0].getMessage()
+        leftovers = [
+            p.name for p in tmp_path.iterdir()
+            if p.suffix in (".c", ".so")
+        ]
+        assert leftovers == []

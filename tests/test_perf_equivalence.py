@@ -9,6 +9,8 @@ duplicated durations, short streams, empty rows.
 """
 
 import dataclasses
+import json
+import os
 import weakref
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 from repro import perf
 from repro.core.lowering import ExecLayout, aggregation_kernel
 from repro.core.minhash import minhash_signatures
+from repro.core.persistence import load_kernel_stats, save_kernel_stats
 from repro.graph.generators import power_law_graph
 from repro.gpusim.cache import (
     _reuse_distances_reference,
@@ -26,7 +29,7 @@ from repro.gpusim.cache import (
     window_hits,
     window_hits_from_prev,
 )
-from repro.gpusim.config import V100_SCALED
+from repro.gpusim.config import V100, V100_SCALED
 from repro.gpusim.executor import (
     _list_schedule,
     _list_schedule_reference,
@@ -34,6 +37,7 @@ from repro.gpusim.executor import (
     simulate_kernel,
     simulate_kernels,
 )
+from repro.gpusim.kernel import KernelSpec
 from repro.gpusim import memo
 from repro.gpusim.memo import (
     KERNEL_MEMO,
@@ -52,6 +56,7 @@ def _clean_state():
     yield
     clear_caches()
     perf.configure(fastpath="env", memo="env")
+    KERNEL_MEMO.set_disk_dir(os.environ.get("REPRO_KERNEL_CACHE_DIR"))
 
 
 # ----------------------------------------------------------------------
@@ -293,3 +298,80 @@ def test_stream_cache_off_and_on_identical():
     cached = simulate_kernel(k, V100_SCALED)
     for f in dataclasses.fields(no_cache):
         assert getattr(no_cache, f.name) == getattr(cached, f.name), f.name
+
+
+# ----------------------------------------------------------------------
+# Kernel-memo disk tier
+# ----------------------------------------------------------------------
+
+def _kernel_suite(num=12, seed=0):
+    rng = np.random.default_rng(seed)
+    kernels = []
+    for i in range(num):
+        n_blocks = int(rng.integers(20, 80))
+        lengths = rng.integers(1, 30, size=n_blocks)
+        ptr = np.zeros(n_blocks + 1, dtype=np.int64)
+        np.cumsum(lengths, out=ptr[1:])
+        kernels.append(KernelSpec(
+            f"k{i}",
+            block_flops=lengths * 2.0,
+            row_ptr=ptr,
+            row_ids=rng.integers(0, 600, size=int(ptr[-1])),
+            row_bytes=128,
+            stream_bytes=lengths * 4.0,
+        ))
+    return kernels
+
+
+def _stats_tuple(stats):
+    d = dataclasses.asdict(stats)
+    d["occupancy"] = sorted(d["occupancy"].items())
+    return d
+
+
+class TestDiskTierHardening:
+    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
+        kernels = _kernel_suite(num=2)
+        KERNEL_MEMO.set_disk_dir(str(tmp_path))
+        report = simulate_kernels(kernels, V100)
+        files = sorted(tmp_path.glob("kstats_*.json"))
+        assert files
+        # Corrupt every persisted entry in a different way.
+        files[0].write_text("{ not json")
+        if len(files) > 1:
+            files[1].write_text(json.dumps({"wrong": "fields"}))
+        clear_caches()
+        rerun = simulate_kernels(kernels, V100)
+        for a, b in zip(report.kernels, rerun.kernels):
+            assert _stats_tuple(a) == _stats_tuple(b)
+
+    def test_load_tolerates_unreadable_file(self, tmp_path):
+        path = tmp_path / "kstats_x.json"
+        path.write_text("{}")
+        path.chmod(0o000)
+        try:
+            if path.stat().st_uid == 0 and os.geteuid() == 0:
+                pytest.skip("running as root: chmod cannot revoke read")
+            assert load_kernel_stats(str(path)) is None
+        finally:
+            path.chmod(0o644)
+
+    def test_save_tolerates_readonly_dir(self, tmp_path):
+        kernels = _kernel_suite(num=1)
+        stats = simulate_kernels(kernels, V100).kernels[0]
+        ro = tmp_path / "ro"
+        ro.mkdir()
+        ro.chmod(0o555)
+        try:
+            if os.geteuid() == 0:
+                pytest.skip("running as root: chmod cannot revoke write")
+            save_kernel_stats(str(ro / "kstats_y.json"), stats)
+        finally:
+            ro.chmod(0o755)
+
+    def test_concurrent_style_tmp_names_unique(self, tmp_path):
+        from repro.core.persistence import _tmp_path
+
+        target = str(tmp_path / "kstats_z.json")
+        names = {_tmp_path(target) for _ in range(64)}
+        assert len(names) == 64

@@ -104,30 +104,14 @@ class TestComparableRecordFields:
 
     def test_worker_count_mismatch_never_gates(self):
         prior = _record(10.0)
-        prior["workers"] = 4  # pool-parallel record
-        assert bench.check_regression(
-            [prior], _record(50.0), tolerance=0.20
-        ) is None
-
-    def test_same_worker_count_still_gates(self):
-        prior = _record(10.0)
-        prior["workers"] = 4
-        fresh = _record(50.0)
-        fresh["workers"] = 4
-        assert bench.check_regression(
-            [prior], fresh, tolerance=0.20
-        ) is not None
-
-    def test_cache_model_mode_mismatch_never_gates(self):
-        prior = _record(10.0)
-        prior["cache_model_mode"] = "approx"
+        prior["workers"] = 4  # legacy pool-parallel record
         assert bench.check_regression(
             [prior], _record(50.0), tolerance=0.20
         ) is None
 
     def test_unknown_extra_fields_are_tolerated(self):
-        # warm-plan and pool-utilization fields ride along without
-        # entering the comparability key.
+        # warm-plan and (legacy) pool-utilization fields ride along
+        # without entering the comparability key.
         prior = _record(10.0)
         prior.update(warm_seconds=1.0, pool_utilization=0.9)
         fresh = _record(12.5)
