@@ -12,10 +12,11 @@ graph+model+config fingerprints that address it.
 The address (:func:`plan_key`) is computed from the compilation *inputs*
 (framework, model config, graph fingerprint, options, GPU config), so a
 cache lookup costs one hash — no pipeline stage runs on a hit.  The
-:class:`PlanCache` keeps an in-process tier plus an optional on-disk
-tier (``REPRO_PLAN_CACHE_DIR``) backed by
-:mod:`repro.core.persistence`, so a fresh process re-loads the identical
-artifact instead of re-deriving it.
+:class:`PlanCache` keeps an in-process LRU tier (a
+:class:`~repro.gpusim.memo.LRUCache`) plus an optional on-disk tier
+(``REPRO_PLAN_CACHE_DIR``) backed by :mod:`repro.core.persistence`, so
+a fresh process re-loads the identical artifact instead of re-deriving
+it.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ import dataclasses
 import hashlib
 import json
 import os
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..gpusim.config import GPUConfig
 from ..gpusim.kernel import KernelSpec
-from ..gpusim.memo import _ALL_CACHES
+from ..gpusim.memo import LRUCache
 from ..graph.csr import CSRGraph
 from ..perf import PERF, memo_enabled
 from .compgraph import FusionPlan
@@ -255,16 +255,6 @@ def plan_nbytes(plan: CompiledPlan) -> int:
     return total
 
 
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if raw in (None, ""):
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
 class PlanCache:
     """Content-addressed plan store: in-process LRU + optional disk tier.
 
@@ -274,28 +264,23 @@ class PlanCache:
     Artifacts are one ``plan_<key>.npz`` file each, written atomically
     by :func:`repro.core.persistence.save_plan`.
 
-    Admission/eviction policy: unbounded by default (exactly the
-    historical behaviour), and LRU with size-aware eviction once a
-    capacity is set — either per constructor / :meth:`set_capacity`, or
-    via ``REPRO_PLAN_CACHE_ENTRIES`` / ``REPRO_PLAN_CACHE_BYTES``.  The
-    byte budget uses :func:`plan_nbytes`; eviction drops
-    least-recently-used plans until both budgets hold (always keeping
-    the most recent plan, so a single oversized plan still caches).
-    Hits, misses and evictions are counted in :data:`repro.perf.PERF`
-    under ``plan_cache_*`` and summarized by :meth:`stats`.
+    The in-memory tier is a :class:`~repro.gpusim.memo.LRUCache` named
+    ``plan_cache``: unbounded by default, LRU once a capacity is set per
+    constructor or :meth:`set_capacity`.  The byte budget uses
+    :func:`plan_nbytes` and always keeps the most recent plan, so a
+    single oversized plan still caches; a zero entry budget admits
+    nothing.  Hits, misses and evictions of the memory tier count in
+    :data:`repro.perf.PERF` as ``plan_cache_{hit,miss,evict}``; a plan
+    loaded from disk adds ``plan_cache_disk_hit`` to its memory-tier
+    miss.  :meth:`stats` summarizes them.
     """
 
     def __init__(self, disk_dir: Optional[str] = None,
                  max_entries: Optional[int] = None,
                  max_bytes: Optional[int] = None) -> None:
-        self._mem: "OrderedDict[str, Tuple[CompiledPlan, int]]" = (
-            OrderedDict()
-        )
-        self._bytes = 0
+        self._mem = LRUCache(max_entries=max_entries, max_bytes=max_bytes,
+                             name="plan_cache")
         self._disk_dir = disk_dir
-        self._max_entries = max_entries
-        self._max_bytes = max_bytes
-        _ALL_CACHES.append(self)
 
     @property
     def disk_dir(self) -> Optional[str]:
@@ -307,76 +292,34 @@ class PlanCache:
     def disk_path(self, key: str) -> str:
         return os.path.join(self.disk_dir, f"plan_{key}.npz")
 
-    # ------------------------------------------------------------------
-    # Capacity policy
-    # ------------------------------------------------------------------
-    @property
-    def max_entries(self) -> Optional[int]:
-        if self._max_entries is not None:
-            return self._max_entries
-        return _env_int("REPRO_PLAN_CACHE_ENTRIES")
-
-    @property
-    def max_bytes(self) -> Optional[int]:
-        if self._max_bytes is not None:
-            return self._max_bytes
-        return _env_int("REPRO_PLAN_CACHE_BYTES")
-
     def set_capacity(self, max_entries: Optional[int] = None,
                      max_bytes: Optional[int] = None) -> None:
         """Bound the in-memory tier; ``None`` means unbounded."""
-        self._max_entries = max_entries
-        self._max_bytes = max_bytes
-        self._evict()
-
-    def _evict(self) -> None:
-        max_entries, max_bytes = self.max_entries, self.max_bytes
-        while len(self._mem) > 1 and (
-            (max_entries is not None and len(self._mem) > max_entries)
-            or (max_bytes is not None and self._bytes > max_bytes)
-        ):
-            _, (_, dropped) = self._mem.popitem(last=False)
-            self._bytes -= dropped
-            PERF.count("plan_cache_evict")
-        if max_entries is not None and max_entries < 1 and self._mem:
-            # A zero budget still admits nothing.
-            _, (_, dropped) = self._mem.popitem(last=False)
-            self._bytes -= dropped
-            PERF.count("plan_cache_evict")
+        self._mem.max_entries = max_entries
+        self._mem.max_bytes = max_bytes
+        self._mem.trim()
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[CompiledPlan]:
         if not memo_enabled():
             return None
-        entry = self._mem.get(key)
-        if entry is not None:
-            self._mem.move_to_end(key)
-            PERF.count("plan_cache_hit")
-            return entry[0]
-        if self.disk_dir:
+        plan = self._mem.get(key)
+        if plan is None and self.disk_dir:
             from .persistence import load_plan
 
             plan = load_plan(self.disk_path(key), expect_id=key)
             if plan is not None:
                 PERF.count("plan_cache_disk_hit")
                 self._admit(plan)
-                return plan
-        PERF.count("plan_cache_miss")
-        return None
+        return plan
 
     def contains(self, key: str) -> bool:
         """Peek at the in-memory tier without touching counters or LRU
-        order (the serve layer's batch planner uses this to predict
-        which batches compile cold)."""
-        return key in self._mem
+        order."""
+        return self._mem.contains(key)
 
     def _admit(self, plan: CompiledPlan) -> None:
-        nbytes = plan_nbytes(plan)
-        if plan.plan_id in self._mem:
-            self._bytes -= self._mem.pop(plan.plan_id)[1]
-        self._mem[plan.plan_id] = (plan, nbytes)
-        self._bytes += nbytes
-        self._evict()
+        self._mem.put(plan.plan_id, plan, nbytes=plan_nbytes(plan))
 
     def put(self, plan: CompiledPlan) -> None:
         if not memo_enabled():
@@ -390,31 +333,35 @@ class PlanCache:
     def clear(self) -> None:
         """Drop the in-memory tier (disk artifacts stay)."""
         self._mem.clear()
-        self._bytes = 0
 
     def __len__(self) -> int:
         return len(self._mem)
 
     @property
     def nbytes(self) -> int:
-        return self._bytes
+        return self._mem.nbytes
 
     def stats(self) -> Dict[str, object]:
-        """Counters + occupancy for PERF surfacing and serve reports."""
-        hits = PERF.counts.get("plan_cache_hit", 0)
-        disk_hits = PERF.counts.get("plan_cache_disk_hit", 0)
-        misses = PERF.counts.get("plan_cache_miss", 0)
-        total = hits + disk_hits + misses
+        """Counters + occupancy for PERF surfacing and serve reports.
+
+        ``misses`` are memory-tier misses; ``disk_hits`` is the share of
+        them the disk tier served.
+        """
+        n = {k: PERF.counts.get(f"plan_cache_{k}", 0)
+             for k in ("hit", "disk_hit", "miss", "evict")}
+        lookups = n["hit"] + n["miss"]
         return {
             "entries": len(self._mem),
-            "nbytes": self._bytes,
-            "max_entries": self.max_entries,
-            "max_bytes": self.max_bytes,
-            "hits": hits,
-            "disk_hits": disk_hits,
-            "misses": misses,
-            "evictions": PERF.counts.get("plan_cache_evict", 0),
-            "hit_rate": (hits + disk_hits) / total if total else 0.0,
+            "nbytes": self._mem.nbytes,
+            "max_entries": self._mem.max_entries,
+            "max_bytes": self._mem.max_bytes,
+            "hits": n["hit"],
+            "disk_hits": n["disk_hit"],
+            "misses": n["miss"],
+            "evictions": n["evict"],
+            "hit_rate": (
+                (n["hit"] + n["disk_hit"]) / lookups if lookups else 0.0
+            ),
         }
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "ForwardResult",
     "NotSupported",
     "make_features",
+    "record_plan",
     "BASELINE_DISPATCH",
     "FUSED_DISPATCH",
 ]
@@ -97,6 +98,29 @@ _DEFAULT_MODELS = {
     "gat": GATConfig,
     "sage_lstm": SageLSTMConfig,
 }
+
+
+def record_plan(
+    report: RunReport, plan: CompiledPlan, execute_seconds: float
+) -> Dict[str, object]:
+    """Attach ``plan``'s side data and ``perf["plan"]`` entry to a report.
+
+    Returns the ``perf["plan"]`` dict so callers can annotate it (cache
+    hit, batch size, fan-out).
+    """
+    for key, value in plan.extra.items():
+        report.extra.setdefault(key, value)
+    perf = report.extra.setdefault("perf", {})
+    opt = plan.extra.get("optimize")
+    if isinstance(opt, dict):
+        perf["optimize"] = dict(opt)
+    perf["plan"] = {
+        "plan_id": plan.plan_id,
+        "compile_seconds": plan.compile_seconds,
+        "stage_seconds": dict(plan.stage_seconds),
+        "execute_seconds": execute_seconds,
+    }
+    return perf["plan"]
 
 
 class Framework(abc.ABC):
@@ -272,18 +296,7 @@ class Framework(abc.ABC):
         t0 = time.perf_counter()
         with PERF.stage("plan_execute"):
             report = simulate_plan(plan, sim)
-        for key, value in plan.extra.items():
-            report.extra.setdefault(key, value)
-        perf = report.extra.setdefault("perf", {})
-        opt = plan.extra.get("optimize")
-        if isinstance(opt, dict):
-            perf["optimize"] = dict(opt)
-        perf["plan"] = {
-            "plan_id": plan.plan_id,
-            "compile_seconds": plan.compile_seconds,
-            "stage_seconds": dict(plan.stage_seconds),
-            "execute_seconds": time.perf_counter() - t0,
-        }
+        record_plan(report, plan, time.perf_counter() - t0)
         output = None
         if compute:
             if graph is None:

@@ -56,6 +56,7 @@ from .memo import (
     PLAN_MEMO,
     STREAM_CACHE,
     StreamPlan,
+    _config_repr,
     array_digest,
     memo_stats,
 )
@@ -664,11 +665,7 @@ def simulate_kernels(
 def plan_memo_key(plan, config: GPUConfig | None = None):
     """The :data:`PLAN_MEMO` address of one plan execution."""
     cfg = config if config is not None else plan.gpu_config
-    return (
-        plan.plan_id,
-        dataclasses.astuple(cfg),
-        plan.dispatch_overhead,
-    )
+    return (plan.plan_id, _config_repr(cfg), plan.dispatch_overhead)
 
 
 def simulate_plan(plan, config: GPUConfig | None = None) -> RunReport:
@@ -691,13 +688,9 @@ def simulate_plan(plan, config: GPUConfig | None = None) -> RunReport:
     key = plan_memo_key(plan, cfg)
     cached = PLAN_MEMO.get(key)
     if cached is not None:
-        report = RunReport(
-            label=plan.label, peak_mem_bytes=plan.peak_mem_bytes
+        report = RunReport.replay(
+            cached, label=plan.label, peak_mem_bytes=plan.peak_mem_bytes
         )
-        for stats in cached:
-            report.add(dataclasses.replace(
-                stats, occupancy=dict(stats.occupancy)
-            ))
         report.extra["perf"] = {
             "cache_model_seconds": 0.0,
             "schedule_seconds": 0.0,
@@ -716,9 +709,5 @@ def simulate_plan(plan, config: GPUConfig | None = None) -> RunReport:
         dispatch_overhead=plan.dispatch_overhead,
     )
     report.extra["perf"]["plan_memo_hit"] = False
-    stats_tuple = tuple(report.kernels)
-    # Rough per-entry footprint so PLAN_MEMO's optional byte budget is
-    # meaningful: KernelStats is scalar fields plus an occupancy dict.
-    nbytes = sum(256 + 64 * len(s.occupancy) for s in stats_tuple)
-    PLAN_MEMO.put(key, stats_tuple, nbytes=nbytes)
+    PLAN_MEMO.put(key, tuple(report.kernels))
     return report

@@ -20,6 +20,10 @@ simulation's outcome and caches two tiers of work:
   extends :mod:`repro.core.persistence` so suites can share cold starts
   across processes.
 
+Every in-process tier, these and the plan cache of
+:mod:`repro.core.plan`, is an :class:`LRUCache`; the bounds are the
+module constants below, not environment options.
+
 Array fingerprints use SHA-256 over the raw bytes (the fastest hash in
 this interpreter on bulk input, ~1.8x BLAKE2b).  Arrays are treated
 as immutable once simulated (the repo-wide convention); a weakref-guarded
@@ -126,9 +130,15 @@ _ALL_CACHES: list = []
 
 
 class LRUCache:
-    """LRU keyed by hashable tuples, bounded by entries and bytes."""
+    """LRU keyed by hashable tuples, bounded by entries and bytes.
 
-    def __init__(self, max_entries: int = 1024,
+    ``max_entries=None`` means unbounded; ``0`` admits nothing.  Under a
+    byte budget the newest entry always survives, so a single oversized
+    value still caches.  Hits, misses and evictions count in
+    :data:`~repro.perf.PERF` as ``<name>_hit`` / ``_miss`` / ``_evict``.
+    """
+
+    def __init__(self, max_entries: Optional[int] = 1024,
                  max_bytes: Optional[int] = None,
                  name: str = "cache") -> None:
         self.max_entries = max_entries
@@ -152,10 +162,16 @@ class LRUCache:
             self._bytes -= self._data.pop(key)[1]
         self._data[key] = (value, nbytes)
         self._bytes += nbytes
-        while len(self._data) > self.max_entries or (
-            self.max_bytes is not None
-            and self._bytes > self.max_bytes
-            and len(self._data) > 1
+        self.trim()
+
+    def trim(self) -> None:
+        """Evict least-recently-used entries until both bounds hold."""
+        while (
+            (self.max_entries is not None
+             and len(self._data) > self.max_entries)
+            or (self.max_bytes is not None
+                and self._bytes > self.max_bytes
+                and len(self._data) > 1)
         ):
             _, (_, dropped) = self._data.popitem(last=False)
             self._bytes -= dropped
@@ -213,22 +229,21 @@ class StreamPlan:
         return total
 
 
-def _env_bytes(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
+#: Byte budgets of the three stream-side tiers.  They stay
+#: separate: on the full-size paper workloads the stream and perm tiers
+#: fill and evict, so one shared pool would grow peak memory.
+STREAM_CACHE_BYTES = 512 * 1024 * 1024
+REORDER_CACHE_BYTES = 256 * 1024 * 1024
+PERM_CACHE_BYTES = 128 * 1024 * 1024
+#: Entry bound of :data:`PLAN_MEMO`.
+PLAN_MEMO_ENTRIES = 512
 
 #: Stream analyses are large (two int64 arrays per stream), so the tier
 #: is bounded by bytes; 512 MiB holds a full 20-round tuner sweep on the
 #: largest scaled dataset.
 STREAM_CACHE = LRUCache(
     max_entries=256,
-    max_bytes=_env_bytes("REPRO_STREAM_CACHE_BYTES", 512 * 1024 * 1024),
+    max_bytes=STREAM_CACHE_BYTES,
     name="stream_cache",
 )
 
@@ -239,7 +254,7 @@ STREAM_CACHE = LRUCache(
 #: expensive lowering step on the large datasets.
 REORDER_CACHE = LRUCache(
     max_entries=64,
-    max_bytes=_env_bytes("REPRO_REORDER_CACHE_BYTES", 256 * 1024 * 1024),
+    max_bytes=REORDER_CACHE_BYTES,
     name="reorder_cache",
 )
 
@@ -249,7 +264,7 @@ REORDER_CACHE = LRUCache(
 #: tier so the perm arrays never evict full stream analyses.
 PERM_CACHE = LRUCache(
     max_entries=64,
-    max_bytes=_env_bytes("REPRO_PERM_CACHE_BYTES", 128 * 1024 * 1024),
+    max_bytes=PERM_CACHE_BYTES,
     name="perm_cache",
 )
 
@@ -341,16 +356,10 @@ KERNEL_MEMO = KernelMemo()
 #: A :class:`~repro.core.plan.CompiledPlan` is content-addressed, so its
 #: whole simulated kernel-stats sequence is reusable as one unit — the
 #: run-many half of compile-once/run-many skips even the per-kernel memo
-#: lookups.  Entry- and (optionally) byte-bounded: a long-lived serving
-#: process replaying a churning request mix must not accumulate stats
-#: tuples without bound.  Evictions count under ``plan_memo_evict``.
-PLAN_MEMO = LRUCache(
-    max_entries=max(1, _env_bytes("REPRO_PLAN_MEMO_ENTRIES", 512)),
-    max_bytes=(
-        _env_bytes("REPRO_PLAN_MEMO_BYTES", 0) or None
-    ),
-    name="plan_memo",
-)
+#: lookups.  Entry-bounded: a long-lived serving process replaying a
+#: churning request mix must not accumulate stats tuples without bound.
+#: Evictions count under ``plan_memo_evict``.
+PLAN_MEMO = LRUCache(max_entries=PLAN_MEMO_ENTRIES, name="plan_memo")
 
 
 # ----------------------------------------------------------------------

@@ -124,6 +124,22 @@ class RunReport:
     #: attribution for Table 5, tuning traces).
     extra: Dict[str, object] = dataclasses.field(default_factory=dict)
 
+    @classmethod
+    def replay(cls, kernels, label: str = "",
+               peak_mem_bytes: int = 0) -> "RunReport":
+        """A report over copies of already-simulated ``kernels``.
+
+        Each stat gets its own ``occupancy`` dict, so the new report
+        shares no mutable state with a memoized or fanned-out source
+        yet is bit-identical to it.
+        """
+        report = cls(label=label, peak_mem_bytes=peak_mem_bytes)
+        for stats in kernels:
+            report.add(dataclasses.replace(
+                stats, occupancy=dict(stats.occupancy)
+            ))
+        return report
+
     def add(self, stats: KernelStats) -> None:
         self.kernels.append(stats)
 

@@ -2,9 +2,9 @@
 
 The server owns the pipeline's stateful stages: it queues admitted
 requests, resolves each compatibility batch to a plan through the
-content-addressed cache (:data:`~repro.core.plan.PLAN_CACHE` by
-default, with whatever admission/eviction policy it is configured
-with), executes every batch exactly once, and fans bit-identical
+process-wide content-addressed :data:`~repro.core.plan.PLAN_CACHE`
+(unbounded unless :meth:`~repro.core.plan.PlanCache.set_capacity`
+bounds it), executes every batch exactly once, and fans bit-identical
 results back to each member request while per-tenant latency
 histograms accumulate.
 
@@ -16,11 +16,11 @@ codebase.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..frameworks.base import ForwardResult, Framework
+from ..core.plan import PLAN_CACHE
+from ..frameworks.base import ForwardResult, Framework, record_plan
 from ..gpusim.config import GPUConfig
 from ..gpusim.metrics import RunReport
 from ..graph.csr import CSRGraph
@@ -94,33 +94,22 @@ def _clone_result(
 ) -> ForwardResult:
     """Fan-out: a member's result from the batch's single execution.
 
-    The simulated kernel statistics are copied stat-by-stat exactly the
-    way the plan-level memo restores them, so a fanned-out report is
-    bit-identical (kernels, peak memory, totals) to what a sequential
-    per-request ``execute()`` would have produced.  Only the host-side
-    ``perf`` bookkeeping differs: it records that this request rode a
-    batch instead of driving its own simulation.
+    The simulated kernel statistics are copied with
+    :meth:`RunReport.replay`, the plan-level memo's restore path, and
+    the plan side data with :func:`record_plan`, the one ``execute()``
+    uses, so a fanned-out report is bit-identical (kernels, peak memory,
+    totals) to what a sequential per-request ``execute()`` would have
+    produced.  Only the host-side ``perf`` bookkeeping differs: it
+    records that this request rode a batch instead of driving its own
+    simulation.
     """
     src = leader.report
-    report = RunReport(label=src.label, peak_mem_bytes=src.peak_mem_bytes)
-    for stats in src.kernels:
-        report.add(dataclasses.replace(
-            stats, occupancy=dict(stats.occupancy)
-        ))
-    for key, value in plan.extra.items():
-        report.extra.setdefault(key, value)
-    perf = report.extra.setdefault("perf", {})
-    opt = plan.extra.get("optimize")
-    if isinstance(opt, dict):
-        perf["optimize"] = dict(opt)
-    perf["plan"] = {
-        "plan_id": plan.plan_id,
-        "compile_seconds": plan.compile_seconds,
-        "stage_seconds": dict(plan.stage_seconds),
-        "execute_seconds": 0.0,
-        "fanned_out": True,
-        "batch_size": batch_size,
-    }
+    report = RunReport.replay(
+        src.kernels, label=src.label, peak_mem_bytes=src.peak_mem_bytes
+    )
+    record_plan(report, plan, 0.0).update(
+        fanned_out=True, batch_size=batch_size
+    )
     return ForwardResult(report, None)
 
 
@@ -137,13 +126,6 @@ class PlanServer:
         (defaults to the benchmark V100 configuration).
     policy:
         :class:`AdmissionPolicy`; the default admits everything.
-    plan_cache:
-        The :class:`~repro.core.plan.PlanCache` whose occupancy and
-        hit statistics :meth:`stats` reports.  Defaults to the
-        process-wide :data:`~repro.core.plan.PLAN_CACHE`, which is
-        what compilation resolves through; bound that pool with
-        ``REPRO_PLAN_CACHE_ENTRIES`` / ``REPRO_PLAN_CACHE_BYTES`` or
-        :meth:`~repro.core.plan.PlanCache.set_capacity`.
 
     Usage::
 
@@ -160,7 +142,6 @@ class PlanServer:
         frameworks: Optional[Mapping[str, Framework]] = None,
         sim: Optional[GPUConfig] = None,
         policy: Optional[AdmissionPolicy] = None,
-        plan_cache=None,
     ) -> None:
         if frameworks is None:
             from ..frameworks import all_frameworks
@@ -170,14 +151,9 @@ class PlanServer:
             from ..bench import bench_config
 
             sim = bench_config()
-        if plan_cache is None:
-            from ..core.plan import PLAN_CACHE
-
-            plan_cache = PLAN_CACHE
         self.frameworks: Dict[str, Framework] = dict(frameworks)
         self.sim = sim
         self.policy = policy or AdmissionPolicy()
-        self.plan_cache = plan_cache
         self._queue: List[Tuple[InferenceRequest, float]] = []
         self._queued_per_tenant: Dict[str, int] = {}
         self._latency = LatencyHistogram("serve")
@@ -369,7 +345,8 @@ class PlanServer:
         )
 
     def stats(self) -> Dict[str, object]:
-        """The per-tenant serving report (PERF-backed cache counters)."""
+        """The per-tenant serving report; ``plan_cache`` is
+        :meth:`PLAN_CACHE.stats() <repro.core.plan.PlanCache.stats>`."""
         batches = self._counts["batches"]
         served = self._counts["served"]
         return {
@@ -380,10 +357,7 @@ class PlanServer:
             "plan_cache_hit_rate": (
                 self._counts["cache_hits"] / batches if batches else 0.0
             ),
-            "plan_cache": (
-                self.plan_cache.stats()
-                if hasattr(self.plan_cache, "stats") else {}
-            ),
+            "plan_cache": PLAN_CACHE.stats(),
             "latency": self._latency.summary(),
             "tenants": {
                 t: h.summary()

@@ -25,7 +25,7 @@ from repro.core.plan import PLAN_CACHE, PlanCache, plan_nbytes
 from repro.frameworks import all_frameworks
 from repro.frameworks.ours import OursOptions, OursRuntime
 from repro.gpusim import V100_SCALED
-from repro.gpusim.memo import clear_caches
+from repro.gpusim.memo import LRUCache, clear_caches
 from repro.graph import khop_sampled_subgraph, small_dataset
 from repro.models import GCNConfig
 from repro.perf import PERF
@@ -320,6 +320,8 @@ class TestAdmission:
 # ----------------------------------------------------------------------
 
 class TestPlanCacheBounds:
+    """The plan cache's memory tier is the shared ``LRUCache``."""
+
     def _plans(self, g, n):
         fw = OursRuntime()
         return [
@@ -327,6 +329,21 @@ class TestPlanCacheBounds:
                        model=GCNConfig(dims=(32, 8 * (i + 1), 4)))
             for i in range(n)
         ]
+
+    def test_memory_tier_is_the_shared_lru(self, g):
+        cache = PlanCache()
+        assert isinstance(cache._mem, LRUCache)
+        assert cache._mem.name == "plan_cache"
+        (p1,) = self._plans(g, 1)
+        before = dict(PERF.counts)
+        assert cache.get(p1.plan_id) is None
+        cache.put(p1)
+        assert cache.get(p1.plan_id) is p1
+        delta = {k: PERF.counts.get(k, 0) - before.get(k, 0)
+                 for k in ("plan_cache_hit", "plan_cache_miss",
+                           "plan_cache_disk_hit")}
+        assert delta == {"plan_cache_hit": 1, "plan_cache_miss": 1,
+                         "plan_cache_disk_hit": 0}
 
     def test_entry_capacity_evicts_lru(self, g):
         cache = PlanCache(max_entries=2)
@@ -352,6 +369,17 @@ class TestPlanCacheBounds:
         assert cache.contains(p2.plan_id)
         assert not cache.contains(p1.plan_id)
         assert cache.stats()["entries"] == 1
+        assert cache.nbytes == plan_nbytes(p2)
+
+    def test_zero_entries_admits_nothing(self, g):
+        (p1,) = self._plans(g, 1)
+        cache = PlanCache(max_entries=0)
+        evictions = PERF.counts.get("plan_cache_evict", 0)
+        cache.put(p1)
+        assert not cache.contains(p1.plan_id)
+        assert len(cache) == 0 and cache.nbytes == 0
+        assert PERF.counts.get("plan_cache_evict", 0) == evictions + 1
+        assert cache.get(p1.plan_id) is None
 
     def test_nbytes_accounting(self, g):
         (p1,) = self._plans(g, 1)
@@ -367,16 +395,23 @@ class TestPlanCacheBounds:
         for p in plans:
             cache.put(p)
         assert cache.stats()["entries"] == 3
+        assert cache.stats()["max_entries"] is None
+        assert cache.stats()["max_bytes"] is None
         assert PERF.counts.get("plan_cache_evict", 0) == evictions
 
-    def test_env_capacity(self, g, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_CACHE_ENTRIES", "1")
-        cache = PlanCache()
-        p1, p2 = self._plans(g, 2)
-        cache.put(p1)
-        cache.put(p2)
-        assert cache.stats()["entries"] == 1
-        assert cache.contains(p2.plan_id)
+    def test_disk_load_counts_memory_miss(self, g, tmp_path):
+        (p1,) = self._plans(g, 1)
+        PlanCache(disk_dir=str(tmp_path)).put(p1)
+        cache = PlanCache(disk_dir=str(tmp_path))
+        before = dict(PERF.counts)
+        loaded = cache.get(p1.plan_id)
+        assert loaded is not None and loaded.plan_id == p1.plan_id
+        assert cache.contains(p1.plan_id)
+        delta = {k: PERF.counts.get(k, 0) - before.get(k, 0)
+                 for k in ("plan_cache_hit", "plan_cache_miss",
+                           "plan_cache_disk_hit")}
+        assert delta == {"plan_cache_hit": 0, "plan_cache_miss": 1,
+                         "plan_cache_disk_hit": 1}
 
     def test_served_pool_bounded(self, g, g2):
         """Bounding the process-wide cache under a live server: serving
@@ -391,13 +426,36 @@ class TestPlanCacheBounds:
             ])
             assert all(r.ok for r in responses)
             assert PLAN_CACHE.stats()["entries"] == 1
+            assert server.stats()["plan_cache"]["entries"] == 1
             assert PERF.counts.get("plan_cache_evict", 0) >= 1
         finally:
             PLAN_CACHE.set_capacity()
 
-    def test_plan_memo_capacity_counts_evictions(self, g):
-        from repro.gpusim.memo import LRUCache
+    def test_set_capacity_shrinks_live_pool(self, g, g2):
+        """``set_capacity`` evicts at once, keeping the newest plan."""
+        server = PlanServer(sim=V100_SCALED)
+        responses = server.serve([
+            InferenceRequest("gcn", g, framework="dgl"),
+            InferenceRequest("gcn", g2, framework="dgl"),
+        ])
+        assert PLAN_CACHE.stats()["entries"] == 2
+        evictions = PERF.counts.get("plan_cache_evict", 0)
+        PLAN_CACHE.set_capacity(max_entries=1)
+        try:
+            assert PERF.counts.get("plan_cache_evict", 0) == evictions + 1
+            assert PLAN_CACHE.contains(responses[1].plan_id)
+            assert not PLAN_CACHE.contains(responses[0].plan_id)
+            again = server.serve([
+                InferenceRequest("gcn", g2, framework="dgl"),
+            ])
+            assert again[0].cache_hit
+            assert (again[0].result.time_ms
+                    == responses[1].result.time_ms)
+        finally:
+            PLAN_CACHE.set_capacity()
+        assert PLAN_CACHE.stats()["max_entries"] is None
 
+    def test_plan_memo_capacity_counts_evictions(self, g):
         cache = LRUCache(max_entries=1, name="test_memo")
         evictions = PERF.counts.get("test_memo_evict", 0)
         cache.put("a", 1)
