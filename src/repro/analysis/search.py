@@ -234,7 +234,6 @@ def optimize_plan(
     *,
     beam_width: int = 4,
     max_nodes: int = 64,
-    plan_id: Optional[str] = None,
 ):
     """Search-optimize a :class:`~repro.core.plan.CompiledPlan`.
 
@@ -245,8 +244,8 @@ def optimize_plan(
     rewrite provenance in ``extra["rewrites"]`` and search stats in
     ``extra["optimize"]`` — and re-lints it end to end.  Returns the
     original object untouched when nothing improves or the rebuilt
-    artifact fails its lint gate; ``plan_id`` names the optimized
-    artifact (defaults to ``<original>-opt``).
+    artifact fails its lint gate; the optimized artifact is addressed
+    ``<original plan_id>-opt``.
     """
     from ..core.plan import CompiledPlan  # noqa: F401  (type only)
     from .driver import MODEL_CHAINS, lint_plan
@@ -311,7 +310,7 @@ def optimize_plan(
 
     out = dataclasses.replace(
         plan,
-        plan_id=plan_id or f"{plan.plan_id}-opt",
+        plan_id=f"{plan.plan_id}-opt",
         kernels=new_kernels,
         layers=new_layers,
         extra={

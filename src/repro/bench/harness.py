@@ -71,9 +71,10 @@ cached_schedule.plan_cache_safe = True
 def verify_plans_default() -> bool:
     """Whether benchmark runtimes statically verify every lowered plan.
 
-    Opt-in via ``REPRO_VERIFY_PLANS=1`` — CI turns it on so every
-    benchmark pipeline passes through the four analysis passes; local
-    perf runs skip the overhead by default.
+    Opt-in via ``REPRO_VERIFY_PLANS=1``; off by default so perf runs
+    skip the overhead.  CI sets no ``REPRO_*`` switch: its lint job
+    verifies the shipped model x dataset x config grid with
+    ``repro lint`` instead.
     """
     return os.environ.get("REPRO_VERIFY_PLANS", "") not in ("", "0")
 

@@ -1,15 +1,19 @@
-"""Persistence of offline analysis artifacts.
+"""Persistence of the offline analysis artifact: the compiled plan.
 
 The paper's locality-aware scheduling is explicitly an *offline*
 analysis: "It is done offline as we only need to do it once because the
 graph structure stays invariant.  The results however can be used for
-many runs of the GNN" (§4.4).  This module is that contract as code:
-schedules (and tuning results) are saved next to the dataset and
-reloaded in later processes, so the analysis cost is paid once per
-graph, not once per run.
+many runs of the GNN" (§4.4).  In this reproduction that artifact is the
+:class:`~repro.core.plan.CompiledPlan`: it carries the schedule, the
+tuned grouping bounds and the lowered kernels of every layer, so saving
+it saves the whole analysis.  :func:`save_plan` writes one ``.npz`` per
+plan and :func:`load_plan` reloads it in a later process (the plan
+cache's disk tier, ``repro plan compile --out``), so the analysis cost
+is paid once per (graph, model, config), not once per run.
 
-Artifacts are ``.npz`` files keyed by a structural fingerprint of the
-graph; a stale artifact (graph changed) is detected and recomputed.
+Artifacts are content-addressed by the plan id, which covers the graph's
+structural fingerprint; a stale, mismatched or damaged artifact is
+rejected with a warning naming the file, and the caller recompiles.
 """
 
 from __future__ import annotations
@@ -20,25 +24,14 @@ import json
 import logging
 import os
 import uuid
+import zipfile
 from typing import Optional
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
 from ..gpusim.kernel import KernelDataflow, KernelSpec
-from ..gpusim.metrics import KernelStats
-from .scheduling import ScheduleResult, locality_aware_schedule
-from .tuner import TuningResult
 
 __all__ = [
-    "graph_fingerprint",
-    "save_schedule",
-    "load_schedule",
-    "schedule_with_cache",
-    "save_tuning",
-    "load_tuning",
-    "save_kernel_stats",
-    "load_kernel_stats",
     "save_plan",
     "load_plan",
 ]
@@ -58,222 +51,6 @@ def _tmp_path(path: str) -> str:
         f"{next(_TMP_COUNTER)}.{uuid.uuid4().hex[:8]}"
     )
 
-
-def graph_fingerprint(graph: CSRGraph) -> str:
-    """Structural hash: changes iff the CSR structure changes.
-
-    Delegates to :attr:`CSRGraph.fingerprint`, which caches the digest
-    per instance, so artifact lookups in hot loops cost one attribute
-    read instead of re-hashing the edge arrays.
-    """
-    return graph.fingerprint
-
-
-def save_schedule(
-    path: str, graph: CSRGraph, schedule: ScheduleResult
-) -> None:
-    """Persist a schedule with its graph fingerprint."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    np.savez_compressed(
-        path,
-        order=schedule.order,
-        cluster_id=schedule.cluster_id,
-        meta=np.frombuffer(
-            json.dumps({
-                "fingerprint": graph_fingerprint(graph),
-                "num_clusters": schedule.num_clusters,
-                "num_candidate_pairs": schedule.num_candidate_pairs,
-                "analysis_seconds": schedule.analysis_seconds,
-            }).encode(),
-            dtype=np.uint8,
-        ),
-    )
-
-
-def load_schedule(
-    path: str, graph: CSRGraph
-) -> Optional[ScheduleResult]:
-    """Load a schedule if present and still valid for ``graph``.
-
-    A missing file is a silent cache miss; a corrupt or stale artifact
-    is a logged one — the caller recomputes either way, but a warning
-    names the file so persistent staleness/corruption is visible.
-    """
-    if not os.path.exists(path):
-        return None
-    try:
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"].tobytes()).decode())
-            if meta["fingerprint"] != graph_fingerprint(graph):
-                logger.warning(
-                    "stale schedule artifact %s: graph fingerprint %s != "
-                    "expected %s; recomputing",
-                    path, meta["fingerprint"], graph_fingerprint(graph),
-                )
-                return None
-            return ScheduleResult(
-                order=data["order"],
-                cluster_id=data["cluster_id"],
-                num_clusters=int(meta["num_clusters"]),
-                num_candidate_pairs=int(meta["num_candidate_pairs"]),
-                analysis_seconds=float(meta["analysis_seconds"]),
-            )
-    except (OSError, ValueError, KeyError, TypeError,
-            json.JSONDecodeError) as exc:
-        logger.warning(
-            "corrupt schedule artifact %s (%s: %s); recomputing",
-            path, type(exc).__name__, exc,
-        )
-        return None
-
-
-def schedule_with_cache(
-    graph: CSRGraph, cache_dir: str, **kwargs
-) -> ScheduleResult:
-    """Load-or-compute-and-save the offline schedule for ``graph``."""
-    path = os.path.join(
-        cache_dir, f"schedule_{graph.name or 'graph'}_"
-        f"{graph_fingerprint(graph)}.npz",
-    )
-    cached = load_schedule(path, graph)
-    if cached is not None:
-        return cached
-    schedule = locality_aware_schedule(graph, **kwargs)
-    save_schedule(path, graph, schedule)
-    return schedule
-
-
-def save_tuning(path: str, graph: CSRGraph, feat_len: int,
-                result: TuningResult) -> None:
-    """Persist an online-tuning outcome (bound/lanes/launch)."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    payload = {
-        "fingerprint": graph_fingerprint(graph),
-        "feat_len": feat_len,
-        "bound": result.bound,
-        "lanes": result.lanes,
-        "packed_rows": result.packed_rows,
-        "rounds": result.rounds,
-        "trace": {str(k): v for k, v in result.trace.items()},
-        "baseline_seconds": result.baseline_seconds,
-        "threads_per_block": result.launch.threads_per_block,
-        "registers_per_thread": result.launch.registers_per_thread,
-        "shared_per_block": result.launch.shared_per_block,
-        "resident_blocks_per_sm": result.resident_blocks_per_sm,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-
-
-def load_tuning(
-    path: str, graph: CSRGraph, feat_len: int
-) -> Optional[TuningResult]:
-    """Load a tuning result if present and valid for (graph, feat)."""
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        if (
-            payload["fingerprint"] != graph_fingerprint(graph)
-            or payload["feat_len"] != feat_len
-        ):
-            logger.warning(
-                "stale tuning artifact %s: (fingerprint=%s, feat_len=%s) "
-                "!= expected (%s, %s); retuning",
-                path, payload.get("fingerprint"), payload.get("feat_len"),
-                graph_fingerprint(graph), feat_len,
-            )
-            return None
-        from ..gpusim.occupancy import LaunchConfig
-
-        return TuningResult(
-            bound=payload["bound"],
-            lanes=payload["lanes"],
-            packed_rows=payload["packed_rows"],
-            rounds=payload["rounds"],
-            trace={int(k): v for k, v in payload["trace"].items()},
-            baseline_seconds=payload["baseline_seconds"],
-            launch=LaunchConfig(
-                payload["threads_per_block"],
-                payload["registers_per_thread"],
-                payload["shared_per_block"],
-            ),
-            resident_blocks_per_sm=payload["resident_blocks_per_sm"],
-        )
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        # Artifact written by an older/newer version (missing or
-        # malformed keys): treat as a cache miss, not an error.
-        logger.warning(
-            "corrupt tuning artifact %s (%s: %s); retuning",
-            path, type(exc).__name__, exc,
-        )
-        return None
-
-
-def save_kernel_stats(path: str, stats: KernelStats) -> None:
-    """Persist one simulated :class:`KernelStats` (on-disk memo tier).
-
-    Written atomically (rename) so concurrent suite processes sharing a
-    cache directory never observe a torn file.
-    """
-    payload = dataclasses.asdict(stats)
-    # JSON object keys are strings; occupancy thresholds are floats.
-    payload["occupancy"] = {
-        str(k): v for k, v in stats.occupancy.items()
-    }
-    tmp = _tmp_path(path)
-    try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except OSError as exc:
-        # The disk tier is an optimization; a full or read-only cache
-        # directory must not fail the simulation that produced the stats.
-        logger.warning(
-            "could not persist kernel stats to %s (%s: %s)",
-            path, type(exc).__name__, exc,
-        )
-        if os.path.exists(tmp):
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-
-
-def load_kernel_stats(path: str) -> Optional[KernelStats]:
-    """Load a persisted :class:`KernelStats`, ``None`` if absent/invalid."""
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        payload["occupancy"] = {
-            float(k): float(v) for k, v in payload["occupancy"].items()
-        }
-        field_names = {f.name for f in dataclasses.fields(KernelStats)}
-        if set(payload) != field_names:
-            # Schema drift: recompute rather than guess.
-            logger.warning(
-                "stale kernel-stats artifact %s: fields %s != schema %s; "
-                "resimulating",
-                path, sorted(set(payload)), sorted(field_names),
-            )
-            return None
-        return KernelStats(**payload)
-    except (OSError, KeyError, ValueError, TypeError,
-            json.JSONDecodeError) as exc:
-        logger.warning(
-            "corrupt kernel-stats artifact %s (%s: %s); resimulating",
-            path, type(exc).__name__, exc,
-        )
-        return None
-
-
-# ----------------------------------------------------------------------
-# CompiledPlan artifacts (the content-addressed plan cache's disk tier)
-# ----------------------------------------------------------------------
 
 def _op_to_dict(op) -> dict:
     return {
@@ -527,8 +304,10 @@ def load_plan(path: str, expect_id: Optional[str] = None):
                 },
                 extra=extra,
             )
-    except (OSError, ValueError, KeyError, TypeError,
-            json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, EOFError,
+            json.JSONDecodeError, zipfile.BadZipFile) as exc:
+        # A truncated or empty .npz surfaces as BadZipFile / EOFError
+        # from the zip reader rather than as a parse error.
         logger.warning(
             "corrupt plan artifact %s (%s: %s); recompiling",
             path, type(exc).__name__, exc,

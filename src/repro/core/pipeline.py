@@ -38,7 +38,6 @@ __all__ = [
     "reset_stage_counts",
     "stage_counts",
     "PlanBuilder",
-    "optimize_stage",
     "shared_schedule",
 ]
 
@@ -175,46 +174,6 @@ class PlanBuilder:
             stage_seconds=dict(self.stage_seconds),
             extra=dict(extra or {}),
         )
-
-
-# ----------------------------------------------------------------------
-# The opt-in optimize stage
-# ----------------------------------------------------------------------
-
-def optimize_stage(
-    plan: CompiledPlan,
-    graph: CSRGraph,
-    *,
-    beam_width: int = 4,
-    max_nodes: int = 64,
-    plan_id: Optional[str] = None,
-) -> CompiledPlan:
-    """Run the footprint-guided plan search as a pipeline stage.
-
-    Wraps :func:`repro.analysis.search.optimize_plan` with the stage
-    accounting every other pipeline stage gets (``PLAN_STAGE_COUNTS``,
-    the ``plan_stage_optimize`` perf counter, ``stage_seconds``), so
-    the compile-once assertions and the CI wall-time summary see the
-    optimizer like any other stage.  The analysis package is imported
-    lazily — core stays importable without it, and the analysis passes
-    import core.
-    """
-    from ..analysis.search import optimize_plan
-
-    PLAN_STAGE_COUNTS["optimize"] = (
-        PLAN_STAGE_COUNTS.get("optimize", 0) + 1
-    )
-    PERF.count("plan_stage_optimize")
-    t0 = time.perf_counter()
-    out = optimize_plan(
-        plan, graph, beam_width=beam_width, max_nodes=max_nodes,
-        plan_id=plan_id,
-    )
-    dt = time.perf_counter() - t0
-    PERF.add_seconds("plan_stage_optimize", dt)
-    if out is not plan:
-        out.stage_seconds = {**out.stage_seconds, "optimize": dt}
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 from typing import Dict, List, Optional
 
@@ -49,17 +50,17 @@ __all__ = [
     "PLAN_CACHE",
 ]
 
+logger = logging.getLogger(__name__)
+
 #: Bumped whenever the serialized schema changes; stale artifacts are
 #: recompiled, never guessed at.  v2: per-kernel ``dataflow`` metadata
 #: (happens-before analysis) joined the kernel meta blob.
 PLAN_VERSION = 2
 
 #: The staged pipeline, in order.  Every ``PlanBuilder.stage`` entry must
-#: name one of these.  ``optimize`` is the opt-in post-compile stage
-#: (``REPRO_OPTIMIZE_PLANS=1``): the footprint-guided plan search run by
-#: :func:`repro.core.pipeline.optimize_stage`.
-STAGE_NAMES = ("trace", "schedule", "group", "adapt", "lower", "tune",
-               "optimize")
+#: name one of these.  The footprint-guided plan search is not a stage:
+#: it runs offline over saved artifacts (``repro plan optimize``).
+STAGE_NAMES = ("trace", "schedule", "group", "adapt", "lower", "tune")
 
 
 @dataclasses.dataclass
@@ -262,7 +263,9 @@ class PlanCache:
     (``REPRO_KERNEL_MEMO``); the disk tier activates when a directory is
     configured (``REPRO_PLAN_CACHE_DIR`` or :meth:`set_disk_dir`).
     Artifacts are one ``plan_<key>.npz`` file each, written atomically
-    by :func:`repro.core.persistence.save_plan`.
+    by :func:`repro.core.persistence.save_plan`.  The disk tier degrades
+    to a warning: a damaged artifact is a miss and the plan recompiles;
+    an unwritable directory keeps the plan in memory only.
 
     The in-memory tier is a :class:`~repro.gpusim.memo.LRUCache` named
     ``plan_cache``: unbounded by default, LRU once a capacity is set per
@@ -328,7 +331,17 @@ class PlanCache:
         if self.disk_dir:
             from .persistence import save_plan
 
-            save_plan(self.disk_path(plan.plan_id), plan)
+            path = self.disk_path(plan.plan_id)
+            try:
+                save_plan(path, plan)
+            except OSError as exc:
+                # The disk tier is an optimization: an unwritable cache
+                # directory must not fail the compile that produced the
+                # plan, which stays cached in memory.
+                logger.warning(
+                    "could not persist plan to %s (%s: %s)",
+                    path, type(exc).__name__, exc,
+                )
 
     def clear(self) -> None:
         """Drop the in-memory tier (disk artifacts stay)."""

@@ -43,7 +43,7 @@ from ..graph.csr import CSRGraph
 from ..models.gat import GATConfig, gat_reference_forward
 from ..models.gcn import GCNConfig, gcn_reference_forward
 from ..models.sage_lstm import SageLSTMConfig, sage_lstm_reference_forward
-from ..perf import PERF, optimize_enabled
+from ..perf import PERF
 
 __all__ = [
     "Framework",
@@ -196,13 +196,8 @@ class Framework(abc.ABC):
         Returns ``(key, model, cacheable)``.  The serve layer's batcher
         groups requests by this key: two requests with the same
         signature share one compilation and one simulated execution.
-        The opt-in optimizer changes what the pipeline produces, so it
-        must change the content address too: the flag enters the
-        options blob of plan_key (never OursOptions — that would move
-        every default-path plan id), keeping optimized and default
-        artifacts distinct in both cache tiers.  Sharded compilation
-        follows the same opt-in pattern: the partitioning blob
-        (method/parts/part/shard fingerprint) joins the options only
+        Sharded compilation folds the partitioning blob
+        (method/parts/part/shard fingerprint) into the options only
         when present, so every single-device plan id stays put while
         per-partition plans get their own content addresses.
         """
@@ -211,8 +206,6 @@ class Framework(abc.ABC):
         if model is None:
             model = _DEFAULT_MODELS[model_name]()
         options = self.plan_options()
-        if optimize_enabled():
-            options = {**options, "optimize": True}
         if shard_options:
             options = {**options, "shard": dict(shard_options)}
         key = plan_key(
@@ -249,7 +242,6 @@ class Framework(abc.ABC):
                 model_name, graph, sim, model=model,
                 shard_options=shard_options,
             )
-        optimizing = optimize_enabled()
         if cacheable:
             cached = PLAN_CACHE.get(key)
             if cached is not None:
@@ -263,15 +255,6 @@ class Framework(abc.ABC):
             # sharded and monolithic compilations of byte-identical
             # graphs never share a content address.
             plan = dataclasses.replace(plan, plan_id=key)
-        if optimizing:
-            from ..core.pipeline import optimize_stage
-
-            plan = optimize_stage(plan, graph, plan_id=key)
-            if plan.plan_id != key:
-                # Nothing improved: the compiled plan ships as-is, but
-                # under the optimize-path address so the cache tiers
-                # stay coherent with the lookup key above.
-                plan = dataclasses.replace(plan, plan_id=key)
         if cacheable:
             PLAN_CACHE.put(plan)
         return plan

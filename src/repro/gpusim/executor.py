@@ -58,6 +58,7 @@ from .memo import (
     StreamPlan,
     _config_repr,
     array_digest,
+    kernel_fingerprint,
     memo_stats,
 )
 from .metrics import KernelStats, RunReport, occupancy_below
@@ -614,7 +615,7 @@ def simulate_kernel(
     """
     if not memo_enabled():
         return _simulate_kernel_cold(kernel, config, dispatch_overhead)
-    key = KERNEL_MEMO.fingerprint(kernel, config, dispatch_overhead)
+    key = kernel_fingerprint(kernel, config, dispatch_overhead)
     cached = KERNEL_MEMO.get(key)
     if cached is not None:
         PERF.count("kernel_memo_hit")

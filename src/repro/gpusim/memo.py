@@ -14,11 +14,10 @@ simulation's outcome and caches two tiers of work:
   feature length pays nothing.
 * **kernel statistics** (:data:`KERNEL_MEMO`) — the full
   :class:`~repro.gpusim.metrics.KernelStats` of a simulated kernel,
-  keyed by every pricing input plus the :class:`GPUConfig`.  An
-  in-process LRU tier is always consulted; an optional on-disk tier
-  (``REPRO_KERNEL_CACHE_DIR`` or :meth:`KernelMemo.set_disk_dir`)
-  extends :mod:`repro.core.persistence` so suites can share cold starts
-  across processes.
+  keyed by :func:`kernel_fingerprint` over every pricing input plus the
+  :class:`GPUConfig`.  The tier is in-process only: across processes,
+  the plan cache's disk tier (:mod:`repro.core.persistence`) carries the
+  compiled artifact and the simulation is re-run from it.
 
 Every in-process tier, these and the plan cache of
 :mod:`repro.core.plan`, is an :class:`LRUCache`; the bounds are the
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import weakref
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
@@ -46,13 +44,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..perf import PERF
-from .metrics import KernelStats
 
 __all__ = [
     "array_digest",
     "LRUCache",
     "StreamPlan",
-    "KernelMemo",
+    "kernel_fingerprint",
     "STREAM_CACHE",
     "KERNEL_MEMO",
     "PLAN_MEMO",
@@ -273,83 +270,40 @@ PERM_CACHE = LRUCache(
 # Kernel-statistics tier
 # ----------------------------------------------------------------------
 
-class KernelMemo:
-    """Fingerprint -> :class:`KernelStats`, LRU in memory + optional disk.
+def kernel_fingerprint(kernel, config, dispatch_overhead: float) -> str:
+    """The :data:`KERNEL_MEMO` key of one simulation.
 
-    The fingerprint covers everything :func:`simulate_kernel` reads:
-    block pricing arrays, the row stream, row bytes, launch accounting,
-    the tag (it is echoed into the stats), the full ``GPUConfig`` and the
-    dispatch overhead.  Kernel *names* are display-only and excluded;
-    they are restored on every hit.
+    Covers everything :func:`~repro.gpusim.executor.simulate_kernel`
+    reads: block pricing arrays, the row stream, row bytes, launch
+    accounting, the tag (it is echoed into the stats), the full
+    ``GPUConfig`` and the dispatch overhead.  Kernel *names* are
+    display-only and excluded; the executor restores them on every hit.
     """
-
-    def __init__(self, max_entries: int = 4096,
-                 disk_dir: Optional[str] = None) -> None:
-        # The executor counts logical kernel_memo hits/misses (disk hits
-        # included); the in-memory tier reports under its own name.
-        self._mem = LRUCache(max_entries=max_entries, name="kernel_memo_mem")
-        self.disk_dir = disk_dir or os.environ.get("REPRO_KERNEL_CACHE_DIR")
-
-    def set_disk_dir(self, path: Optional[str]) -> None:
-        """Enable (or disable, with ``None``) the on-disk tier."""
-        self.disk_dir = path
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def fingerprint(kernel, config, dispatch_overhead: float) -> str:
-        h = hashlib.blake2b(digest_size=16)
-        for arr in (
-            kernel.block_flops,
-            kernel.row_ptr,
-            kernel.row_ids,
-            kernel.stream_bytes,
-            kernel.atomics,
-        ):
-            h.update(array_digest(arr))
-        h.update(
-            repr((
-                kernel.row_bytes,
-                kernel.counts_launch,
-                kernel.tag,
-                _config_repr(config),
-                dispatch_overhead,
-            )).encode()
-        )
-        return h.hexdigest()
-
-    # ------------------------------------------------------------------
-    def get(self, key: str) -> Optional[KernelStats]:
-        stats = self._mem.get(key)
-        if stats is not None:
-            return stats
-        if self.disk_dir:
-            from ..core.persistence import load_kernel_stats
-
-            stats = load_kernel_stats(self._disk_path(key))
-            if stats is not None:
-                PERF.count("kernel_memo_disk_hit")
-                self._mem.put(key, stats)
-                return stats
-        return None
-
-    def put(self, key: str, stats: KernelStats) -> None:
-        self._mem.put(key, stats)
-        if self.disk_dir:
-            from ..core.persistence import save_kernel_stats
-
-            save_kernel_stats(self._disk_path(key), stats)
-
-    def _disk_path(self, key: str) -> str:
-        return os.path.join(self.disk_dir, f"kstats_{key}.json")
-
-    def clear(self) -> None:
-        self._mem.clear()
-
-    def __len__(self) -> int:
-        return len(self._mem)
+    h = hashlib.blake2b(digest_size=16)
+    for arr in (
+        kernel.block_flops,
+        kernel.row_ptr,
+        kernel.row_ids,
+        kernel.stream_bytes,
+        kernel.atomics,
+    ):
+        h.update(array_digest(arr))
+    h.update(
+        repr((
+            kernel.row_bytes,
+            kernel.counts_launch,
+            kernel.tag,
+            _config_repr(config),
+            dispatch_overhead,
+        )).encode()
+    )
+    return h.hexdigest()
 
 
-KERNEL_MEMO = KernelMemo()
+#: :func:`kernel_fingerprint` -> :class:`KernelStats`.  The executor
+#: counts logical ``kernel_memo_{hit,miss}``; the tier itself reports
+#: under ``kernel_memo_mem_*``.
+KERNEL_MEMO = LRUCache(max_entries=4096, name="kernel_memo_mem")
 
 
 #: Plan-level memo: ``(plan_id, config, dispatch) -> tuple[KernelStats]``.
@@ -364,7 +318,7 @@ PLAN_MEMO = LRUCache(max_entries=PLAN_MEMO_ENTRIES, name="plan_memo")
 
 # ----------------------------------------------------------------------
 def clear_caches() -> None:
-    """Drop all in-process memo tiers (not the on-disk tier)."""
+    """Drop all in-process memo tiers (not the plan cache's disk tier)."""
     for cache in _ALL_CACHES:
         cache.clear()
     _DIGESTS.clear()

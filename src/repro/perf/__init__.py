@@ -31,23 +31,22 @@ __all__ = [
     "configure",
     "fastpath_enabled",
     "memo_enabled",
-    "optimize_enabled",
     "LatencyHistogram",
     "percentile",
 ]
 
 
-def _env_flag(name: str, default: bool = True) -> bool:
+def _env_flag(name: str) -> bool:
+    """An on-by-default switch: unset means on."""
     raw = os.environ.get(name)
     if raw is None:
-        return default
+        return True
     return raw.strip().lower() not in ("0", "false", "no", "off", "")
 
 
 #: Module state for the switches (None = follow the environment).
 _FASTPATH: Optional[bool] = None
 _MEMO: Optional[bool] = None
-_OPTIMIZE: Optional[bool] = None
 
 
 def fastpath_enabled() -> bool:
@@ -64,36 +63,20 @@ def memo_enabled() -> bool:
     return _env_flag("REPRO_KERNEL_MEMO")
 
 
-def optimize_enabled() -> bool:
-    """Whether the footprint-guided plan optimizer runs after compile.
-
-    Off by default (``REPRO_OPTIMIZE_PLANS=1`` opts in): the optimizer
-    adds an ``optimize`` pipeline stage and gives plans a distinct
-    content address, so the default path's plan ids — and therefore the
-    benchmark hashes — are untouched unless explicitly requested.
-    """
-    if _OPTIMIZE is not None:
-        return _OPTIMIZE
-    return _env_flag("REPRO_OPTIMIZE_PLANS", default=False)
-
-
 def configure(
     fastpath: Optional[bool] = None,
     memo: Optional[bool] = None,
-    optimize: Optional[bool] = None,
 ) -> None:
     """Override the performance switches at runtime.
 
     ``None`` leaves a switch unchanged; to return a switch to
     environment control pass the string ``"env"``.
     """
-    global _FASTPATH, _MEMO, _OPTIMIZE
+    global _FASTPATH, _MEMO
     if fastpath is not None:
         _FASTPATH = None if fastpath == "env" else bool(fastpath)
     if memo is not None:
         _MEMO = None if memo == "env" else bool(memo)
-    if optimize is not None:
-        _OPTIMIZE = None if optimize == "env" else bool(optimize)
 
 
 class PerfRegistry:

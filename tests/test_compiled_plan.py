@@ -4,7 +4,7 @@ Covers the compile-once/run-many contract: plan round-trip determinism
 (compile -> serialize -> load -> execute is byte-identical to the
 in-memory plan), stage counters proving recompilation never happens for
 a repeated (graph, model, config), the content-addressed disk cache
-across *fresh processes*, the persistence loader warnings, and the
+across *fresh processes*, the plan loader's warnings, and the
 offline ``lint_plan`` path over saved artifacts.
 """
 
@@ -28,17 +28,7 @@ from repro.core import (
     save_plan,
     stage_counts,
 )
-from repro.core.persistence import (
-    load_kernel_stats,
-    load_schedule,
-    load_tuning,
-    save_kernel_stats,
-    save_schedule,
-    save_tuning,
-)
 from repro.core.plan import STAGE_NAMES
-from repro.core.scheduling import locality_aware_schedule
-from repro.core.tuner import tune
 from repro.frameworks import all_frameworks
 from repro.frameworks.base import NotSupported
 from repro.frameworks.ours import OursOptions, OursRuntime
@@ -288,53 +278,13 @@ class TestDiskCacheAcrossProcesses:
 
 
 class TestLoaderWarnings:
-    """Invalid persisted artifacts warn with path + mismatch instead of
-    silently returning None (the loaders' contract)."""
+    """Invalid plan artifacts warn with path + mismatch instead of
+    silently returning None (the loader's contract)."""
 
     @pytest.fixture(autouse=True)
     def _capture(self, caplog):
         caplog.set_level(logging.WARNING, logger="repro.core.persistence")
         self.caplog = caplog
-
-    def test_corrupt_schedule_warns(self, g, tmp_path):
-        path = str(tmp_path / "sched.npz")
-        with open(path, "wb") as fh:
-            fh.write(b"not an npz")
-        assert load_schedule(path, g) is None
-        assert "corrupt schedule artifact" in self.caplog.text
-        assert path in self.caplog.text
-
-    def test_stale_schedule_warns(self, g, tmp_path):
-        path = str(tmp_path / "sched.npz")
-        save_schedule(path, g, locality_aware_schedule(g))
-        other = power_law_graph(512, 8.0, seed=123)
-        assert load_schedule(path, other) is None
-        assert "stale schedule artifact" in self.caplog.text
-        assert other.fingerprint in self.caplog.text
-
-    def test_stale_tuning_warns(self, g, tmp_path):
-        path = str(tmp_path / "tune.json")
-        save_tuning(path, g, 32, tune(g, 32, V100_SCALED))
-        assert load_tuning(path, g, 64) is None
-        assert "stale tuning artifact" in self.caplog.text
-        assert "feat_len" in self.caplog.text
-
-    def test_corrupt_tuning_warns(self, g, tmp_path):
-        path = str(tmp_path / "tune.json")
-        with open(path, "w") as fh:
-            fh.write("{truncated")
-        assert load_tuning(path, g, 32) is None
-        assert "corrupt tuning artifact" in self.caplog.text
-
-    def test_kernel_stats_schema_drift_warns(self, tmp_path):
-        path = str(tmp_path / "stats.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {"name": "k", "occupancy": {}, "unexpected_field": 1}, fh
-            )
-        assert load_kernel_stats(path) is None
-        assert "stale kernel-stats artifact" in self.caplog.text
-        assert "unexpected_field" in self.caplog.text
 
     def test_corrupt_plan_warns(self, tmp_path):
         path = str(tmp_path / "plan.npz")
@@ -351,16 +301,6 @@ class TestLoaderWarnings:
         assert load_plan(path, expect_id="0" * 32) is None
         assert "mismatched plan artifact" in self.caplog.text
         assert plan.plan_id in self.caplog.text
-
-    def test_save_kernel_stats_roundtrip_silent(self, g, tmp_path):
-        perf.configure(memo=False)
-        report = OursRuntime().run_gcn(
-            g, GCNConfig(), V100_SCALED
-        ).report
-        path = str(tmp_path / "stats.json")
-        save_kernel_stats(path, report.kernels[0])
-        assert load_kernel_stats(path) == report.kernels[0]
-        assert self.caplog.text == ""
 
 
 class TestLintFilters:

@@ -10,6 +10,7 @@ from repro.graph import (
     GraphValidationError,
     coo_to_csr,
     csr_to_coo,
+    power_law_graph,
     small_dataset,
 )
 
@@ -166,6 +167,21 @@ class TestPermutation:
         g = tiny_graph()
         with pytest.raises(GraphValidationError):
             g.permute_nodes(np.array([0, 0, 1, 2]))
+
+
+class TestFingerprint:
+    """``CSRGraph.fingerprint`` addresses plan artifacts and memo keys."""
+
+    def test_stable(self):
+        g = small_dataset()
+        src, dst = csr_to_coo(g)
+        rebuilt = coo_to_csr(src, dst, g.num_nodes)
+        assert g.fingerprint == g.fingerprint == rebuilt.fingerprint
+
+    def test_structure_sensitive(self):
+        g = small_dataset()
+        other = power_law_graph(512, 8.0, seed=99)
+        assert g.fingerprint != other.fingerprint
 
 
 @st.composite

@@ -12,10 +12,8 @@ import repro
 
 KEPT = {
     "REPRO_FASTPATH",
-    "REPRO_KERNEL_CACHE_DIR",
     "REPRO_KERNEL_MEMO",
     "REPRO_NATIVE",
-    "REPRO_OPTIMIZE_PLANS",
     "REPRO_PLAN_CACHE_DIR",
     "REPRO_STRICT",
     "REPRO_VERIFY_PLANS",
@@ -33,6 +31,6 @@ def _names_under(root):
     return names
 
 
-def test_env_switches_are_the_kept_eight():
+def test_env_switches_are_the_kept_six():
     root = os.path.dirname(os.path.abspath(repro.__file__))
     assert _names_under(root) == KEPT

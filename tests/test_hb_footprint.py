@@ -52,7 +52,7 @@ from repro.core.persistence import load_plan, save_plan
 from repro.frameworks.ours import OursOptions, OursRuntime
 from repro.gpusim import V100, V100_SCALED
 from repro.gpusim.kernel import KernelDataflow, KernelSpec
-from repro.gpusim.memo import KernelMemo
+from repro.gpusim.memo import kernel_fingerprint
 from repro.graph import small_dataset
 
 
@@ -298,8 +298,8 @@ class TestKernelDataflow:
         assert k.dataflow is not None
         stripped = copy.copy(k)
         stripped.dataflow = None
-        assert (KernelMemo.fingerprint(k, V100, 0.0)
-                == KernelMemo.fingerprint(stripped, V100, 0.0))
+        assert (kernel_fingerprint(k, V100, 0.0)
+                == kernel_fingerprint(stripped, V100, 0.0))
 
     def test_reordered_carries_dataflow(self, g):
         _, _, kernels, _ = _lowered(g, gat_attention_ops, adapter=True,

@@ -9,17 +9,18 @@ duplicated durations, short streams, empty rows.
 """
 
 import dataclasses
-import json
-import os
+import logging
 import weakref
 
 import numpy as np
 import pytest
 
 from repro import perf
+from repro.core import PLAN_CACHE, save_plan
 from repro.core.lowering import ExecLayout, aggregation_kernel
 from repro.core.minhash import minhash_signatures
-from repro.core.persistence import load_kernel_stats, save_kernel_stats
+from repro.frameworks import DGLLike
+from repro.graph import small_dataset
 from repro.graph.generators import power_law_graph
 from repro.gpusim.cache import (
     _reuse_distances_reference,
@@ -29,7 +30,7 @@ from repro.gpusim.cache import (
     window_hits,
     window_hits_from_prev,
 )
-from repro.gpusim.config import V100, V100_SCALED
+from repro.gpusim.config import V100_SCALED
 from repro.gpusim.executor import (
     _list_schedule,
     _list_schedule_reference,
@@ -37,13 +38,13 @@ from repro.gpusim.executor import (
     simulate_kernel,
     simulate_kernels,
 )
-from repro.gpusim.kernel import KernelSpec
 from repro.gpusim import memo
 from repro.gpusim.memo import (
     KERNEL_MEMO,
     STREAM_CACHE,
     array_digest,
     clear_caches,
+    kernel_fingerprint,
     memo_stats,
 )
 
@@ -56,7 +57,6 @@ def _clean_state():
     yield
     clear_caches()
     perf.configure(fastpath="env", memo="env")
-    KERNEL_MEMO.set_disk_dir(os.environ.get("REPRO_KERNEL_CACHE_DIR"))
 
 
 # ----------------------------------------------------------------------
@@ -301,77 +301,72 @@ def test_stream_cache_off_and_on_identical():
 
 
 # ----------------------------------------------------------------------
-# Kernel-memo disk tier
+# Plan-cache disk tier
 # ----------------------------------------------------------------------
 
-def _kernel_suite(num=12, seed=0):
-    rng = np.random.default_rng(seed)
-    kernels = []
-    for i in range(num):
-        n_blocks = int(rng.integers(20, 80))
-        lengths = rng.integers(1, 30, size=n_blocks)
-        ptr = np.zeros(n_blocks + 1, dtype=np.int64)
-        np.cumsum(lengths, out=ptr[1:])
-        kernels.append(KernelSpec(
-            f"k{i}",
-            block_flops=lengths * 2.0,
-            row_ptr=ptr,
-            row_ids=rng.integers(0, 600, size=int(ptr[-1])),
-            row_bytes=128,
-            stream_bytes=lengths * 4.0,
-        ))
-    return kernels
-
-
-def _stats_tuple(stats):
-    d = dataclasses.asdict(stats)
-    d["occupancy"] = sorted(d["occupancy"].items())
-    return d
-
-
 class TestDiskTierHardening:
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        kernels = _kernel_suite(num=2)
-        KERNEL_MEMO.set_disk_dir(str(tmp_path))
-        report = simulate_kernels(kernels, V100)
-        files = sorted(tmp_path.glob("kstats_*.json"))
-        assert files
-        # Corrupt every persisted entry in a different way.
-        files[0].write_text("{ not json")
-        if len(files) > 1:
-            files[1].write_text(json.dumps({"wrong": "fields"}))
+    """The plan cache's disk tier degrades to a warning, never to a
+    failed compile: a damaged artifact is a miss that recompiles, and an
+    unwritable directory keeps the plan in memory only."""
+
+    @pytest.fixture(autouse=True)
+    def _plan_tier(self, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.core")
+        perf.configure(memo=True)
+        yield
+        PLAN_CACHE.set_disk_dir(None)
+
+    def test_corrupt_disk_entry_is_a_miss(self, tmp_path, caplog):
+        g = small_dataset()
+        fresh = DGLLike().compile("gcn", g, V100_SCALED)
         clear_caches()
-        rerun = simulate_kernels(kernels, V100)
-        for a, b in zip(report.kernels, rerun.kernels):
-            assert _stats_tuple(a) == _stats_tuple(b)
+        PLAN_CACHE.set_disk_dir(str(tmp_path))
+        DGLLike().compile("gcn", g, V100_SCALED)
+        path = tmp_path / f"plan_{fresh.plan_id}.npz"
+        good = path.read_bytes()
+        cases = {
+            "truncated to 40 bytes": good[:40],
+            "truncated to half": good[:len(good) // 2],
+            "last 10 bytes cut": good[:-10],
+            "empty": b"",
+            "garbage": b"not an npz",
+        }
+        for label, damaged in cases.items():
+            path.write_bytes(damaged)
+            clear_caches()
+            caplog.clear()
+            disk_hits = perf.PERF.counts.get("plan_cache_disk_hit", 0)
+            plan = DGLLike().compile("gcn", g, V100_SCALED)
+            assert plan.plan_id == fresh.plan_id, label
+            assert [k.name for k in plan.kernels] == \
+                [k.name for k in fresh.kernels], label
+            assert [kernel_fingerprint(k, V100_SCALED, 0.0)
+                    for k in plan.kernels] == \
+                [kernel_fingerprint(k, V100_SCALED, 0.0)
+                 for k in fresh.kernels], label
+            assert perf.PERF.counts.get("plan_cache_disk_hit", 0) \
+                == disk_hits, label
+            assert str(path) in caplog.text, label
 
-    def test_load_tolerates_unreadable_file(self, tmp_path):
-        path = tmp_path / "kstats_x.json"
-        path.write_text("{}")
-        path.chmod(0o000)
-        try:
-            if path.stat().st_uid == 0 and os.geteuid() == 0:
-                pytest.skip("running as root: chmod cannot revoke read")
-            assert load_kernel_stats(str(path)) is None
-        finally:
-            path.chmod(0o644)
-
-    def test_save_tolerates_readonly_dir(self, tmp_path):
-        kernels = _kernel_suite(num=1)
-        stats = simulate_kernels(kernels, V100).kernels[0]
-        ro = tmp_path / "ro"
-        ro.mkdir()
-        ro.chmod(0o555)
-        try:
-            if os.geteuid() == 0:
-                pytest.skip("running as root: chmod cannot revoke write")
-            save_kernel_stats(str(ro / "kstats_y.json"), stats)
-        finally:
-            ro.chmod(0o755)
+    def test_unwritable_disk_dir_keeps_plan_in_memory(self, tmp_path,
+                                                      caplog):
+        # A regular file where the directory should be: unwritable even
+        # for root, unlike a chmod-revoked directory.
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        PLAN_CACHE.set_disk_dir(str(blocker))
+        g = small_dataset()
+        plan = DGLLike().compile("gcn", g, V100_SCALED)
+        assert "could not persist plan" in caplog.text
+        assert str(blocker) in caplog.text
+        assert DGLLike().compile("gcn", g, V100_SCALED) is plan
+        # Only the cache swallows the error: an explicit save still fails.
+        with pytest.raises(OSError):
+            save_plan(PLAN_CACHE.disk_path(plan.plan_id), plan)
 
     def test_concurrent_style_tmp_names_unique(self, tmp_path):
         from repro.core.persistence import _tmp_path
 
-        target = str(tmp_path / "kstats_z.json")
+        target = str(tmp_path / "plan_z.npz")
         names = {_tmp_path(target) for _ in range(64)}
         assert len(names) == 64

@@ -1,6 +1,6 @@
 """Tests for the footprint-guided plan search (`repro plan optimize`):
 beam search over verified rewrites, whole-artifact optimization with
-provenance, the opt-in pipeline stage, and the CLI surface.
+provenance, executing an optimized artifact, and the CLI surface.
 """
 
 import glob
@@ -18,11 +18,9 @@ from repro.core import (
     lower_plan,
     unfused_plan,
 )
-from repro.core.pipeline import PLAN_STAGE_COUNTS
 from repro.frameworks import DGLLike, OursRuntime
 from repro.gpusim import V100_SCALED
 from repro.graph import small_dataset
-from repro.perf import configure, optimize_enabled
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -30,15 +28,6 @@ pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 @pytest.fixture(scope="module")
 def g():
     return small_dataset()
-
-
-@pytest.fixture()
-def optimizer_on():
-    configure(optimize=True)
-    try:
-        yield
-    finally:
-        configure(optimize="env")
 
 
 def _search(g, ops, plan, feat=32, **kw):
@@ -159,35 +148,22 @@ class TestOptimizePlan:
 
 
 class TestPipelineIntegration:
-    def test_optimize_off_by_default(self):
-        assert not optimize_enabled()
+    def test_optimize_off_by_default(self, g):
+        # Compile never runs the plan search: optimizing is an offline
+        # step over artifacts, under its own content address.
+        plan = DGLLike().compile("gcn", g, V100_SCALED)
+        assert "optimize" not in plan.extra
+        assert "optimize" not in plan.stage_seconds
+        out = optimize_plan(plan, g)
+        assert out.plan_id == plan.plan_id + "-opt"
 
-    def test_compile_path_with_optimizer(self, g, optimizer_on):
-        before = PLAN_STAGE_COUNTS.get("optimize", 0)
+    def test_execute_reports_optimizer_stats(self, g):
         fw = DGLLike()
-        plan = fw.compile("gcn", g, V100_SCALED)
-        assert PLAN_STAGE_COUNTS.get("optimize", 0) == before + 1
-        assert plan.extra.get("optimize")
-        assert "optimize" in plan.stage_seconds
-        configure(optimize="env")
-        default = DGLLike().compile("gcn", g, V100_SCALED)
-        # Distinct content addresses: the optimizer flag is part of the
-        # plan key, so the default-path plan id never moves.
-        assert plan.plan_id != default.plan_id
-        assert "optimize" not in default.extra
-
-    def test_execute_reports_optimizer_stats(self, g, optimizer_on):
-        fw = DGLLike()
-        plan = fw.compile("gcn", g, V100_SCALED)
+        plan = optimize_plan(fw.compile("gcn", g, V100_SCALED), g)
         res = fw.execute(plan, V100_SCALED)
         perf = res.report.extra["perf"]
         assert perf["optimize"]["accepts"] > 0
         assert perf["plan"]["plan_id"] == plan.plan_id
-
-    def test_stage_names_include_optimize(self):
-        from repro.core.plan import STAGE_NAMES
-
-        assert STAGE_NAMES[-1] == "optimize"
 
 
 class TestPlanOptimizeCLI:
