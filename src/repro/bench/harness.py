@@ -16,6 +16,7 @@ from ..core.scheduling import ScheduleResult
 from ..frameworks.ours import OursOptions, OursRuntime
 from ..gpusim.config import V100_SCALED, GPUConfig
 from ..graph.csr import CSRGraph
+from ..perf import env_flag
 
 __all__ = [
     "bench_config",
@@ -76,7 +77,7 @@ def verify_plans_default() -> bool:
     verifies the shipped model x dataset x config grid with
     ``repro lint`` instead.
     """
-    return os.environ.get("REPRO_VERIFY_PLANS", "") not in ("", "0")
+    return env_flag("REPRO_VERIFY_PLANS", False)
 
 
 def cached_runtime(options: Optional[OursOptions] = None) -> OursRuntime:

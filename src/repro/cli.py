@@ -8,8 +8,6 @@ Examples::
     python -m repro table6 --datasets arxiv collab
     python -m repro tune --dataset products --feat 64
     python -m repro schedule --dataset citation
-    python -m repro bench --quick
-    python -m repro bench --check --tolerance 0.2
     python -m repro lint --model gat --dataset arxiv --fusion linear
     python -m repro lint --fix --dry-run
     python -m repro lint --explain
@@ -433,41 +431,6 @@ def cmd_plan(args) -> int:
     return args.plan_func(args)
 
 
-def cmd_bench(args) -> int:
-    # The harness lives in benchmarks/ (it is an artifact producer, not
-    # library code); locate it relative to the source checkout and run
-    # its main() with the forwarded flags.
-    import importlib.util
-
-    root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    path = os.path.join(root, "benchmarks", "bench_speed.py")
-    if not os.path.exists(path):
-        raise SystemExit(
-            f"bench harness not found at {path}; 'repro bench' requires "
-            "a source checkout (benchmarks/ is not installed)"
-        )
-    spec = importlib.util.spec_from_file_location("bench_speed", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    forwarded = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.check:
-        forwarded.append("--check")
-    if args.tolerance is not None:
-        forwarded.extend(["--tolerance", str(args.tolerance)])
-    if getattr(args, "warm_plans", False):
-        forwarded.append("--warm-plans")
-    old_argv = sys.argv
-    sys.argv = [path] + forwarded
-    try:
-        module.main()
-    finally:
-        sys.argv = old_argv
-    return 0
-
-
 # ----------------------------------------------------------------------
 # repro shard — multi-device partition + run
 # ----------------------------------------------------------------------
@@ -851,21 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("schedule", help="run locality-aware scheduling")
     sp.add_argument("--dataset", choices=DATASET_NAMES, required=True)
     sp.set_defaults(func=cmd_schedule)
-
-    sp = sub.add_parser(
-        "bench",
-        help="run the perf-trajectory harness (benchmarks/bench_speed.py)",
-    )
-    sp.add_argument("--quick", action="store_true",
-                    help="small workload for smoke runs")
-    sp.add_argument("--check", action="store_true",
-                    help="CI perf gate against BENCH_speed.json")
-    sp.add_argument("--warm-plans", action="store_true",
-                    dest="warm_plans",
-                    help="also measure the warm plan-cache path")
-    sp.add_argument("--tolerance", type=float, default=None,
-                    help="allowed fractional regression for --check")
-    sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser(
         "lint",

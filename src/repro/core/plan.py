@@ -260,7 +260,7 @@ class PlanCache:
     """Content-addressed plan store: in-process LRU + optional disk tier.
 
     The in-memory tier follows the global memoization switch
-    (``REPRO_KERNEL_MEMO``); the disk tier activates when a directory is
+    (:func:`repro.perf.configure`); the disk tier activates when a directory is
     configured (``REPRO_PLAN_CACHE_DIR`` or :meth:`set_disk_dir`).
     Artifacts are one ``plan_<key>.npz`` file each, written atomically
     by :func:`repro.core.persistence.save_plan`.  The disk tier degrades

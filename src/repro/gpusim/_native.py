@@ -28,6 +28,8 @@ import tempfile
 
 import numpy as np
 
+from ..perf import env_flag
+
 __all__ = [
     "available",
     "count_first_touch",
@@ -410,7 +412,7 @@ def _load() -> "ctypes.CDLL | None":
     if _TRIED:
         return _LIB
     _TRIED = True
-    if os.environ.get("REPRO_NATIVE", "1") in ("", "0"):
+    if not env_flag("REPRO_NATIVE", True):
         return None
     try:
         _LIB = _build()

@@ -21,12 +21,11 @@ locality-bound, so no row trace is needed.
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ..perf import memo_enabled
+from ..perf import env_flag, memo_enabled
 from .memo import REORDER_CACHE, array_digest
 
 __all__ = ["KernelDataflow", "KernelSpec", "strict_mode"]
@@ -37,7 +36,7 @@ def strict_mode() -> bool:
 
     Off by default: the checks scan every per-block array, which is real
     work on hot lowering paths that build thousands of kernels."""
-    return os.environ.get("REPRO_STRICT", "") not in ("", "0")
+    return env_flag("REPRO_STRICT", False)
 
 
 @dataclasses.dataclass(frozen=True)

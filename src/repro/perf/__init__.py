@@ -9,11 +9,11 @@ against the same disease one level up.  It provides:
   executor reports a per-:class:`~repro.gpusim.metrics.RunReport` delta
   under ``report.extra["perf"]``.
 * fast-path / memoization switches — every vectorized hot path keeps its
-  reference implementation; :func:`configure` (or the ``REPRO_FASTPATH``
-  / ``REPRO_KERNEL_MEMO`` environment variables) selects between them.
-  ``benchmarks/bench_speed.py`` uses the reference mode as its live
-  baseline, and the equivalence tests assert both modes are
+  reference implementation; :func:`configure` selects between them (both
+  on by default), and the equivalence tests assert both modes are
   bit-identical.
+* :func:`env_flag` — the one parser for the package's boolean
+  ``REPRO_*`` environment switches.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "PerfRegistry",
     "PERF",
     "configure",
+    "env_flag",
     "fastpath_enabled",
     "memo_enabled",
     "LatencyHistogram",
@@ -36,31 +37,31 @@ __all__ = [
 ]
 
 
-def _env_flag(name: str) -> bool:
-    """An on-by-default switch: unset means on."""
+def env_flag(name: str, default: bool) -> bool:
+    """A boolean environment switch; unset means ``default``.
+
+    ``0``/``false``/``no``/``off`` (any case) and the empty string mean
+    off; any other value means on.
+    """
     raw = os.environ.get(name)
     if raw is None:
-        return True
+        return default
     return raw.strip().lower() not in ("0", "false", "no", "off", "")
 
 
-#: Module state for the switches (None = follow the environment).
-_FASTPATH: Optional[bool] = None
-_MEMO: Optional[bool] = None
+#: Module state for the switches; both on unless :func:`configure`d off.
+_FASTPATH = True
+_MEMO = True
 
 
 def fastpath_enabled() -> bool:
     """Whether vectorized fast paths replace reference implementations."""
-    if _FASTPATH is not None:
-        return _FASTPATH
-    return _env_flag("REPRO_FASTPATH")
+    return _FASTPATH
 
 
 def memo_enabled() -> bool:
     """Whether content-addressed kernel/stream memoization is active."""
-    if _MEMO is not None:
-        return _MEMO
-    return _env_flag("REPRO_KERNEL_MEMO")
+    return _MEMO
 
 
 def configure(
@@ -69,14 +70,13 @@ def configure(
 ) -> None:
     """Override the performance switches at runtime.
 
-    ``None`` leaves a switch unchanged; to return a switch to
-    environment control pass the string ``"env"``.
+    ``None`` leaves a switch unchanged.
     """
     global _FASTPATH, _MEMO
     if fastpath is not None:
-        _FASTPATH = None if fastpath == "env" else bool(fastpath)
+        _FASTPATH = bool(fastpath)
     if memo is not None:
-        _MEMO = None if memo == "env" else bool(memo)
+        _MEMO = bool(memo)
 
 
 class PerfRegistry:

@@ -356,6 +356,13 @@ class TestDriver:
         result = rt.run_gat(g, GATConfig(), V100)
         assert result.time_ms > 0
 
+    @pytest.mark.parametrize("value", ["false", "off", "no"])
+    def test_verify_plans_off_spellings_are_off(self, monkeypatch, value):
+        from repro.bench.harness import verify_plans_default
+
+        monkeypatch.setenv("REPRO_VERIFY_PLANS", value)
+        assert not verify_plans_default()
+
     def test_lint_cli_exits_zero_and_emits_json(self, g, capsys):
         import json
 
@@ -498,6 +505,12 @@ class TestStrictKernelSpec:
     def test_strict_zero_is_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_STRICT", "0")
         assert not strict_mode()
+
+    @pytest.mark.parametrize("value", ["false", "off", "no", "FALSE", ""])
+    def test_strict_off_spellings_are_off(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_STRICT", value)
+        assert not strict_mode()
+        KernelSpec("k", block_flops=np.array([1.0, -1.0]))
 
     def test_block_center_length_checked_always(self, monkeypatch):
         monkeypatch.delenv("REPRO_STRICT", raising=False)

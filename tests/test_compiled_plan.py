@@ -52,11 +52,11 @@ def _clean_state():
     """Cold caches and zeroed stage counters around every test."""
     clear_caches()
     reset_stage_counts()
-    perf.configure(fastpath="env", memo="env")
+    perf.configure(fastpath=True, memo=True)
     yield
     clear_caches()
     reset_stage_counts()
-    perf.configure(fastpath="env", memo="env")
+    perf.configure(fastpath=True, memo=True)
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +256,6 @@ class TestDiskCacheAcrossProcesses:
                         env.get("PYTHONPATH")] if p
         )
         env["REPRO_PLAN_CACHE_DIR"] = cache_dir
-        env["REPRO_KERNEL_MEMO"] = "1"
         proc = subprocess.run(
             [sys.executable, "-c", _DISK_WORKER],
             env=env, capture_output=True, text=True, check=True,

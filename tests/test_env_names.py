@@ -11,8 +11,6 @@ import re
 import repro
 
 KEPT = {
-    "REPRO_FASTPATH",
-    "REPRO_KERNEL_MEMO",
     "REPRO_NATIVE",
     "REPRO_PLAN_CACHE_DIR",
     "REPRO_STRICT",
@@ -31,6 +29,6 @@ def _names_under(root):
     return names
 
 
-def test_env_switches_are_the_kept_six():
+def test_env_switches_are_the_kept_four():
     root = os.path.dirname(os.path.abspath(repro.__file__))
     assert _names_under(root) == KEPT

@@ -29,7 +29,7 @@ needs_native = pytest.mark.skipif(
 @pytest.fixture(autouse=True)
 def _restore_perf():
     yield
-    configure(fastpath="env", memo="env")
+    configure(fastpath=True, memo=True)
 
 
 def _ragged(rng, n_blocks=400, lo=1, hi=40):
@@ -163,6 +163,13 @@ class TestNativeDisabled:
         with caplog.at_level(logging.WARNING, logger=_native.__name__):
             assert not _native.available()
         assert not caplog.records  # an explicit opt-out is not a fault
+
+    @pytest.mark.parametrize("value", ["false", "off", "no"])
+    def test_off_spellings_select_numpy_lane(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_NATIVE", value)
+        monkeypatch.setattr(_native, "_LIB", None)
+        monkeypatch.setattr(_native, "_TRIED", False)
+        assert not _native.available()
 
     def test_missing_compiler_warns_and_cleans_up(
         self, monkeypatch, tmp_path, caplog

@@ -9,6 +9,8 @@ duplicated durations, short streams, empty rows.
 """
 
 import dataclasses
+import hashlib
+import json
 import logging
 import weakref
 
@@ -16,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro import perf
-from repro.core import PLAN_CACHE, save_plan
+from repro.bench import fig7_overall, fig12_tuned_sweep, harness, sweep_config
+from repro.core import PLAN_CACHE, pipeline, save_plan
 from repro.core.lowering import ExecLayout, aggregation_kernel
 from repro.core.minhash import minhash_signatures
 from repro.frameworks import DGLLike
@@ -51,12 +54,12 @@ from repro.gpusim.memo import (
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    """Each test starts with cold caches and env-controlled switches."""
+    """Each test starts with cold caches and the default switches."""
     clear_caches()
-    perf.configure(fastpath="env", memo="env")
+    perf.configure(fastpath=True, memo=True)
     yield
     clear_caches()
-    perf.configure(fastpath="env", memo="env")
+    perf.configure(fastpath=True, memo=True)
 
 
 # ----------------------------------------------------------------------
@@ -298,6 +301,43 @@ def test_stream_cache_off_and_on_identical():
     cached = simulate_kernel(k, V100_SCALED)
     for f in dataclasses.fields(no_cache):
         assert getattr(no_cache, f.name) == getattr(cached, f.name), f.name
+
+
+# ----------------------------------------------------------------------
+# End to end: the quick paper grid, reference vs fast
+# ----------------------------------------------------------------------
+
+def _quick_grid_hash():
+    """Content hash of the quick Fig. 7 grid + tuned Fig. 12 sweep."""
+    grid = fig7_overall(models=("gcn", "gat"), datasets=["arxiv", "ddi"])
+    sweep = fig12_tuned_sweep(["arxiv"], [32, 64], sweep_config())
+    results = {
+        "fig7": {
+            m: {f: {d: cell.time_ms for d, cell in row.items()}
+                for f, row in frameworks.items()}
+            for m, frameworks in grid.items()
+        },
+        "fig12": {
+            d: {str(f): round(v, 9) for f, v in series.items()}
+            for d, series in sweep.items()
+        },
+    }
+    return hashlib.sha256(
+        json.dumps(results, sort_keys=True).encode()
+    ).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["reference", "fast"])
+def test_quick_grid_hash_in_both_modes(monkeypatch, fast):
+    """Reference and fast modes reproduce the pinned quick-grid hash.
+
+    Each mode starts from cold caches, the offline schedule and the
+    shared runtime's tuning included, so the reference run exercises
+    every reference implementation."""
+    monkeypatch.setattr(pipeline, "_SCHEDULES", {})
+    monkeypatch.setattr(harness, "_RUNTIMES", {})
+    perf.configure(fastpath=fast, memo=fast)
+    assert _quick_grid_hash() == "a52a3f53968f6bd5"
 
 
 # ----------------------------------------------------------------------

@@ -48,11 +48,11 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _clean_state():
     clear_caches()
     reset_stage_counts()
-    perf.configure(fastpath="env", memo="env")
+    perf.configure(fastpath=True, memo=True)
     yield
     clear_caches()
     reset_stage_counts()
-    perf.configure(fastpath="env", memo="env")
+    perf.configure(fastpath=True, memo=True)
 
 
 @pytest.fixture(scope="module")
