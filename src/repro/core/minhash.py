@@ -22,7 +22,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, sorted_unique
 from ..perf import fastpath_enabled
 
 __all__ = [
@@ -219,7 +219,7 @@ def lsh_candidate_pairs(
     lo = np.concatenate(lo_chunks)
     hi = np.concatenate(hi_chunks)
     packed = lo * np.int64(n) + hi
-    uniq = np.unique(packed)
+    uniq = sorted_unique(packed)
     pairs = np.stack([uniq // n, uniq % n], axis=1)
     sims = signature_similarity(sig, pairs[:, 0], pairs[:, 1])
     return pairs, sims

@@ -25,6 +25,7 @@ __all__ = [
     "CSRGraph",
     "coo_to_csr",
     "csr_to_coo",
+    "sorted_unique",
     "GraphValidationError",
 ]
 
@@ -223,19 +224,36 @@ class CSRGraph:
         )
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array; ``np.unique`` without
+    its hash table.
+
+    On numpy >= 2.3 a plain ``np.unique`` deduplicates through a hash
+    table before sorting, which is several times slower than one value
+    sort plus an adjacent-difference mask on the large int64 keys this
+    package builds.
+    """
+    values = np.sort(values, axis=None)
+    keep = np.ones(values.shape, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def coo_to_csr(
     src: np.ndarray,
     dst: np.ndarray,
     num_nodes: int,
     edge_weight: Optional[np.ndarray] = None,
     name: str = "",
-    sort_neighbors: bool = True,
 ) -> CSRGraph:
     """Build a destination-major CSR from COO edge arrays.
 
-    Edges are grouped by destination; within a row neighbors are sorted by
-    source id when ``sort_neighbors`` (deterministic layout, required by the
-    MinHash machinery which treats neighbor lists as sets).
+    Edges are grouped by destination and, within a row, sorted by source
+    id (a deterministic layout, required by the MinHash machinery which
+    treats neighbor lists as sets); duplicate edges are kept.  Both
+    orders come from one sort of the packed key ``dst * num_nodes +
+    src``: a value sort when there are no weights to carry, a stable
+    argsort (the order ``np.lexsort((src, dst))`` gives) when there are.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -246,19 +264,18 @@ def coo_to_csr(
         or max(src.max(), dst.max()) >= num_nodes
     ):
         raise GraphValidationError("edge endpoints out of range")
-    if sort_neighbors:
-        order = np.lexsort((src, dst))
+    key = dst * num_nodes + src
+    ew = None
+    if edge_weight is None:
+        key.sort()
     else:
-        order = np.argsort(dst, kind="stable")
-    src_sorted = src[order]
-    dst_sorted = dst[order]
-    counts = np.bincount(dst_sorted, minlength=num_nodes)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        ew = np.asarray(edge_weight, dtype=np.float32)[order]
+    counts = np.bincount(dst, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    ew = None
-    if edge_weight is not None:
-        ew = np.asarray(edge_weight, dtype=np.float32)[order]
-    return CSRGraph(indptr, src_sorted.astype(np.int32), ew, name)
+    return CSRGraph(indptr, (key % num_nodes).astype(np.int32), ew, name)
 
 
 def csr_to_coo(graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .csr import CSRGraph, coo_to_csr
+from .csr import CSRGraph, coo_to_csr, sorted_unique
 
 __all__ = [
     "SampledSubgraph",
@@ -68,35 +68,51 @@ def khop_sampled_subgraph(
     """
     rng = np.random.default_rng(seed)
     seeds = np.asarray(seeds, dtype=np.int64)
-    visited = {int(v): i for i, v in enumerate(seeds)}
-    order = list(seeds)
-    src_list, dst_list = [], []
+    indptr, indices = graph.indptr, graph.indices
+    # Parent id -> subgraph id, -1 while unvisited.  A repeated seed maps
+    # to its last position.
+    local = np.full(graph.num_nodes, -1, dtype=np.int64)
+    uniq, last_rev = np.unique(seeds[::-1], return_index=True)
+    local[uniq] = seeds.shape[0] - 1 - last_rev
+    order = [seeds]
+    num_local = seeds.shape[0]
+    src_parts, dst_parts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     frontier = seeds
     for fanout in fanouts:
-        next_frontier = []
-        for v in frontier:
-            neigh = graph.neighbors(int(v))
-            if neigh.shape[0] == 0:
-                continue
-            if neigh.shape[0] <= fanout:
-                picked = neigh
-            else:
-                picked = rng.choice(neigh, size=fanout, replace=False)
-            for u in picked:
-                u = int(u)
-                if u not in visited:
-                    visited[u] = len(order)
-                    order.append(u)
-                    next_frontier.append(u)
-                src_list.append(visited[u])
-                dst_list.append(visited[int(v)])
-        frontier = np.array(next_frontier, dtype=np.int64)
+        start = indptr[frontier]
+        deg = indptr[frontier + 1] - start
+        take = np.minimum(deg, fanout)
+        # Offsets into each frontier row: whole rows within the fanout,
+        # else one ``rng.choice`` per row in frontier order, the same
+        # random stream as choosing from the row itself.
+        row = np.repeat(np.arange(frontier.shape[0]), take)
+        seg = np.cumsum(take) - take
+        offset = np.arange(row.shape[0]) - seg[row]
+        sampled = np.flatnonzero(deg > fanout)
+        if sampled.size:
+            draws = [
+                rng.choice(d, fanout, replace=False)
+                for d in deg[sampled].tolist()
+            ]
+            slots = seg[sampled][:, None] + np.arange(fanout)
+            offset[slots.ravel()] = np.concatenate(draws)
+        picked = indices[start[row] + offset].astype(np.int64)
+        # Unvisited picks take the next ids in first-seen order.
+        fresh = np.flatnonzero(local[picked] < 0)
+        _, first = np.unique(picked[fresh], return_index=True)
+        new = picked[fresh[np.sort(first)]]
+        local[new] = np.arange(num_local, num_local + new.shape[0])
+        num_local += new.shape[0]
+        order.append(new)
+        src_parts.append(local[picked])
+        dst_parts.append(np.repeat(local[frontier], take))
+        frontier = new
         if frontier.size == 0:
             break
-    node_map = np.array(order, dtype=np.int64)
+    node_map = np.concatenate(order)
     sub = coo_to_csr(
-        np.array(src_list, dtype=np.int64),
-        np.array(dst_list, dtype=np.int64),
+        np.concatenate(src_parts),
+        np.concatenate(dst_parts),
         node_map.shape[0],
         name=f"{graph.name}:khop",
     )
@@ -107,20 +123,14 @@ def induced_subgraph(
     graph: CSRGraph, nodes: np.ndarray
 ) -> SampledSubgraph:
     """Subgraph induced on ``nodes`` (all parent edges between them)."""
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    nodes = sorted_unique(np.asarray(nodes, dtype=np.int64))
     lookup = np.full(graph.num_nodes, -1, dtype=np.int64)
     lookup[nodes] = np.arange(nodes.shape[0])
-    src, dst = [], []
-    for new_v, v in enumerate(nodes):
-        neigh = graph.neighbors(int(v))
-        kept = neigh[lookup[neigh] >= 0]
-        src.append(lookup[kept])
-        dst.append(np.full(kept.shape[0], new_v, dtype=np.int64))
+    src = lookup[graph.indices]
+    dst = lookup[graph.edge_dst()]
+    kept = (src >= 0) & (dst >= 0)
     sub = coo_to_csr(
-        np.concatenate(src) if src else np.empty(0, np.int64),
-        np.concatenate(dst) if dst else np.empty(0, np.int64),
-        nodes.shape[0],
-        name=f"{graph.name}:induced",
+        src[kept], dst[kept], nodes.shape[0], name=f"{graph.name}:induced"
     )
     return SampledSubgraph(sub, nodes, int(nodes.shape[0]))
 
@@ -137,7 +147,7 @@ def random_edge_sample(
     picked.sort()
     src = graph.indices[picked].astype(np.int64)
     dst = graph.edge_dst()[picked].astype(np.int64)
-    nodes = np.unique(np.concatenate([src, dst]))
+    nodes = sorted_unique(np.concatenate([src, dst]))
     lookup = np.full(graph.num_nodes, -1, dtype=np.int64)
     lookup[nodes] = np.arange(nodes.shape[0])
     sub = coo_to_csr(

@@ -6,7 +6,7 @@ from typing import Dict
 
 import numpy as np
 
-from .csr import CSRGraph
+from .csr import CSRGraph, sorted_unique
 
 __all__ = [
     "degree_histogram",
@@ -47,7 +47,7 @@ def neighbor_reuse_factor(graph: CSRGraph) -> float:
     """
     if graph.num_edges == 0:
         return 0.0
-    uniq = np.unique(graph.indices).shape[0]
+    uniq = sorted_unique(graph.indices).shape[0]
     return graph.num_edges / uniq
 
 

@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, sorted_unique
 
 __all__ = [
     "GraphPartition",
@@ -221,7 +221,7 @@ def _local_csr(
     """
     n_centers = center_hi - center_lo
     is_center = (src_global >= center_lo) & (src_global < center_hi)
-    halo = np.unique(src_global[~is_center]).astype(np.int64)
+    halo = sorted_unique(src_global[~is_center]).astype(np.int64)
     halo_local = np.searchsorted(halo, src_global)
     src_local = np.where(
         is_center, src_global - center_lo, n_centers + halo_local

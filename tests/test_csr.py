@@ -13,6 +13,7 @@ from repro.graph import (
     power_law_graph,
     small_dataset,
 )
+from repro.graph.csr import sorted_unique
 
 
 def tiny_graph():
@@ -233,3 +234,58 @@ class TestProperties:
         back = gp.permute_nodes(inv)
         assert np.array_equal(back.indptr, g.indptr)
         assert np.array_equal(back.indices, g.indices)
+
+
+@st.composite
+def weighted_coo(draw):
+    """COO input with many duplicate edges, optional weights and node
+    counts down to 0 and 1."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    m = draw(st.integers(min_value=0, max_value=80)) if n else 0
+    ends = st.lists(st.integers(0, max(n - 1, 0)), min_size=m, max_size=m)
+    src = np.array(draw(ends), dtype=np.int64)
+    dst = np.array(draw(ends), dtype=np.int64)
+    weight = None
+    if draw(st.booleans()):
+        weight = np.arange(m, dtype=np.float32)  # distinct: order shows
+    return n, src, dst, weight
+
+
+class TestBuilderMatchesLexsort:
+    @given(weighted_coo())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lexsort_reference(self, data):
+        n, src, dst, weight = data
+        g = coo_to_csr(src, dst, n, edge_weight=weight)
+        order = np.lexsort((src, dst))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, src[order].astype(np.int32))
+        if weight is None:
+            assert g.edge_weight is None
+        else:
+            assert np.array_equal(g.edge_weight, weight[order])
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.empty(0, dtype=np.int64),
+            np.array([5], dtype=np.int64),
+            np.array([3, 3, 3], dtype=np.int64),
+            np.array([9, -2, 9, 0, -2, 2**40, 0], dtype=np.int64),
+        ],
+    )
+    def test_matches_np_unique(self, values):
+        out = sorted_unique(values)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, np.unique(values))
+
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 500))
+    @settings(max_examples=40, deadline=None)
+    def test_random_matches_np_unique(self, seed, size):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-50, 50, size) * rng.integers(1, 2**40)
+        assert np.array_equal(sorted_unique(values), np.unique(values))

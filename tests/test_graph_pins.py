@@ -1,0 +1,146 @@
+"""Pinned outputs of graph construction and sampling.
+
+Every cache key, simulated figure and suite hash downstream starts from
+these graphs, so a change to how CSRs are built or how neighborhoods
+are sampled must leave them bit-identical.  The digests were recorded
+with the original lexsort/per-node-loop implementations.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.graph import (
+    DATASET_NAMES,
+    coo_to_csr,
+    induced_subgraph,
+    khop_sampled_subgraph,
+    load_dataset,
+    ogb_scale_graph,
+    small_dataset,
+)
+
+DATASET_FINGERPRINTS = {
+    "arxiv": "e1f3fb6e7056b31b",
+    "collab": "28c1b266d929dbeb",
+    "citation": "444b1fdf5fa52d4a",
+    "ddi": "9b5244a7e926a870",
+    "protein": "cac5251e7f81fc2a",
+    "ppa": "2bbe54c70de5c5e8",
+    "reddit": "42c4cc9370df9bb0",
+    "products": "9c95dee21e4f6fd9",
+}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _sample_digest(sub) -> str:
+    return _digest(
+        sub.node_map,
+        sub.graph.indptr,
+        sub.graph.indices,
+        np.array([sub.num_seeds]),
+    )
+
+
+def test_every_dataset_is_pinned():
+    assert sorted(DATASET_FINGERPRINTS) == sorted(DATASET_NAMES)
+
+
+@pytest.mark.parametrize("name", DATASET_NAMES)
+def test_dataset_fingerprint(name):
+    assert load_dataset(name).fingerprint == DATASET_FINGERPRINTS[name]
+
+
+def test_small_dataset_fingerprint():
+    assert small_dataset().fingerprint == "43a46de63baee1e6"
+
+
+def test_ogb_scale_graph_digest():
+    # Same code path as the 49M-edge default, at a size tests can afford.
+    g = ogb_scale_graph(5_000, 12.0, max_degree=400, seed=3, name="mini")
+    assert g.fingerprint == "14649af262792c17"
+
+
+# (dataset, seeds, fanouts, sampler seed) -> digest.  The arxiv seeds
+# 12/14/61 have no in-edges, so the first hop's frontier comes back
+# empty; on ddi a 5000 fanout exceeds every degree and the third hop
+# finds no unvisited node.  Repeated seeds keep the last index.
+KHOP_CASES = {
+    "arxiv-10x10": ("arxiv", np.arange(0, 640, 10), (10, 10), 0),
+    "arxiv-hubs": ("arxiv", np.array([1525, 3024, 5, 3622]), (25, 10, 5), 1),
+    "arxiv-empty-frontier": ("arxiv", np.array([12, 14, 61]), (10, 10), 2),
+    "arxiv-dup-seeds": ("arxiv", np.array([7, 3, 7, 1525, 3]), (10, 10), 3),
+    "ddi-10x10": ("ddi", np.arange(0, 64), (10, 10), 4),
+    "ddi-full-fanout": ("ddi", np.array([0, 1, 2]), (5000, 5000, 5000), 5),
+    "ddi-dup-seeds": ("ddi", np.array([9, 9, 4, 9]), (5, 3), 6),
+}
+
+KHOP_DIGESTS = {
+    "arxiv-10x10": "ec31481dfa71e825",
+    "arxiv-hubs": "e2bfb398a69e5e90",
+    "arxiv-empty-frontier": "839cfd6abeac2c5a",
+    "arxiv-dup-seeds": "0b7161592f9677ba",
+    "ddi-10x10": "ee468a9c98e5c16b",
+    "ddi-full-fanout": "d77a5b795b3d3a87",
+    "ddi-dup-seeds": "7a2251ffe295c475",
+}
+
+
+@pytest.mark.parametrize("case", sorted(KHOP_CASES))
+def test_khop_sample_digest(case):
+    name, seeds, fanouts, seed = KHOP_CASES[case]
+    sub = khop_sampled_subgraph(load_dataset(name), seeds, fanouts, seed)
+    assert _sample_digest(sub) == KHOP_DIGESTS[case]
+
+
+def test_khop_empty_frontier_keeps_only_seeds():
+    arxiv = load_dataset("arxiv")
+    seeds = np.array([12, 14, 61])
+    sub = khop_sampled_subgraph(arxiv, seeds, (10, 10), seed=2)
+    assert np.array_equal(sub.node_map, seeds)
+    assert sub.graph.num_edges == 0
+
+
+def test_khop_duplicate_seed_maps_to_last_index():
+    ddi = load_dataset("ddi")
+    sub = khop_sampled_subgraph(ddi, np.array([9, 9, 4, 9]), (5,), seed=6)
+    assert sub.node_map[:4].tolist() == [9, 9, 4, 9]
+    # Only the last copy of seed 9 (index 3) carries in-edges, one
+    # fanout's worth for each of its three frontier visits.
+    assert sub.graph.degrees[:4].tolist() == [0, 0, 5, 15]
+
+
+def test_induced_subgraph_digest():
+    g = load_dataset("arxiv")
+    nodes = np.random.default_rng(0).choice(g.num_nodes, 3000, replace=False)
+    assert _sample_digest(induced_subgraph(g, nodes)) == "1fbe21c98f9e1e46"
+
+
+def test_reverse_and_permute_digests():
+    g = load_dataset("arxiv")
+    assert g.reverse().fingerprint == "9cb893d7f9739387"
+    perm = np.random.default_rng(1).permutation(g.num_nodes)
+    assert g.permute_nodes(perm).fingerprint == "46e704bb4d32f3f7"
+    w = np.random.default_rng(2).random(g.num_edges).astype(np.float32)
+    rev = g.with_weights(w).reverse()
+    assert _digest(rev.indptr, rev.indices, rev.edge_weight) == "b43001ede8029282"
+
+
+def test_coo_with_duplicates_digest():
+    rng = np.random.default_rng(5)
+    src = rng.integers(0, 50, 2_000)
+    dst = rng.integers(0, 50, 2_000)
+    w = rng.random(2_000).astype(np.float32)
+    g = coo_to_csr(src, dst, 50)
+    gw = coo_to_csr(src, dst, 50, edge_weight=w)
+    assert g.fingerprint == "f7d35513143b6acc"
+    assert _digest(gw.indptr, gw.indices, gw.edge_weight) == "4332ce69bf36c10d"

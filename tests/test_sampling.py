@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import (
+    coo_to_csr,
     induced_subgraph,
     khop_sampled_subgraph,
     power_law_graph,
@@ -71,6 +72,58 @@ class TestKHop:
             g, np.array([0]), (10_000,), seed=7
         )
         assert sub.graph.degrees[0] == g.degrees[0]
+
+
+def _reference_khop(graph, seeds, fanouts, seed):
+    """The per-node, dict-based sampler the vectorized one must match."""
+    rng = np.random.default_rng(seed)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    visited = {int(v): i for i, v in enumerate(seeds)}
+    order = list(seeds)
+    src, dst = [], []
+    frontier = seeds
+    for fanout in fanouts:
+        nxt = []
+        for v in frontier:
+            neigh = graph.neighbors(int(v))
+            if neigh.shape[0] == 0:
+                continue
+            if neigh.shape[0] <= fanout:
+                picked = neigh
+            else:
+                picked = rng.choice(neigh, size=fanout, replace=False)
+            for u in picked.tolist():
+                if u not in visited:
+                    visited[u] = len(order)
+                    order.append(u)
+                    nxt.append(u)
+                src.append(visited[u])
+                dst.append(visited[int(v)])
+        frontier = np.array(nxt, dtype=np.int64)
+        if frontier.size == 0:
+            break
+    node_map = np.array(order, dtype=np.int64)
+    sub = coo_to_csr(
+        np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+        node_map.shape[0],
+    )
+    return node_map, sub
+
+
+class TestKHopMatchesReference:
+    @given(
+        st.lists(st.integers(0, 511), min_size=0, max_size=12),
+        st.lists(st.integers(0, 12), min_size=0, max_size=3),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_sample_as_per_node_loop(self, g, seeds, fanouts, seed):
+        seeds = np.array(seeds, dtype=np.int64)
+        sub = khop_sampled_subgraph(g, seeds, tuple(fanouts), seed=seed)
+        node_map, ref = _reference_khop(g, seeds, fanouts, seed)
+        assert np.array_equal(sub.node_map, node_map)
+        assert np.array_equal(sub.graph.indptr, ref.indptr)
+        assert np.array_equal(sub.graph.indices, ref.indices)
 
 
 class TestInduced:
