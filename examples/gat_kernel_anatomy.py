@@ -13,7 +13,6 @@ dataset) — exactly the workload where the paper's GAT gap is largest.
 Run:  python examples/gat_kernel_anatomy.py
 """
 
-from repro.bench import cached_schedule
 from repro.core import (
     ExecLayout,
     gat_attention_ops,
@@ -21,6 +20,7 @@ from repro.core import (
     neighbor_grouping,
     pick_lanes,
     plan_fusion,
+    shared_schedule,
     unfused_plan,
 )
 from repro.gpusim import V100_SCALED, simulate_kernels
@@ -54,7 +54,7 @@ def main() -> None:
     graph = load_dataset("reddit")
     print(f"dataset: {graph}")
 
-    order = cached_schedule(graph).order
+    order = shared_schedule(graph).order
     layout = ExecLayout(
         grouping=neighbor_grouping(graph, 32),
         center_order=order,

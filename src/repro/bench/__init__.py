@@ -17,7 +17,6 @@ from .experiments import (
 from .harness import (
     bench_config,
     cached_runtime,
-    cached_schedule,
     format_table,
     sweep_config,
     write_result,
@@ -38,7 +37,6 @@ __all__ = [
     "table6_gat_ablation",
     "bench_config",
     "cached_runtime",
-    "cached_schedule",
     "format_table",
     "sweep_config",
     "write_result",

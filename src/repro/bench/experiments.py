@@ -16,6 +16,7 @@ from ..core.adapter import plan_fusion
 from ..core.compgraph import gat_attention_ops, gcn_layer_ops
 from ..core.grouping import identity_grouping, neighbor_grouping
 from ..core.lowering import ExecLayout, aggregation_kernel, lower_plan
+from ..core.pipeline import shared_schedule
 from ..core.sparse_fetch import SageStrategy, lower_sage_lstm
 from ..core.tuner import pick_lanes, tune
 from ..frameworks import NotSupported, default_frameworks
@@ -25,7 +26,7 @@ from ..gpusim.memory import SimulatedOOM
 from ..graph.csr import CSRGraph
 from ..graph.datasets import DATASET_NAMES, load_dataset
 from ..models.sage_lstm import SageLSTMConfig
-from .harness import bench_config, cached_runtime, cached_schedule
+from .harness import bench_config, cached_runtime
 
 __all__ = [
     "fig3_l2_miss_rates",
@@ -150,7 +151,7 @@ def fig4_throughput_sweep(
     for name in datasets:
         g = load_dataset(name)
         series = {}
-        order = cached_schedule(g).order if tuned else None
+        order = shared_schedule(g).order if tuned else None
         for f in feats:
             if tuned:
                 result = tune(g, f, config)
@@ -259,7 +260,7 @@ def fig9_l2_hit_rates(
     out = {}
     for name in datasets:
         g = load_dataset(name)
-        order = cached_schedule(g).order
+        order = shared_schedule(g).order
 
         def hit(layout: ExecLayout) -> float:
             k = aggregation_kernel(
@@ -327,7 +328,7 @@ def fig10_adapter(
     out = {}
     for name in datasets:
         g = load_dataset(name)
-        order = cached_schedule(g).order
+        order = shared_schedule(g).order
         layout = ExecLayout(
             grouping=neighbor_grouping(g, 32),
             center_order=order,
@@ -405,7 +406,7 @@ def table6_gat_ablation(
     out = {}
     for name in datasets:
         g = load_dataset(name)
-        order = cached_schedule(g).order
+        order = shared_schedule(g).order
         base = _gat_layer_time(
             g, config, adapter=False, linear=False,
             grouping_bound=None, order=None,

@@ -1,9 +1,9 @@
-"""Shared experiment infrastructure: caches, configs, table formatting.
+"""Shared experiment infrastructure: runtimes, configs, table formatting.
 
-Analyses (locality-aware schedules, MinHash signatures, tuner results)
-are expensive and graph-invariant, so they are cached per process here —
-the library-level mirror of the paper's "done offline once, reused for
-many runs" argument (§4.4).
+Tuner results are expensive and graph-invariant, so they are cached per
+process in the shared runtimes here (schedules in
+:func:`repro.core.pipeline.shared_schedule`) — the library-level mirror
+of the paper's "done offline once, reused for many runs" argument (§4.4).
 """
 
 from __future__ import annotations
@@ -11,17 +11,13 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Sequence
 
-from ..core.pipeline import shared_schedule
-from ..core.scheduling import ScheduleResult
 from ..frameworks.ours import OursOptions, OursRuntime
 from ..gpusim.config import V100_SCALED, GPUConfig
-from ..graph.csr import CSRGraph
 from ..perf import env_flag
 
 __all__ = [
     "bench_config",
     "sweep_config",
-    "cached_schedule",
     "cached_runtime",
     "verify_plans_default",
     "format_table",
@@ -52,23 +48,6 @@ def sweep_config() -> GPUConfig:
     return V100_SCALED.replace(cache_trace_limit=400_000)
 
 
-def cached_schedule(graph: CSRGraph) -> ScheduleResult:
-    """Locality-aware schedule, computed once per graph per process.
-
-    Delegates to the compilation pipeline's process-wide analysis tier
-    (:func:`repro.core.pipeline.shared_schedule`): same-graph calls
-    return the *same* object, keyed by the graph's structural
-    fingerprint (``id()`` keys alias once the original arrays are
-    garbage-collected and the allocator recycles the address).
-    """
-    return shared_schedule(graph)
-
-
-#: Pure function of the graph — runtimes injecting this hook stay in the
-#: content-addressed plan cache (see OursRuntime's ``schedule_fn``).
-cached_schedule.plan_cache_safe = True
-
-
 def verify_plans_default() -> bool:
     """Whether benchmark runtimes statically verify every lowered plan.
 
@@ -84,17 +63,15 @@ def cached_runtime(options: Optional[OursOptions] = None) -> OursRuntime:
     """Shared OursRuntime per option set.
 
     All runtimes resolve their offline analysis through
-    :func:`cached_schedule`, so a graph is MinHash-clustered once per
-    process no matter how many ablation variants run on it.  When no
-    explicit options are given, plan verification follows
-    :func:`verify_plans_default`.
+    :func:`~repro.core.pipeline.shared_schedule`, so a graph is
+    MinHash-clustered once per process no matter how many ablation
+    variants run on it.  When no explicit options are given, plan
+    verification follows :func:`verify_plans_default`.
     """
     if options is None:
         options = OursOptions(verify_plans=verify_plans_default())
     if options not in _RUNTIMES:
-        _RUNTIMES[options] = OursRuntime(
-            options, schedule_fn=cached_schedule
-        )
+        _RUNTIMES[options] = OursRuntime(options)
     return _RUNTIMES[options]
 
 

@@ -33,14 +33,13 @@ from typing import List, Optional
 
 from .bench import (
     bench_config,
-    cached_schedule,
     fig3_l2_miss_rates,
     format_table,
     table4_occupancy,
     table5_expansion_transform,
     table6_gat_ablation,
 )
-from .core import cluster_sizes, tune
+from .core import cluster_sizes, shared_schedule, tune
 from .frameworks import NotSupported, all_frameworks
 from .gpusim.memory import SimulatedOOM
 from .graph import DATASET_NAMES, dataset_stats_row, load_dataset
@@ -764,7 +763,7 @@ def cmd_serve(args) -> int:
 
 def cmd_schedule(args) -> int:
     g = load_dataset(args.dataset)
-    sched = cached_schedule(g)
+    sched = shared_schedule(g)
     sizes = cluster_sizes(sched)
     print(f"dataset {args.dataset}: {sched.num_clusters:,} clusters, "
           f"max size {sizes.max()}, "

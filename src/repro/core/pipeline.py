@@ -26,6 +26,7 @@ from typing import Dict, Optional
 
 from ..gpusim.config import GPUConfig
 from ..gpusim.kernel import KernelSpec
+from ..gpusim.memo import LRUCache
 from ..graph.csr import CSRGraph
 from ..perf import PERF
 from .compgraph import FusionPlan
@@ -180,7 +181,10 @@ class PlanBuilder:
 # Shared offline-analysis cache
 # ----------------------------------------------------------------------
 
-_SCHEDULES: Dict[str, ScheduleResult] = {}
+#: graph fingerprint -> :class:`ScheduleResult`.  Unbounded (one entry
+#: per distinct graph), and an :class:`LRUCache` so that
+#: :func:`~repro.gpusim.memo.clear_caches` drops it with every other tier.
+_SCHEDULES = LRUCache(max_entries=None, name="schedule_cache")
 
 
 def shared_schedule(graph: CSRGraph) -> ScheduleResult:
@@ -193,11 +197,8 @@ def shared_schedule(graph: CSRGraph) -> ScheduleResult:
     at most once no matter how many plans are compiled on it.
     """
     key = graph.fingerprint
-    if key not in _SCHEDULES:
-        _SCHEDULES[key] = locality_aware_schedule(graph)
-    return _SCHEDULES[key]
-
-
-#: Safe to combine with the content-addressed plan cache: the result is
-#: a pure function of the graph (see OursRuntime's ``schedule_fn`` hook).
-shared_schedule.plan_cache_safe = True
+    schedule = _SCHEDULES.get(key)
+    if schedule is None:
+        schedule = locality_aware_schedule(graph)
+        _SCHEDULES.put(key, schedule)
+    return schedule

@@ -26,13 +26,14 @@ import hashlib
 import json
 import logging
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..gpusim.config import GPUConfig
 from ..gpusim.kernel import KernelSpec
 from ..gpusim.memo import LRUCache
+from ..gpusim.metrics import KernelStats
 from ..graph.csr import CSRGraph
 from ..perf import PERF, memo_enabled
 from .compgraph import FusionPlan
@@ -150,7 +151,9 @@ class CompiledPlan:
 
     Treated as immutable once built (the repo-wide array convention):
     the plan cache hands the same object to every execution of the same
-    (framework, model, graph, config) key.
+    (framework, model, graph, config) key.  The one exception is
+    ``simulated``, which :func:`~repro.gpusim.executor.simulate_plan`
+    fills on the plan's first execution under its own ``gpu_config``.
     """
 
     plan_id: str                    # content address (plan_key)
@@ -169,6 +172,12 @@ class CompiledPlan:
     peak_mem_bytes: int = 0
     stage_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
     extra: Dict[str, object] = dataclasses.field(default_factory=dict)
+    #: Stats of the first simulation under ``gpu_config``.  Not part of
+    #: the artifact: ``dataclasses.replace`` and ``load_plan`` start
+    #: without it, so a derived plan never replays another's kernels.
+    simulated: Optional[Tuple[KernelStats, ...]] = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def num_kernels(self) -> int:

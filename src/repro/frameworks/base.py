@@ -163,14 +163,6 @@ class Framework(abc.ABC):
         """Framework options that enter the plan's content address."""
         return {}
 
-    def plan_cache_enabled(self) -> bool:
-        """Whether this instance's plans are globally cacheable.
-
-        Subclasses return False when carrying injected behaviour (e.g. a
-        custom ``schedule_fn``) that the content address cannot see.
-        """
-        return True
-
     def builder(
         self, model_name: str, graph: CSRGraph, model, sim: GPUConfig
     ) -> PlanBuilder:
@@ -193,7 +185,7 @@ class Framework(abc.ABC):
     ):
         """The content address :meth:`compile` resolves — no compiling.
 
-        Returns ``(key, model, cacheable)``.  The serve layer's batcher
+        Returns ``(key, model)``.  The serve layer's batcher
         groups requests by this key: two requests with the same
         signature share one compilation and one simulated execution.
         Sharded compilation folds the partitioning blob
@@ -215,7 +207,7 @@ class Framework(abc.ABC):
             gpu_config=sim,
             dispatch_overhead=self.dispatch_overhead,
         )
-        return key, model, self.plan_cache_enabled()
+        return key, model
 
     def compile(
         self,
@@ -236,16 +228,15 @@ class Framework(abc.ABC):
         ``signature`` to skip recomputing the content address.
         """
         if signature is not None:
-            key, model, cacheable = signature
+            key, model = signature
         else:
-            key, model, cacheable = self.plan_signature(
+            key, model = self.plan_signature(
                 model_name, graph, sim, model=model,
                 shard_options=shard_options,
             )
-        if cacheable:
-            cached = PLAN_CACHE.get(key)
-            if cached is not None:
-                return cached
+        cached = PLAN_CACHE.get(key)
+        if cached is not None:
+            return cached
         compile_fn = getattr(self, f"compile_{model_name}")
         with PERF.stage("plan_compile"):
             plan = compile_fn(graph, model, sim)
@@ -255,8 +246,7 @@ class Framework(abc.ABC):
             # sharded and monolithic compilations of byte-identical
             # graphs never share a content address.
             plan = dataclasses.replace(plan, plan_id=key)
-        if cacheable:
-            PLAN_CACHE.put(plan)
+        PLAN_CACHE.put(plan)
         return plan
 
     # ------------------------------------------------------------------
@@ -273,9 +263,10 @@ class Framework(abc.ABC):
         feat: Optional[np.ndarray] = None,
         seed: int = 0,
     ) -> ForwardResult:
-        """Run a compiled plan: simulate its kernels (memoized by plan
-        hash) and, when ``compute`` is set, evaluate the functional
-        reference operators for the real output."""
+        """Run a compiled plan: simulate its kernels (replayed from the
+        plan's own stats after its first run) and, when ``compute`` is
+        set, evaluate the functional reference operators for the real
+        output."""
         t0 = time.perf_counter()
         with PERF.stage("plan_execute"):
             report = simulate_plan(plan, sim)

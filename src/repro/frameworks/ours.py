@@ -17,9 +17,9 @@ so the ablation benchmarks (Figs. 8–11, Table 6) can toggle exactly one
 mechanism at a time.  Compilation runs through the staged pipeline
 (``trace -> schedule -> group -> adapt -> lower -> tune``) into a
 content-addressed :class:`~repro.core.plan.CompiledPlan`; offline
-analyses (scheduling) and online analyses (grouping/tuning) are
-additionally cached per graph, mirroring the paper's amortization
-argument.
+analyses (scheduling, shared process-wide) and online analyses
+(grouping/tuning) are additionally cached per graph, mirroring the
+paper's amortization argument.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from ..core.lowering import (
     lower_plan,
     node_map_kernel,
 )
+from ..core.pipeline import shared_schedule
 from ..core.plan import CompiledPlan
-from ..core.scheduling import locality_aware_schedule
 from ..core.sparse_fetch import SageStrategy, lower_sage_lstm
 from ..core.tuner import _cached_grouping, pick_lanes, tune
 from ..gpusim.config import GPUConfig
@@ -90,33 +90,15 @@ class OursRuntime(Framework):
 
     name = "ours"
 
-    def __init__(
-        self,
-        options: Optional[OursOptions] = None,
-        schedule_fn=None,
-    ) -> None:
-        """``schedule_fn(graph) -> ScheduleResult`` overrides how the
-        offline analysis is computed (benchmarks inject a process-wide
-        cache through this hook).  An injected function must declare
-        ``plan_cache_safe = True`` to keep this instance's plans in the
-        global content-addressed cache; otherwise the cache is bypassed,
-        since the plan key cannot see the custom behaviour."""
+    def __init__(self, options: Optional[OursOptions] = None) -> None:
         self.options = options if options is not None else OursOptions()
-        self._schedule_fn = schedule_fn or locality_aware_schedule
-        self._plan_cache_safe = schedule_fn is None or bool(
-            getattr(schedule_fn, "plan_cache_safe", False)
-        )
-        self._schedule_cache: Dict[str, np.ndarray] = {}
-        self._tune_cache: Dict[Tuple[str, int], Optional[int]] = {}
+        self._tune_cache: Dict[Tuple[str, int, GPUConfig], Optional[int]] = {}
 
     # ------------------------------------------------------------------
     # Plan-cache plumbing
     # ------------------------------------------------------------------
     def plan_options(self) -> Dict[str, object]:
         return dataclasses.asdict(self.options)
-
-    def plan_cache_enabled(self) -> bool:
-        return self._plan_cache_safe
 
     def sage_strategy(self) -> SageStrategy:
         return self.options.sage_strategy
@@ -125,18 +107,15 @@ class OursRuntime(Framework):
     # Analysis caches
     # ------------------------------------------------------------------
     def center_order(self, graph: CSRGraph) -> Optional[np.ndarray]:
-        """Offline locality-aware order, cached per graph."""
+        """Offline locality-aware order, shared per graph process-wide."""
         if not self.options.locality_scheduling:
             return None
-        key = graph.fingerprint
-        if key not in self._schedule_cache:
-            self._schedule_cache[key] = self._schedule_fn(graph).order
-        return self._schedule_cache[key]
+        return shared_schedule(graph).order
 
     def ng_bound(
         self, graph: CSRGraph, feat_len: int, sim: GPUConfig
     ) -> Optional[int]:
-        """Online-tuned grouping bound, cached per (graph, feat_len)."""
+        """Online-tuned grouping bound, cached per (graph, feat_len, sim)."""
         if not self.options.neighbor_grouping:
             return None
         if self.options.ng_bound is not None:
@@ -144,7 +123,7 @@ class OursRuntime(Framework):
         if not self.options.tuned:
             # Untuned default: one warp's worth of neighbors.
             return 32
-        key = (graph.fingerprint, feat_len)
+        key = (graph.fingerprint, feat_len, sim)
         if key not in self._tune_cache:
             # May be None: the tuner found grouping unprofitable (e.g. on
             # low-variance graphs like protein, where Fig. 8 shows NG

@@ -53,10 +53,8 @@ from .kernel import KernelSpec
 from .memo import (
     KERNEL_MEMO,
     PERM_CACHE,
-    PLAN_MEMO,
     STREAM_CACHE,
     StreamPlan,
-    _config_repr,
     array_digest,
     kernel_fingerprint,
     memo_stats,
@@ -663,21 +661,15 @@ def simulate_kernels(
     return report
 
 
-def plan_memo_key(plan, config: GPUConfig | None = None):
-    """The :data:`PLAN_MEMO` address of one plan execution."""
-    cfg = config if config is not None else plan.gpu_config
-    return (plan.plan_id, _config_repr(cfg), plan.dispatch_overhead)
-
-
 def simulate_plan(plan, config: GPUConfig | None = None) -> RunReport:
     """Execute a :class:`~repro.core.plan.CompiledPlan`.
 
-    The plan is content-addressed, so its whole simulated outcome is
-    memoized under ``(plan_id, config, dispatch_overhead)`` — a repeat
-    execution of the same plan rebuilds the :class:`RunReport` from the
-    cached :class:`KernelStats` sequence without touching the cache
-    model or the scheduler at all.  ``config`` defaults to the
-    configuration the plan was compiled for.
+    The first execution under the plan's own ``gpu_config`` stores its
+    :class:`KernelStats` on the plan (``plan.simulated``); every repeat
+    rebuilds the :class:`RunReport` from them without touching the cache
+    model or the scheduler (counted as ``plan_memo_hit``/``_miss``).
+    Any other ``config`` simulates through the kernel memo.  ``config``
+    defaults to the configuration the plan was compiled for.
     """
     cfg = config if config is not None else plan.gpu_config
     if not memo_enabled():
@@ -686,11 +678,12 @@ def simulate_plan(plan, config: GPUConfig | None = None) -> RunReport:
             peak_mem_bytes=plan.peak_mem_bytes,
             dispatch_overhead=plan.dispatch_overhead,
         )
-    key = plan_memo_key(plan, cfg)
-    cached = PLAN_MEMO.get(key)
-    if cached is not None:
+    own = cfg == plan.gpu_config
+    if own and plan.simulated is not None:
+        PERF.count("plan_memo_hit")
         report = RunReport.replay(
-            cached, label=plan.label, peak_mem_bytes=plan.peak_mem_bytes
+            plan.simulated, label=plan.label,
+            peak_mem_bytes=plan.peak_mem_bytes,
         )
         report.extra["perf"] = {
             "cache_model_seconds": 0.0,
@@ -704,11 +697,13 @@ def simulate_plan(plan, config: GPUConfig | None = None) -> RunReport:
             "memo": memo_stats(),
         }
         return report
+    PERF.count("plan_memo_miss")
     report = simulate_kernels(
         plan.kernels, cfg, label=plan.label,
         peak_mem_bytes=plan.peak_mem_bytes,
         dispatch_overhead=plan.dispatch_overhead,
     )
     report.extra["perf"]["plan_memo_hit"] = False
-    PLAN_MEMO.put(key, tuple(report.kernels))
+    if own:
+        plan.simulated = tuple(report.kernels)
     return report

@@ -52,7 +52,6 @@ __all__ = [
     "kernel_fingerprint",
     "STREAM_CACHE",
     "KERNEL_MEMO",
-    "PLAN_MEMO",
     "REORDER_CACHE",
     "clear_caches",
     "memo_stats",
@@ -232,8 +231,6 @@ class StreamPlan:
 STREAM_CACHE_BYTES = 512 * 1024 * 1024
 REORDER_CACHE_BYTES = 256 * 1024 * 1024
 PERM_CACHE_BYTES = 128 * 1024 * 1024
-#: Entry bound of :data:`PLAN_MEMO`.
-PLAN_MEMO_ENTRIES = 512
 
 #: Stream analyses are large (two int64 arrays per stream), so the tier
 #: is bounded by bytes; 512 MiB holds a full 20-round tuner sweep on the
@@ -304,16 +301,6 @@ def kernel_fingerprint(kernel, config, dispatch_overhead: float) -> str:
 #: counts logical ``kernel_memo_{hit,miss}``; the tier itself reports
 #: under ``kernel_memo_mem_*``.
 KERNEL_MEMO = LRUCache(max_entries=4096, name="kernel_memo_mem")
-
-
-#: Plan-level memo: ``(plan_id, config, dispatch) -> tuple[KernelStats]``.
-#: A :class:`~repro.core.plan.CompiledPlan` is content-addressed, so its
-#: whole simulated kernel-stats sequence is reusable as one unit — the
-#: run-many half of compile-once/run-many skips even the per-kernel memo
-#: lookups.  Entry-bounded: a long-lived serving process replaying a
-#: churning request mix must not accumulate stats tuples without bound.
-#: Evictions count under ``plan_memo_evict``.
-PLAN_MEMO = LRUCache(max_entries=PLAN_MEMO_ENTRIES, name="plan_memo")
 
 
 # ----------------------------------------------------------------------

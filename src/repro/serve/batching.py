@@ -11,18 +11,11 @@ bit-identical kernel statistics.
 Sampled-subgraph traffic (the ``online_offline`` request family) is
 where this pays: minibatch tenants re-request the same sampled shapes,
 and each distinct shape costs one plan no matter how many tenants ask.
-
-Requests on frameworks whose plans are not globally cacheable
-(``plan_cache_enabled() is False``, e.g. injected scheduling callables
-the content address cannot see) are never batched together: each gets a
-singleton batch keyed uniquely, preserving their bypass of the plan
-cache.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Callable, Dict, List, Sequence
 
 from ..frameworks.base import Framework
@@ -32,27 +25,17 @@ from .request import InferenceRequest
 
 __all__ = ["Batch", "plan_batches"]
 
-_UNCACHEABLE_IDS = itertools.count(1)
-
 
 @dataclasses.dataclass
 class Batch:
     """One shared plan execution and the requests riding it."""
 
-    key: str                       # grouping key (unique per batch for
-    #                                uncacheable frameworks)
+    key: str                       # the plan content address
     framework: Framework
     model_name: str
     model: object                  # resolved model config dataclass
     graph: CSRGraph
     requests: List[InferenceRequest]
-    cacheable: bool = True
-    signature_key: str = ""        # the true plan content address
-
-    @property
-    def signature(self):
-        """The precomputed ``plan_signature`` result for ``compile``."""
-        return self.signature_key, self.model, self.cacheable
 
     @property
     def size(self) -> int:
@@ -78,20 +61,14 @@ def plan_batches(
     order: List[str] = []
     for req in requests:
         fw = resolve_framework(req)
-        signature_key, model, cacheable = fw.plan_signature(
+        key, model = fw.plan_signature(
             req.model, req.graph, sim, model=req.model_config
         )
-        key = signature_key
-        if not cacheable:
-            # A plan the content address cannot describe must not be
-            # shared — singleton batch under a unique key.
-            key = f"uncacheable-{next(_UNCACHEABLE_IDS):06d}"
         batch = batches.get(key)
         if batch is None:
             batch = Batch(
                 key=key, framework=fw, model_name=req.model,
                 model=model, graph=req.graph, requests=[],
-                cacheable=cacheable, signature_key=signature_key,
             )
             batches[key] = batch
             order.append(key)

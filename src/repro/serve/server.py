@@ -95,7 +95,7 @@ def _clone_result(
     """Fan-out: a member's result from the batch's single execution.
 
     The simulated kernel statistics are copied with
-    :meth:`RunReport.replay`, the plan-level memo's restore path, and
+    :meth:`RunReport.replay`, as a plan's carried stats are, and
     the plan side data with :func:`record_plan`, the one ``execute()``
     uses, so a fanned-out report is bit-identical (kernels, peak memory,
     totals) to what a sequential per-request ``execute()`` would have
@@ -244,7 +244,8 @@ class PlanServer:
         for batch in batches:
             plan, cache_hit = resolve_plan(
                 batch.framework, batch.model_name, batch.graph,
-                self.sim, model=batch.model, signature=batch.signature,
+                self.sim, model=batch.model,
+                signature=(batch.key, batch.model),
             )
             resolved.append((batch, plan, cache_hit))
         return resolved

@@ -5,7 +5,6 @@ import pytest
 from repro.bench import (
     bench_config,
     cached_runtime,
-    cached_schedule,
     format_table,
     sweep_config,
     write_result,
@@ -16,7 +15,9 @@ from repro.bench.paper_expected import (
     FIG7_GCN_MS,
     TABLE6,
 )
+from repro.core import shared_schedule
 from repro.frameworks import OursOptions
+from repro.gpusim import clear_caches
 from repro.graph import DATASET_NAMES, small_dataset
 
 
@@ -34,9 +35,17 @@ class TestConfigs:
 class TestCaches:
     def test_schedule_cached(self):
         g = small_dataset()
-        a = cached_schedule(g)
-        b = cached_schedule(g)
+        a = shared_schedule(g)
+        b = shared_schedule(g)
         assert a is b
+
+    def test_clear_caches_drops_shared_schedule(self):
+        g = small_dataset()
+        a = shared_schedule(g)
+        clear_caches()
+        b = shared_schedule(g)
+        assert b is not a
+        assert (b.order == a.order).all()
 
     def test_runtime_cached_per_options(self):
         a = cached_runtime()
@@ -47,7 +56,7 @@ class TestCaches:
 
     def test_runtime_uses_shared_schedule(self):
         g = small_dataset()
-        sched = cached_schedule(g)
+        sched = shared_schedule(g)
         rt = cached_runtime()
         order = rt.center_order(g)
         assert (order == sched.order).all()

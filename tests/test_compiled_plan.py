@@ -32,7 +32,7 @@ from repro.core.plan import STAGE_NAMES
 from repro.frameworks import all_frameworks
 from repro.frameworks.base import NotSupported
 from repro.frameworks.ours import OursOptions, OursRuntime
-from repro.gpusim import V100_SCALED
+from repro.gpusim import V100_SCALED, simulate_kernels
 from repro.gpusim.memo import clear_caches
 from repro.graph import power_law_graph, small_dataset
 from repro.models import GCNConfig
@@ -224,6 +224,58 @@ class TestCompileOnce:
         counts = stage_counts()
         fw.run_gcn(g, GCNConfig(), V100_SCALED)
         assert stage_counts() != counts
+
+
+class TestPlanCarriedStats:
+    """A plan replays only the stats of its own first simulation."""
+
+    def test_replays_own_stats(self, g):
+        fw = OursRuntime()
+        plan = fw.compile("gcn", g, V100_SCALED)
+        first = fw.execute(plan, V100_SCALED).report
+        assert first.extra["perf"]["plan_memo_hit"] is False
+        assert plan.simulated == tuple(first.kernels)
+        again = fw.execute(plan).report
+        assert again.extra["perf"]["plan_memo_hit"] is True
+        assert again.kernels == first.kernels
+
+    def test_derived_plan_simulates_its_own_kernels(self, g):
+        fw = OursRuntime()
+        plan = fw.compile("gcn", g, V100_SCALED)
+        fw.execute(plan, V100_SCALED)
+        derived = dataclasses.replace(plan, kernels=plan.kernels[1:])
+        assert derived.plan_id == plan.plan_id
+        got = fw.execute(derived, V100_SCALED).report
+        want = simulate_kernels(
+            derived.kernels, V100_SCALED,
+            dispatch_overhead=derived.dispatch_overhead,
+        )
+        assert got.kernels == want.kernels
+        assert got.extra["perf"]["plan_memo_hit"] is False
+        assert derived.simulated == tuple(got.kernels)
+
+    def test_other_config_is_not_replayed_or_stored(self, g):
+        fw = OursRuntime()
+        plan = fw.compile("gcn", g, V100_SCALED)
+        own = fw.execute(plan).report
+        other = V100_SCALED.replace(num_sms=8)
+        got = fw.execute(plan, other).report
+        assert got.extra["perf"]["plan_memo_hit"] is False
+        assert got.kernels == simulate_kernels(
+            plan.kernels, other, dispatch_overhead=plan.dispatch_overhead
+        ).kernels
+        assert plan.simulated == tuple(own.kernels)
+
+    def test_stats_stay_off_the_artifact_and_report(self, g, tmp_path):
+        fw = OursRuntime()
+        plan = fw.compile("gcn", g, V100_SCALED)
+        report = fw.execute(plan).report
+        assert plan.simulated is not None
+        path = str(tmp_path / f"plan_{plan.plan_id}.npz")
+        save_plan(path, plan)
+        assert load_plan(path, expect_id=plan.plan_id).simulated is None
+        assert "simulated" not in report.extra
+        assert all(v is not plan.simulated for v in report.extra.values())
 
 
 _DISK_WORKER = """

@@ -18,7 +18,7 @@ from repro.frameworks import (
     default_frameworks,
     make_features,
 )
-from repro.gpusim import SimulatedOOM, V100_SCALED
+from repro.gpusim import SimulatedOOM, V100_SCALED, clear_caches
 from repro.graph import small_dataset
 from repro.models import GATConfig, GCNConfig, SageLSTMConfig
 
@@ -186,6 +186,19 @@ class TestOursOptions:
     def test_fixed_ng_bound_used(self, g, sim):
         rt = OursRuntime(OursOptions(ng_bound=16, tuned=False))
         assert rt.ng_bound(g, 32, sim) == 16
+
+    def test_tuned_bound_follows_gpu_config(self, g, sim):
+        """The tuner prices bounds on ``sim``: a runtime reused across
+        configs tunes (and compiles) each config as a fresh one does."""
+        other = sim.replace(num_sms=8, block_overhead=2e-6)
+        rt = OursRuntime()
+        rt.ng_bound(g, 32, sim)
+        fresh = OursRuntime()
+        assert rt.ng_bound(g, 32, other) == fresh.ng_bound(g, 32, other)
+        rt.run_gcn(g, SMALL_GCN, sim)
+        warm = rt.run_gcn(g, SMALL_GCN, other).time_ms
+        clear_caches()
+        assert warm == OursRuntime().run_gcn(g, SMALL_GCN, other).time_ms
 
     def test_analysis_cached_per_graph(self, g, sim):
         rt = OursRuntime()

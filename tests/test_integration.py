@@ -8,12 +8,13 @@ mid-size dataset, asserting the paper's headline causal chains.
 import numpy as np
 import pytest
 
-from repro.bench import cached_runtime, cached_schedule
+from repro.bench import cached_runtime
 from repro.core import (
     ExecLayout,
     aggregation_kernel,
     identity_grouping,
     neighbor_grouping,
+    shared_schedule,
 )
 from repro.frameworks import DGLLike, OursOptions, OursRuntime, make_features
 from repro.gpusim import V100_SCALED, simulate_kernel
@@ -32,7 +33,7 @@ def hub_graph():
 class TestCausalChains:
     def test_las_improves_cache_on_shuffled_graph(self, hub_graph):
         g = hub_graph
-        order = cached_schedule(g).order
+        order = shared_schedule(g).order
         base = simulate_kernel(
             aggregation_kernel(g, 32, V100_SCALED, ExecLayout.default(g)),
             V100_SCALED,

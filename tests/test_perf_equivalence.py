@@ -334,7 +334,7 @@ def test_quick_grid_hash_in_both_modes(monkeypatch, fast):
     Each mode starts from cold caches, the offline schedule and the
     shared runtime's tuning included, so the reference run exercises
     every reference implementation."""
-    monkeypatch.setattr(pipeline, "_SCHEDULES", {})
+    pipeline._SCHEDULES.clear()
     monkeypatch.setattr(harness, "_RUNTIMES", {})
     perf.configure(fastpath=fast, memo=fast)
     assert _quick_grid_hash() == "a52a3f53968f6bd5"
