@@ -1,17 +1,20 @@
-"""Optional native accelerator for the greedy list scheduler.
+"""Optional native accelerator for the simulator's sequential loops.
 
-The earliest-free-slot scheduler is a pop-min/push loop over a multiset
-of slot free times — inherently sequential, and the one hot path numpy
-cannot express.  This module compiles a ~30-line C implementation with
-the system C compiler on first use (no third-party packages, no Python
+A few hot loops carry a data dependency numpy cannot express: the
+earliest-free-slot list scheduler (a pop-min/push loop over slot free
+times), the tick sweep that turns a block layout into its issue order,
+last-seen tables and the pair-merging heap of locality-aware
+scheduling.  This module compiles the embedded C source below with the
+system C compiler on first use (no third-party packages, no Python
 headers — plain ``ctypes`` against a shared object) and caches the
 artifact in the system temp directory keyed by source hash.
 
-Bit-identity: the C loop performs exactly the reference arithmetic —
+Bit-identity: the scheduler performs exactly the reference arithmetic —
 ``end = start + duration`` one IEEE double addition per block, compiled
 without any fast-math relaxation — and a binary min-heap always pops the
 multiset minimum, so starts/ends match ``heapq`` to the last bit even
-though the heap's internal layout differs.
+though the heap's internal layout differs.  The other loops mirror
+their references operation for operation (see each one's comment).
 
 Everything degrades gracefully: no compiler, a failed build, or
 ``REPRO_NATIVE=0`` simply leaves the pure-Python fallback in charge.
@@ -32,12 +35,11 @@ from ..perf import env_flag
 
 __all__ = [
     "available",
-    "count_first_touch",
     "estimate_first_touch",
     "greedy_schedule",
-    "interleave_order",
     "merge_pairs",
     "prev_occurrence",
+    "stream_plan",
     "window_mask",
 ]
 
@@ -88,8 +90,8 @@ void prev_occurrence(const long* stream, long n, long* last, long* prev) {
  * working-set estimator (an exact integer count, so the estimate it
  * feeds matches the numpy path bit for bit).  Strided probes are
  * memory-latency bound; prefetching a few iterations ahead hides it. */
-long count_first_touch(const int* prev, long t, long window, long stride,
-                       long n) {
+static long count_first_touch(const int* prev, long t, long window,
+                              long stride, long n) {
     long end = t + window, i, c = 0;
     if (end > n) end = n;
     for (i = t; i < end; i += stride) {
@@ -120,37 +122,55 @@ double estimate_first_touch(const int* prev, const long* starts,
     return total;
 }
 
-/* Interleave sort key, fused: one pass fills
- * key[p] = (tick << shift) + offset without materializing the
- * block-of / repeat / gather intermediates the numpy formulation
- * needs.  Any shift with 2^shift > max offset orders identically; the
- * caller picks the smallest, so keys usually fit int32 (the 32-bit
- * variant) and the stable radix argsort moves half the bytes.  The
- * sort itself stays np.argsort(key, kind="stable") — numpy's radix
- * beats a hand-rolled one here, and a stable sort's permutation is
- * unique, so the fast path matches the lexsort reference exactly. */
-void interleave_key(const long* row_ptr, const double* starts, long nb,
-                    long shift, long* key) {
-    long b, j, p = 0;
+/* Issue order + previous occurrence of one block access stream, in one
+ * tick sweep.  Block lengths are greedy-scheduled on k slots (integer
+ * lengths keep every start exact, and replace-top pops never
+ * decrease, so starts are non-decreasing).  Position j of block b
+ * issues at tick start[b] + j, in (tick, offset, block) order — the
+ * lexsort reference.  At one tick offset = tick - start, so the live
+ * blocks are kept in (start desc, block asc) order: blocks starting
+ * now go in front as one ascending group, finished blocks are
+ * compacted out, and each live block emits one position.  At most k
+ * blocks are live and no tick is idle (a slot freed by the last live
+ * block is where the next block starts), so perm is written
+ * sequentially; prev comes from the same last-seen table as
+ * prev_occurrence.  Returns -1 on allocation failure. */
+int stream_plan(const long* row_ptr, long nb, const long* row_ids,
+                long k, long* last, long* perm, long* prev) {
+    long n = row_ptr[nb], b, j, t, m, out = 0, next = 0, nlive = 0;
+    double* heap = calloc(k, sizeof(double));
+    long* start = malloc((nb + 1) * sizeof(long));
+    long* live = malloc(2 * k * sizeof(long));
+    long *cur = live, *nxt = live + k;
+    if (!heap || !start || !live) {
+        free(heap); free(start); free(live);
+        return -1;
+    }
     for (b = 0; b < nb; ++b) {
-        long len = row_ptr[b + 1] - row_ptr[b];
-        long s = (long)starts[b];
-        for (j = 0; j < len; ++j) {
-            key[p++] = ((s + j) << shift) + j;
+        start[b] = (long)heap[0];
+        heap[0] += (double)(row_ptr[b + 1] - row_ptr[b]);
+        sift_down(heap, k, 0);
+    }
+    for (t = 0; out < n; ++t) {
+        m = 0;
+        for (; next < nb && start[next] <= t; ++next)
+            if (row_ptr[next + 1] > row_ptr[next]) nxt[m++] = next;
+        for (j = 0; j < nlive; ++j) {
+            b = cur[j];
+            if (start[b] + row_ptr[b + 1] - row_ptr[b] > t) nxt[m++] = b;
+        }
+        nlive = m;
+        { long* tmp = cur; cur = nxt; nxt = tmp; }
+        for (j = 0; j < nlive; ++j) {
+            long p = row_ptr[cur[j]] + t - start[cur[j]];
+            long r = row_ids[p];
+            perm[out] = p;
+            prev[out] = last[r];
+            last[r] = out++;
         }
     }
-}
-
-void interleave_key32(const long* row_ptr, const double* starts, long nb,
-                      long shift, int* key) {
-    long b, j, p = 0;
-    for (b = 0; b < nb; ++b) {
-        long len = row_ptr[b + 1] - row_ptr[b];
-        long s = (long)starts[b];
-        for (j = 0; j < len; ++j) {
-            key[p++] = (int)(((s + j) << shift) + j);
-        }
-    }
+    free(heap); free(start); free(live);
+    return 0;
 }
 
 /* Windowed-LRU hit mask: hit iff prev[i] >= max(i - w, 0). */
@@ -349,7 +369,7 @@ def _build() -> "ctypes.CDLL | None":
                 except OSError:
                     pass
     lib = ctypes.CDLL(cache)
-    # Hottest entry point (one call per scheduling wave): raw-address
+    # Most-called entry point (one call per block schedule): raw-address
     # arguments skip ctypes pointer-object construction per call.
     fn = lib.greedy_schedule
     fn.restype = None
@@ -364,29 +384,19 @@ def _build() -> "ctypes.CDLL | None":
         ctypes.POINTER(ctypes.c_long), ctypes.c_long,
         ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_long),
     ]
-    fn = lib.count_first_touch
-    fn.restype = ctypes.c_long
-    fn.argtypes = [
-        ctypes.POINTER(ctypes.c_int), ctypes.c_long, ctypes.c_long,
-        ctypes.c_long, ctypes.c_long,
-    ]
     fn = lib.estimate_first_touch
     fn.restype = ctypes.c_double
     fn.argtypes = [
         ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_long),
         ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
     ]
-    fn = lib.interleave_key
-    fn.restype = None
+    fn = lib.stream_plan
+    fn.restype = ctypes.c_int
     fn.argtypes = [
-        ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_double),
-        ctypes.c_long, ctypes.c_long, ctypes.POINTER(ctypes.c_long),
-    ]
-    fn = lib.interleave_key32
-    fn.restype = None
-    fn.argtypes = [
-        ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_double),
-        ctypes.c_long, ctypes.c_long, ctypes.POINTER(ctypes.c_int),
+        ctypes.POINTER(ctypes.c_long), ctypes.c_long,
+        ctypes.POINTER(ctypes.c_long), ctypes.c_long,
+        ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_long),
+        ctypes.POINTER(ctypes.c_long),
     ]
     fn = lib.window_mask
     fn.restype = None
@@ -452,66 +462,10 @@ def greedy_schedule(
     )
 
 
-def interleave_order(
-    row_ptr: np.ndarray, starts: np.ndarray
-) -> np.ndarray:
-    """Stable (tick, offset, index) issue permutation.
-
-    Builds the packed ``(tick << shift) + offset`` key in one fused C
-    pass, then argsorts it with numpy's stable sort; a stable sort's
-    permutation is unique and any ``2**shift`` > max offset orders
-    (tick, offset) identically, so this equals the lexsort reference
-    exactly.  The smallest shift keeps keys in int32 for typical
-    streams — half the radix-sort traffic.  ``row_ptr`` contiguous
-    int64, ``starts`` contiguous float64 (integer-valued block start
-    ticks).
-    """
-    lib = _load()
-    nb = row_ptr.shape[0] - 1
-    n = int(row_ptr[-1])
-    max_len = int(np.max(np.diff(row_ptr))) if nb else 0
-    shift = max(max_len.bit_length(), 1)
-    # Safe overestimate of the largest key: every tick is below the
-    # largest block start plus the longest block's length.
-    max_start = int(starts.max()) if nb else 0
-    bound = ((max_start + max_len) << shift) + max_len
-    if bound < np.iinfo(np.int32).max:
-        key = np.empty(n, dtype=np.int32)
-        lib.interleave_key32(
-            row_ptr.ctypes.data_as(ctypes.POINTER(ctypes.c_long)),
-            starts.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-            nb, shift,
-            key.ctypes.data_as(ctypes.POINTER(ctypes.c_int)),
-        )
-    else:
-        key = np.empty(n, dtype=np.int64)
-        lib.interleave_key(
-            row_ptr.ctypes.data_as(ctypes.POINTER(ctypes.c_long)),
-            starts.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-            nb, shift,
-            key.ctypes.data_as(ctypes.POINTER(ctypes.c_long)),
-        )
-    return np.argsort(key, kind="stable")
-
-
-def count_first_touch(
-    prev: np.ndarray, t: int, window: int, stride: int
-) -> int:
-    """``np.count_nonzero(prev[t:t+window:stride] < t)`` in one C pass.
-
-    ``prev`` must be contiguous int32.
-    """
-    lib = _load()
-    return lib.count_first_touch(
-        prev.ctypes.data_as(ctypes.POINTER(ctypes.c_int)),
-        t, window, stride, prev.shape[0],
-    )
-
-
 def estimate_first_touch(
     prev: np.ndarray, starts: np.ndarray, window: int, stride: int
 ) -> float:
-    """Sum of ``count_first_touch(prev, t, window, stride) * stride``
+    """Sum of ``count_nonzero(prev[t:t+window:stride] < t) * stride``
     over all ``t`` in ``starts``, accumulated in the reference order.
 
     ``prev`` must be contiguous int32, ``starts`` contiguous int64.
@@ -587,3 +541,46 @@ def prev_occurrence(
         last.ctypes.data_as(lp), prev.ctypes.data_as(lp),
     )
     return prev
+
+
+def stream_plan(
+    row_ptr: np.ndarray, row_ids: np.ndarray, slots: int
+) -> "tuple[np.ndarray, np.ndarray] | None":
+    """Issue permutation and previous-occurrence array of one stream.
+
+    One C tick sweep: the block lengths are greedy-scheduled on
+    ``slots`` slots and positions are emitted in (tick, offset, block)
+    order, so ``perm`` equals the stable argsort of the packed
+    interleave key and ``prev`` equals ``prev_occurrence`` of
+    ``row_ids[perm]``, exactly.  Returns None (the numpy lane takes
+    over, and raises where it would) for ``slots < 1``, a ``row_ptr``
+    that does not rise from 0 to at most ``len(row_ids)``, row ids outside
+    ``[0, 50_000_000]`` or not integers, or an allocation failure.
+    """
+    lib = _load()
+    nb = row_ptr.shape[0] - 1
+    n = int(row_ptr[-1])
+    if slots < 1 or row_ptr[0] != 0 or n > row_ids.shape[0] or (
+        np.diff(row_ptr) < 0
+    ).any():
+        return None
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if row_ids.dtype.kind not in "iu":
+        return None
+    ids = row_ids[:n]
+    hi = int(ids.max())
+    if int(ids.min()) < 0 or hi > 50_000_000:
+        return None
+    lp = ctypes.POINTER(ctypes.c_long)
+    row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    last = np.full(hi + 1, -1, dtype=np.int64)
+    perm = np.empty(n, dtype=np.int64)
+    prev = np.empty(n, dtype=np.int64)
+    rc = lib.stream_plan(
+        row_ptr.ctypes.data_as(lp), nb, ids.ctypes.data_as(lp), slots,
+        last.ctypes.data_as(lp), perm.ctypes.data_as(lp),
+        prev.ctypes.data_as(lp),
+    )
+    return (perm, prev) if rc == 0 else None

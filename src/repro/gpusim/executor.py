@@ -19,8 +19,12 @@ adjacent computing units").
 
 Performance layer (see DESIGN.md "Performance architecture"):
 
-* the list scheduler runs wave-by-wave in numpy, falling back to the
+* the list scheduler is one compiled heap loop (:mod:`._native`) or,
+  without a C compiler, runs wave-by-wave in numpy, falling back to the
   reference binary heap only for the irregular tail of a wave;
+* a cold stream analysis (issue permutation + previous-occurrence
+  array) is one compiled tick sweep, or a radix argsort plus a
+  counting-sort pass in numpy;
 * stream analyses (issue permutation + previous-occurrence array) and
   whole :class:`KernelStats` are memoized content-addressed in
   :mod:`repro.gpusim.memo`, so ablation variants and tuner rounds stop
@@ -97,14 +101,9 @@ def interleaved_order(
         # ``(tick << 31) | offset`` fits int64 and orders by
         # (tick, offset); a *stable* sort breaks remaining ties by array
         # index, which within a fixed offset increases with block id —
-        # exactly lexsort's (tick, offset, block) order.  Natively the
-        # sort itself disappears: ticks and offsets are small ints, so
-        # two stable counting passes produce the same permutation with
-        # no comparison sort at all.
-        if _native.available() and total:
-            return _native.interleave_order(
-                np.ascontiguousarray(row_ptr, dtype=np.int64), starts
-            )
+        # exactly lexsort's (tick, offset, block) order.  The native
+        # lane needs no sort at all: ``_native.stream_plan`` emits this
+        # order directly in one tick sweep (see ``_cold_stream_plan``).
         block_of = np.repeat(
             np.arange(lengths.shape[0], dtype=np.int64), lengths
         )
@@ -128,6 +127,20 @@ def interleaved_order(
 # Stream analysis (content-cached)
 # ----------------------------------------------------------------------
 
+def _cold_stream_plan(
+    row_ptr: np.ndarray, row_ids: np.ndarray, num_slots: int
+) -> StreamPlan:
+    """Stream analysis from scratch: one native tick sweep when the
+    lane is up, else the issue permutation then a previous-occurrence
+    pass over the permuted stream (identical results)."""
+    if fastpath_enabled() and _native.available():
+        swept = _native.stream_plan(row_ptr, row_ids, num_slots)
+        if swept is not None:
+            return StreamPlan(perm=swept[0], prev=swept[1])
+    perm = interleaved_order(row_ptr, num_slots)
+    return StreamPlan(perm=perm, prev=previous_occurrence(row_ids[perm]))
+
+
 def _stream_plan(
     row_ptr: np.ndarray,
     row_ids: np.ndarray,
@@ -138,9 +151,9 @@ def _stream_plan(
 
     Keyed by stream *content*, so every kernel sharing a block layout and
     row stream (tuner rounds at different feature lengths, ablation
-    variants, repeated layers) reuses the argsort-heavy analysis.
-    Callers holding long-lived parent arrays may pass a precomputed
-    ``key`` so repeat lookups never re-hash sliced views.
+    variants, repeated layers) reuses the analysis.  Callers holding
+    long-lived parent arrays may pass a precomputed ``key`` so repeat
+    lookups never re-hash sliced views.
     """
     if memo_enabled():
         if key is None:
@@ -150,18 +163,21 @@ def _stream_plan(
             return plan
         # The issue permutation depends only on the block layout, never
         # on the row stream, so streams that differ only in their rows
-        # (tuner rounds reshaping features over one layout) share the
-        # argsort under a second, layout-only key.
+        # (tuner rounds reshaping features over one layout) share it
+        # under a second, layout-only key; a hit gathers the new rows
+        # and pays one previous-occurrence pass, cheaper than a sweep.
         perm_key = (array_digest(row_ptr), num_slots)
         perm = PERM_CACHE.get(perm_key)
         if perm is None:
-            perm = interleaved_order(row_ptr, num_slots)
-            PERM_CACHE.put(perm_key, perm, nbytes=perm.nbytes)
+            plan = _cold_stream_plan(row_ptr, row_ids, num_slots)
+            PERM_CACHE.put(perm_key, plan.perm, nbytes=plan.perm.nbytes)
+        else:
+            plan = StreamPlan(
+                perm=perm, prev=previous_occurrence(row_ids[perm])
+            )
     else:
         key = None
-        perm = interleaved_order(row_ptr, num_slots)
-    prev = previous_occurrence(row_ids[perm])
-    plan = StreamPlan(perm=perm, prev=prev)
+        plan = _cold_stream_plan(row_ptr, row_ids, num_slots)
     if key is not None:
         STREAM_CACHE.put(key, plan, nbytes=plan.nbytes)
     return plan
@@ -415,19 +431,8 @@ def _heap_run(
     """Greedy-schedule ``durations[lo:hi]`` through the heap.
 
     ``free`` is the live multiset of slot free times (any order, not
-    mutated); the new multiset is returned sorted ascending.  Uses the
-    compiled scheduler when available — a binary min-heap pops the same
-    multiset minima whatever its internal layout, and the C loop runs
-    the identical ``end = start + duration`` additions, so both lanes
-    are bit-identical to :func:`_list_schedule_reference`.
+    mutated); the new multiset is returned sorted ascending.
     """
-    if _native.available():
-        heap = free.copy()
-        _native.greedy_schedule(
-            np.ascontiguousarray(durations[lo:hi]), heap,
-            starts[lo:hi], ends[lo:hi],
-        )
-        return np.sort(heap)
     heap = free.tolist()
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
@@ -502,10 +507,8 @@ def _wave_schedule(
         if i - win_base >= 8 * slots and accepted < (i - win_base) // 2:
             # Irregular duration mix: the vectorized prefix keeps
             # collapsing, so per-wave numpy overhead exceeds the heap's.
-            # Burn through a bounded window with the heap — a wide one
-            # when the compiled loop is carrying it.
-            burst = (256 if _native.available() else 16) * slots
-            stop = min(b, i + burst)
+            # Burn through a bounded window with the heap.
+            stop = min(b, i + 16 * slots)
             if bi < nbig and big_starts[bi] > i:
                 # Leave upcoming constant runs to the vectorized lane.
                 stop = min(stop, int(big_starts[bi]))
@@ -557,6 +560,18 @@ def _list_schedule(
         return starts.astype(np.float64), starts + durations
     if not fastpath_enabled():
         return _list_schedule_reference(durations, slots)
+    if _native.available():
+        # One compiled heap loop over every block: a binary min-heap
+        # pops the same multiset minima whatever its internal layout,
+        # and the C loop runs the identical ``end = start + duration``
+        # additions, so it is bit-identical to the reference.
+        starts = np.empty(b)
+        ends = np.empty(b)
+        _native.greedy_schedule(
+            np.ascontiguousarray(durations, dtype=np.float64),
+            np.zeros(slots), starts, ends,
+        )
+        return starts, ends
     return _wave_schedule(durations, slots)
 
 

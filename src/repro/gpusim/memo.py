@@ -9,9 +9,10 @@ simulation's outcome and caches two tiers of work:
 * **stream analyses** (:data:`STREAM_CACHE`) — the interleaved issue
   permutation and previous-occurrence array of a kernel's feature-row
   access stream, keyed by ``(row_ptr, row_ids, slot count)`` content.
-  These are the argsort-heavy inputs of the L2 cache model and depend
-  only on the stream, not on pricing, so a tuner round re-run at a new
-  feature length pays nothing.
+  These are the order-dependent inputs of the L2 cache model (one tick
+  sweep natively, sorts in numpy) and depend only on the stream, not on
+  pricing, so a tuner round re-run at a new feature length pays
+  nothing.
 * **kernel statistics** (:data:`KERNEL_MEMO`) — the full
   :class:`~repro.gpusim.metrics.KernelStats` of a simulated kernel,
   keyed by :func:`kernel_fingerprint` over every pricing input plus the
@@ -199,7 +200,7 @@ class StreamPlan:
 
     ``perm`` is the interleaved (concurrent-execution) issue order and
     ``prev`` the previous-occurrence array of the permuted stream — the
-    two argsort-heavy quantities every cache-model evaluation needs.
+    two order-dependent quantities every cache-model evaluation needs.
     ``windows`` memoizes the effective working-set window per cache
     capacity and ``lru_distances`` the exact stack distances (both are
     pure functions of ``prev``, so they attach here).
@@ -254,7 +255,7 @@ REORDER_CACHE = LRUCache(
 
 #: Issue permutations keyed by ``(row_ptr, num_slots)`` content only —
 #: streams that differ in their rows but share a block layout (tuner
-#: rounds at different feature lengths) reuse the argsort.  A separate
+#: rounds at different feature lengths) reuse the issue order.  A separate
 #: tier so the perm arrays never evict full stream analyses.
 PERM_CACHE = LRUCache(
     max_entries=64,

@@ -64,6 +64,89 @@ class TestNativeBitIdentity:
             fast = ex.interleaved_order(row_ptr, slots)
             assert np.array_equal(ref, fast)
 
+    @staticmethod
+    def _stream_layouts(rng):
+        """Ragged layouts the tick sweep must order exactly: zero-length
+        blocks, one hub block longer than the rest of the stream, a
+        uniform-length layout and a mostly-empty one."""
+        yield "ragged", _ragged(rng, lo=0, hi=40)
+        hub = _ragged(rng, n_blocks=300, lo=0, hi=6)
+        lengths = np.diff(hub)
+        lengths[17] = 2 * int(hub[-1])
+        hub[1:] = np.cumsum(lengths)
+        yield "hub", hub
+        yield "uniform", np.arange(0, 5 * 257, 5, dtype=np.int64)
+        yield "mostly-empty", _ragged(rng, n_blocks=500, lo=0, hi=3)
+
+    def test_stream_plan_matches_reference(self):
+        rng = np.random.default_rng(6)
+        for name, row_ptr in self._stream_layouts(rng):
+            n = int(row_ptr[-1])
+            row_ids = rng.integers(0, max(n // 4, 1), size=n)
+            for slots in (1, 7, 160):
+                configure(fastpath=False)
+                perm = ex.interleaved_order(row_ptr, slots)
+                prev = previous_occurrence(row_ids[perm])
+                configure(fastpath=True)
+                got = _native.stream_plan(row_ptr, row_ids, slots)
+                assert got is not None, (name, slots)
+                assert np.array_equal(got[0], perm), (name, slots)
+                assert np.array_equal(got[1], prev), (name, slots)
+
+    def test_stream_plan_on_prefix_cut(self):
+        """The sampled prefix ``_row_hit_counts`` analyses: a row_ptr
+        prefix up to the cut block and the matching row-id view."""
+        rng = np.random.default_rng(7)
+        row_ptr = _ragged(rng, n_blocks=2_000, lo=0, hi=30)
+        row_ids = rng.integers(0, 3_000, size=int(row_ptr[-1]))
+        limit = int(row_ptr[-1]) // 3
+        cut_block = int(np.searchsorted(row_ptr, limit, side="right")) - 1
+        sub_ptr = row_ptr[: cut_block + 1]
+        sub_ids = row_ids[: int(row_ptr[cut_block])]
+        configure(fastpath=False, memo=False)
+        ref = ex._stream_plan(sub_ptr, sub_ids, 160)
+        configure(fastpath=True, memo=False)
+        fast = ex._stream_plan(sub_ptr, sub_ids, 160)
+        assert np.array_equal(ref.perm, fast.perm)
+        assert np.array_equal(ref.prev, fast.prev)
+
+    def test_stream_plan_declines_what_c_cannot_take(self):
+        row_ptr = _ragged(np.random.default_rng(8), n_blocks=50)
+        n = int(row_ptr[-1])
+        big = np.full(n, 60_000_000, dtype=np.int64)
+        assert _native.stream_plan(row_ptr, big, 7) is None
+        assert _native.stream_plan(row_ptr, -big, 7) is None
+        ids = big % 97
+        falling = row_ptr.copy()
+        falling[5] = falling[6] + 1
+        assert _native.stream_plan(falling, ids, 7) is None
+        assert _native.stream_plan(row_ptr, ids[:-1], 7) is None
+        assert _native.stream_plan(row_ptr, ids, 0) is None
+        configure(memo=False)
+        plan = ex._stream_plan(row_ptr, big, 7)  # numpy lane answers
+        assert np.array_equal(plan.perm, ex.interleaved_order(row_ptr, 7))
+
+    def test_list_schedule_matches_reference(self):
+        """One native heap call over every block equals the heapq
+        reference on the shapes the numpy wave lane special-cases: long
+        constant runs, irregular stretches and a hub block."""
+        rng = np.random.default_rng(9)
+        for slots in (1, 7, 160):
+            parts = [
+                np.full(6 * slots, 2.5),
+                rng.random(3 * slots) * 4.0,
+                np.full(9 * slots + 3, 0.75),
+                np.array([400.0]),
+                rng.choice([0.5, 1.0, 3.0], size=20 * slots),
+                np.zeros(2 * slots),
+                np.full(5 * slots, 0.1),
+            ]
+            durations = np.concatenate(parts)
+            s_ref, e_ref = ex._list_schedule_reference(durations, slots)
+            s, e = ex._list_schedule(durations, slots)
+            assert np.array_equal(s, s_ref), slots
+            assert np.array_equal(e, e_ref), slots
+
     def test_count_and_estimate_first_touch(self):
         rng = np.random.default_rng(2)
         stream = rng.integers(0, 300, size=8_000)
@@ -74,14 +157,12 @@ class TestNativeBitIdentity:
             expected = 0.0
             for t in starts:
                 seg = prev[t:t + window:stride]
-                expected += np.count_nonzero(seg < t) * stride
-            for t in starts:
-                c = _native.count_first_touch(
-                    prev, int(t), window, stride
+                count = np.count_nonzero(seg < t)
+                expected += count * stride
+                one = _native.estimate_first_touch(
+                    prev, np.array([t], dtype=np.int64), window, stride
                 )
-                assert c == np.count_nonzero(
-                    prev[t:t + window:stride] < t
-                )
+                assert one == count * stride
             got = _native.estimate_first_touch(
                 prev, starts, window, stride
             )
@@ -142,6 +223,13 @@ class TestNativeDisabled:
         with_native_prev = previous_occurrence(stream)
         with_native_order = ex.interleaved_order(row_ptr, 13)
         with_native_mask = window_hits_from_prev(with_native_prev, 64)
+        row_ids = rng.integers(0, 500, size=int(row_ptr[-1]))
+        configure(memo=False)
+        with_native_plan = ex._stream_plan(row_ptr, row_ids, 13)
+        durations = np.concatenate(
+            [np.full(200, 1.5), rng.random(300) * 3.0]
+        )
+        with_native_sched = ex._list_schedule(durations, 13)
         monkeypatch.setattr(_native, "_LIB", None)
         monkeypatch.setattr(_native, "_TRIED", True)
         assert not _native.available()
@@ -155,6 +243,11 @@ class TestNativeDisabled:
             with_native_mask,
             window_hits_from_prev(with_native_prev, 64),
         )
+        plan = ex._stream_plan(row_ptr, row_ids, 13)
+        assert np.array_equal(with_native_plan.perm, plan.perm)
+        assert np.array_equal(with_native_plan.prev, plan.prev)
+        for a, b in zip(with_native_sched, ex._list_schedule(durations, 13)):
+            assert np.array_equal(a, b)
 
     def test_env_var_disables_build(self, monkeypatch, caplog):
         monkeypatch.setenv("REPRO_NATIVE", "0")

@@ -41,7 +41,7 @@ from repro.gpusim.executor import (
     simulate_kernel,
     simulate_kernels,
 )
-from repro.gpusim import memo
+from repro.gpusim import _native, memo
 from repro.gpusim.memo import (
     KERNEL_MEMO,
     STREAM_CACHE,
@@ -327,15 +327,24 @@ def _quick_grid_hash():
     ).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("fast", [False, True], ids=["reference", "fast"])
-def test_quick_grid_hash_in_both_modes(monkeypatch, fast):
+@pytest.mark.parametrize(
+    "fast,native",
+    [(False, True), (True, True), (True, False)],
+    ids=["reference", "fast", "fast-numpy"],
+)
+def test_quick_grid_hash_in_both_modes(monkeypatch, fast, native):
     """Reference and fast modes reproduce the pinned quick-grid hash.
 
     Each mode starts from cold caches, the offline schedule and the
     shared runtime's tuning included, so the reference run exercises
-    every reference implementation."""
+    every reference implementation.  ``fast-numpy`` is the fast mode
+    on a host without a C compiler: the numpy wave scheduler and radix
+    interleave carry every simulation."""
     pipeline._SCHEDULES.clear()
     monkeypatch.setattr(harness, "_RUNTIMES", {})
+    if not native:
+        monkeypatch.setattr(_native, "_LIB", None)
+        monkeypatch.setattr(_native, "_TRIED", True)
     perf.configure(fastpath=fast, memo=fast)
     assert _quick_grid_hash() == "a52a3f53968f6bd5"
 
