@@ -11,8 +11,12 @@ Datasets), we:
 2. split signatures into ``bands`` of ``rows_per_band`` rows and hash
    each band; nodes colliding in any band become *candidate pairs*.
 
-Everything is vectorized: hashes are evaluated over the CSR ``indices``
-array once and reduced per-row with ``np.minimum.reduceat``.
+The native lane (:mod:`repro.gpusim._native`) evaluates each hash once
+per node and min-reduces every center row in place over its neighbors,
+then groups all bands' keys in one pass; it never builds a per-edge
+intermediate.  The numpy lane (no C compiler, or ``REPRO_NATIVE=0``)
+gathers hashes per edge and reduces them with ``np.minimum.reduceat``,
+and stable-sorts each band's keys.  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..gpusim import _native
 from ..graph.csr import CSRGraph, sorted_unique
 from ..perf import fastpath_enabled
 
@@ -38,18 +43,18 @@ _MERSENNE_P = (1 << 61) - 1
 
 @dataclasses.dataclass(frozen=True)
 class MinHashSignature:
-    """``uint64[num_hashes, N]`` signature matrix plus the empty-row mask."""
+    """``int64[N, num_hashes]`` signature rows plus the empty-row mask."""
 
-    matrix: np.ndarray
+    rows: np.ndarray
     empty: np.ndarray  # bool[N]: centers with no neighbors
 
     @property
     def num_hashes(self) -> int:
-        return int(self.matrix.shape[0])
+        return int(self.rows.shape[1])
 
     @property
     def num_nodes(self) -> int:
-        return int(self.matrix.shape[1])
+        return int(self.rows.shape[0])
 
 
 def minhash_signatures(
@@ -60,8 +65,13 @@ def minhash_signatures(
     a = rng.integers(1, _MERSENNE_P, size=num_hashes, dtype=np.int64)
     b = rng.integers(0, _MERSENNE_P, size=num_hashes, dtype=np.int64)
     n = graph.num_nodes
-    out = np.full((num_hashes, n), np.iinfo(np.int64).max, dtype=np.int64)
     nonempty = graph.degrees > 0
+    empty = ~nonempty
+    if fastpath_enabled() and _native.available():
+        rows = _native.minhash_rows(graph.indptr, graph.indices, a, b)
+        if rows is not None:
+            return MinHashSignature(rows=rows, empty=empty)
+    rows = np.full((n, num_hashes), np.iinfo(np.int64).max, dtype=np.int64)
     if graph.num_edges:
         neigh = graph.indices.astype(np.int64)
         starts = graph.indptr[:-1][nonempty]
@@ -70,12 +80,10 @@ def minhash_signatures(
                 # Universal hash evaluated on every edge endpoint, then
                 # min-reduced per center row (reference: loop over hashes).
                 vals = (a[h] * neigh + b[h]) % _MERSENNE_P
-                out[h, nonempty] = np.minimum.reduceat(vals, starts)
+                rows[nonempty, h] = np.minimum.reduceat(vals, starts)
         else:
-            out[:, nonempty] = _batched_minima(
-                neigh, starts, n, a, b
-            )
-    return MinHashSignature(matrix=out, empty=~nonempty)
+            rows[nonempty] = _batched_minima(neigh, starts, n, a, b).T
+    return MinHashSignature(rows=rows, empty=empty)
 
 
 #: Reusable 2D scratch for :func:`_batched_minima` — gathers are sized by
@@ -131,30 +139,14 @@ def _batched_minima(
 def signature_similarity(
     sig: MinHashSignature, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Estimated Jaccard similarity for node-id pairs (vectorized).
-
-    Gathers rows of the transposed signature matrix — one contiguous
-    ``num_hashes``-wide cache line run per node — instead of strided
-    columns of the ``[H, N]`` layout; the compared values (and thus the
-    match-count means) are identical either way.
-    """
+    """Estimated Jaccard similarity for node-id pairs (vectorized)."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    rows = _rows_cache(sig)
-    eq = rows[u] == rows[v]
+    eq = sig.rows[u] == sig.rows[v]
     est = eq.mean(axis=1)
     # Two empty sets are defined as similarity 0 (nothing to co-schedule).
     both_empty = sig.empty[u] & sig.empty[v]
     return np.where(both_empty, 0.0, est)
-
-
-def _rows_cache(sig: MinHashSignature) -> np.ndarray:
-    """Row-major (``[N, H]``) view of a signature, cached per instance."""
-    rows = getattr(sig, "_rows", None)
-    if rows is None:
-        rows = np.ascontiguousarray(sig.matrix.T)
-        object.__setattr__(sig, "_rows", rows)
-    return rows
 
 
 def exact_jaccard(graph: CSRGraph, u: int, v: int) -> float:
@@ -182,21 +174,55 @@ def lsh_candidate_pairs(
     bucket-sorted successors (full coverage for buckets up to
     ``pair_window + 1`` members, stride sampling for larger ones).  This
     caps worst-case pair counts at ``bands * pair_window * N`` — the LSH
-    "search-space reduction" the paper needs for large graphs — and is
-    fully vectorized (no per-bucket Python loop).  Truly similar nodes
-    collide in several bands, so they get several pairing chances.
+    "search-space reduction" the paper needs for large graphs — with no
+    per-bucket Python loop.  Truly similar nodes collide in several
+    bands, so they get several pairing chances.  The pairs come out
+    sorted by ``(u, v)``.
     """
-    h, n = sig.matrix.shape
+    n, h = sig.rows.shape
     bands = max(1, min(bands, h))
     rows = h // bands
     rng = np.random.default_rng(seed)
-    lo_chunks, hi_chunks = [], []
+    mix = np.stack([
+        rng.integers(1, _MERSENNE_P, size=rows, dtype=np.int64)
+        for _ in range(bands)
+    ])
+    native = fastpath_enabled() and _native.available()
+    packed = None
+    if native:
+        sig_rows = np.ascontiguousarray(sig.rows, dtype=np.int64)
+        empty = np.ascontiguousarray(sig.empty, dtype=bool)
+        packed = _native.lsh_pairs(sig_rows, empty, mix, pair_window)
+    if packed is None:
+        packed = _banded_pairs(sig, mix, pair_window)
+    if not packed.size:
+        return (
+            np.empty((0, 2), dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+        )
+    uniq = sorted_unique(packed)
+    u, v = uniq // n, uniq % n
+    if native:
+        sims = _native.pair_similarity(sig_rows, empty, u, v)
+    else:
+        sims = signature_similarity(sig, u, v)
+    return np.stack([u, v], axis=1), sims
+
+
+def _banded_pairs(
+    sig: MinHashSignature, mix: np.ndarray, pair_window: int
+) -> np.ndarray:
+    """Packed ``lo * N + hi`` pairs of every band, with repeats (numpy
+    lane): each band's keys are stable-sorted, and positions up to
+    ``pair_window`` apart with equal keys are paired."""
+    n = sig.num_nodes
+    rows = mix.shape[1]
+    chunks = []
     empty_count = int(sig.empty.sum())
-    for b in range(bands):
-        band = sig.matrix[b * rows : (b + 1) * rows, :]
+    for b, band_mix in enumerate(mix):
+        band = sig.rows[:, b * rows : (b + 1) * rows]
         # Bucket key: collapse the band to one hashable int64 per node.
-        mix = rng.integers(1, _MERSENNE_P, size=rows, dtype=np.int64)
-        key = ((band * mix[:, None]) % _MERSENNE_P).sum(axis=0)
+        key = ((band * band_mix) % _MERSENNE_P).sum(axis=1)
         if empty_count:
             key[sig.empty] = -1 - np.arange(empty_count)  # isolate
         order = np.argsort(key, kind="stable")
@@ -209,17 +235,7 @@ def lsh_candidate_pairs(
                 continue
             a = order[:-d][same]
             c = order[d:][same]
-            lo_chunks.append(np.minimum(a, c))
-            hi_chunks.append(np.maximum(a, c))
-    if not lo_chunks:
-        return (
-            np.empty((0, 2), dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-    lo = np.concatenate(lo_chunks)
-    hi = np.concatenate(hi_chunks)
-    packed = lo * np.int64(n) + hi
-    uniq = sorted_unique(packed)
-    pairs = np.stack([uniq // n, uniq % n], axis=1)
-    sims = signature_similarity(sig, pairs[:, 0], pairs[:, 1])
-    return pairs, sims
+            chunks.append(np.minimum(a, c) * np.int64(n) + np.maximum(a, c))
+    if not chunks:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(chunks)

@@ -119,12 +119,14 @@ def _merge_pairs(
     # thousands of Python tuples, walk them in heap order — descending
     # similarity, ties by (u, v) — and keep a real heap only for the few
     # re-paired representatives pushed during the merge.  The combined
-    # pop sequence is exactly the single-heap order.
-    order = np.lexsort((pairs[:, 1], pairs[:, 0], -sims))
-    # Scalar re-pair similarity: row-contiguous signature matrix makes the
-    # per-pair compare two tiny slices instead of a full
+    # pop sequence is exactly the single-heap order.  Pairs arrive sorted
+    # by (u, v) (and the cap above keeps that order among equal
+    # similarities), so a stable sort on similarity alone is that order.
+    order = np.argsort(-sims, kind="stable")
+    # Scalar re-pair similarity: each signature row is contiguous, so the
+    # per-pair compare is two tiny slices instead of a full
     # signature_similarity call (same count/num_hashes float, bit for bit).
-    sig_rows = np.ascontiguousarray(sig.matrix.T)
+    sig_rows = np.ascontiguousarray(sig.rows, dtype=np.int64)
     empty = sig.empty
     num_hashes = sig_rows.shape[1]
     if fastpath_enabled() and _native.available():

@@ -3,8 +3,10 @@
 A few hot loops carry a data dependency numpy cannot express: the
 earliest-free-slot list scheduler (a pop-min/push loop over slot free
 times), the tick sweep that turns a block layout into its issue order,
-last-seen tables and the pair-merging heap of locality-aware
-scheduling.  This module compiles the embedded C source below with the
+last-seen tables and, for locality-aware scheduling, the MinHash
+per-row minima (reduced in place, where numpy gathers per edge), the
+LSH bucket grouping (a hash map instead of one argsort per band), the
+pair similarities and the pair-merging heap.  This module compiles the embedded C source below with the
 system C compiler on first use (no third-party packages, no Python
 headers — plain ``ctypes`` against a shared object) and caches the
 artifact in the system temp directory keyed by source hash.
@@ -37,7 +39,10 @@ __all__ = [
     "available",
     "estimate_first_touch",
     "greedy_schedule",
+    "lsh_pairs",
     "merge_pairs",
+    "minhash_rows",
+    "pair_similarity",
     "prev_occurrence",
     "stream_plan",
     "window_mask",
@@ -335,6 +340,167 @@ int merge_pairs(const double* negs, const long* us, const long* vs,
     free(seen);
     return 0;
 }
+
+/* ---- MinHash + LSH candidate pairs (locality-aware scheduling) ----
+ *
+ * Same arithmetic as repro.core.minhash's numpy lane: numpy's int64
+ * multiply and add wrap around (done here in unsigned), and its % is a
+ * floor mod, so a negative remainder is lifted by P. */
+
+#define MH_P 2305843009213693951L          /* 2**61 - 1 */
+
+static long mh_mod(unsigned long x) {
+    long m = (long)x % MH_P;
+    return m + (MH_P & (m >> 63));     /* branch-free: signs are random */
+}
+
+/* Signature rows: sig[i, h] = min over neighbors u of row i of
+ * (a[h] * u + b[h]) mod P.  Each hash is evaluated once per node into
+ * table[u, h], then each center row is min-reduced in place over its
+ * neighbors' table rows, so no per-edge intermediate is ever built.
+ * Rows with no neighbors keep the caller's INT64_MAX fill.  Returns -1
+ * on a neighbor id outside [0, n). */
+int minhash_rows(const long* indptr, const int* indices, long n,
+                 const long* a, const long* b, long nh, long* table,
+                 long* sig) {
+    long i, j, h;
+    for (j = 0; j < indptr[n]; ++j)
+        if (indices[j] < 0 || indices[j] >= n) return -1;
+    for (i = 0; i < n; ++i) {
+        long* t = table + i * nh;
+        for (h = 0; h < nh; ++h)
+            t[h] = mh_mod((unsigned long)i * (unsigned long)a[h]
+                          + (unsigned long)b[h]);
+    }
+    /* Eight running minima at a time stay in registers (branch-free
+     * selects); each neighbor contributes one cache line of its row. */
+    for (i = 0; i < n; ++i) {
+        long* s = sig + i * nh;
+        long lo = indptr[i], hi = indptr[i + 1];
+        if (lo == hi) continue;
+        for (h = 0; h + 8 <= nh; h += 8) {
+            long m0 = s[h], m1 = s[h + 1], m2 = s[h + 2], m3 = s[h + 3];
+            long m4 = s[h + 4], m5 = s[h + 5], m6 = s[h + 6], m7 = s[h + 7];
+            for (j = lo; j < hi; ++j) {
+                const long* t = table + (long)indices[j] * nh + h;
+                m0 = t[0] < m0 ? t[0] : m0; m1 = t[1] < m1 ? t[1] : m1;
+                m2 = t[2] < m2 ? t[2] : m2; m3 = t[3] < m3 ? t[3] : m3;
+                m4 = t[4] < m4 ? t[4] : m4; m5 = t[5] < m5 ? t[5] : m5;
+                m6 = t[6] < m6 ? t[6] : m6; m7 = t[7] < m7 ? t[7] : m7;
+            }
+            s[h] = m0; s[h + 1] = m1; s[h + 2] = m2; s[h + 3] = m3;
+            s[h + 4] = m4; s[h + 5] = m5; s[h + 6] = m6; s[h + 7] = m7;
+        }
+        for (; h < nh; ++h) {
+            long m = s[h];
+            for (j = lo; j < hi; ++j) {
+                long v = table[(long)indices[j] * nh + h];
+                m = v < m ? v : m;
+            }
+            s[h] = m;
+        }
+    }
+    return 0;
+}
+
+typedef struct { long key; long bucket; } lsh_slot;
+
+/* Home slot of a key in a 2**bits-slot map (Fibonacci hashing). */
+static long lsh_home(long key, long bits) {
+    if (!bits) return 0;
+    return (long)(((unsigned long)key * 11400714819323198485UL)
+                  >> (64 - bits));
+}
+
+/* LSH banding, every band in one call.  Band key of node i is
+ * sum_r (sig[i, r] * mix[r]) mod P (wrapping int64 sum), and the k-th
+ * empty node gets the isolating key -1 - k.  The numpy lane stable-
+ * sorts the keys and pairs positions d <= w apart with equal keys; a
+ * stable sort keeps each bucket's members in id order and no pair
+ * crosses buckets, so visiting nodes in id order and pairing each with
+ * the last w members of its bucket (a ring per bucket, found through
+ * an open-addressing map of keys) emits exactly the same pairs.  Pairs
+ * go out packed as lo * n + hi; out needs room for bands * w * n.
+ * Returns the number emitted, or -1 on allocation failure. */
+long lsh_pairs(const long* sig, long n, long nh, long bands, long rows,
+               const long* mix, const unsigned char* empty, long w,
+               long* out) {
+    long cap = 1, bits = 0, nout = 0, nempty = 0, band, i, r;
+    long *keys, *cnt, *ring;
+    lsh_slot* map;
+    while (cap < 2 * n) { cap <<= 1; ++bits; }
+    map = malloc(cap * sizeof(lsh_slot));
+    keys = malloc((bands * n + 1) * sizeof(long));
+    cnt = malloc((n + 1) * sizeof(long));
+    ring = malloc((n * w + 1) * sizeof(long));
+    if (!map || !keys || !cnt || !ring) {
+        free(map); free(keys); free(cnt); free(ring);
+        return -1;
+    }
+    /* Every band's key, one pass over the signature rows. */
+    for (i = 0; i < n; ++i) {
+        if (empty[i]) {
+            for (band = 0; band < bands; ++band)
+                keys[band * n + i] = -1 - nempty;
+            ++nempty;
+            continue;
+        }
+        for (band = 0; band < bands; ++band) {
+            const long* s = sig + i * nh + band * rows;
+            const long* m = mix + band * rows;
+            unsigned long acc = 0;
+            for (r = 0; r < rows; ++r)
+                acc += (unsigned long)mh_mod(
+                    (unsigned long)s[r] * (unsigned long)m[r]);
+            keys[band * n + i] = (long)acc;
+        }
+    }
+    for (band = 0; band < bands; ++band) {
+        const long* kb = keys + band * n;
+        long nbuckets = 0;
+        for (i = 0; i < cap; ++i) map[i].bucket = -1;
+        for (i = 0; i < n; ++i) {
+            long k = kb[i], p = lsh_home(k, bits), c, d, bk;
+#ifdef __GNUC__
+            /* Keys are known ahead: fetch the slot 16 nodes on. */
+            if (i + 16 < n)
+                __builtin_prefetch(&map[lsh_home(kb[i + 16], bits)]);
+#endif
+            while (map[p].bucket != -1 && map[p].key != k)
+                p = (p + 1) & (cap - 1);
+            if (map[p].bucket == -1) {
+                map[p].key = k;
+                map[p].bucket = nbuckets;
+                cnt[nbuckets++] = 0;
+            }
+            bk = map[p].bucket;
+            c = cnt[bk];
+            for (d = 1; d <= w && d <= c; ++d)
+                out[nout++] = ring[bk * w + (c - d) % w] * n + i;
+            if (w) ring[bk * w + c % w] = i;
+            cnt[bk] = c + 1;
+        }
+    }
+    free(map); free(keys); free(cnt); free(ring);
+    return nout;
+}
+
+/* Estimated Jaccard similarity of each pair: (#equal signature
+ * entries) / nh, one IEEE double division (the bits of numpy's mean of
+ * the equality mask); two empty rows give 0.0. */
+void pair_similarity(const long* sig, long nh, const unsigned char* empty,
+                     const long* us, const long* vs, long np_,
+                     double* out) {
+    long p, h;
+    for (p = 0; p < np_; ++p) {
+        const long* a = sig + us[p] * nh;
+        const long* b = sig + vs[p] * nh;
+        long c = 0;
+        if (empty[us[p]] && empty[vs[p]]) { out[p] = 0.0; continue; }
+        for (h = 0; h < nh; ++h) c += (a[h] == b[h]);
+        out[p] = (double)c / (double)nh;
+    }
+}
 """
 
 logger = logging.getLogger(__name__)
@@ -414,6 +580,16 @@ def _build() -> "ctypes.CDLL | None":
         ctypes.c_double,
         ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_long),
     ]
+    vp, lg = ctypes.c_void_p, ctypes.c_long
+    fn = lib.minhash_rows
+    fn.restype = ctypes.c_int
+    fn.argtypes = [vp, vp, lg, vp, vp, lg, vp, vp]
+    fn = lib.lsh_pairs
+    fn.restype = ctypes.c_long
+    fn.argtypes = [vp, lg, lg, lg, lg, vp, vp, lg, vp]
+    fn = lib.pair_similarity
+    fn.restype = None
+    fn.argtypes = [vp, lg, vp, vp, vp, lg, vp]
     return lib
 
 
@@ -520,6 +696,72 @@ def merge_pairs(
         parent.ctypes.data_as(lp), size.ctypes.data_as(lp),
     )
     return rc == 0
+
+
+def minhash_rows(
+    indptr: np.ndarray, indices: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> "np.ndarray | None":
+    """``int64[N, H]`` MinHash signature rows of a CSR graph.
+
+    ``indptr`` must be contiguous int64, ``indices`` contiguous int32,
+    ``a``/``b`` contiguous int64 of length H.  Rows with no neighbors
+    hold ``INT64_MAX``.  Returns None (the numpy lane takes over, and
+    raises where it would) on a neighbor id outside ``[0, N)``.
+    """
+    lib = _load()
+    n = indptr.shape[0] - 1
+    nh = a.shape[0]
+    table = np.empty((n, nh), dtype=np.int64)
+    sig = np.full((n, nh), np.iinfo(np.int64).max, dtype=np.int64)
+    rc = lib.minhash_rows(
+        indptr.ctypes.data, indices.ctypes.data, n,
+        a.ctypes.data, b.ctypes.data, nh,
+        table.ctypes.data, sig.ctypes.data,
+    )
+    return sig if rc == 0 else None
+
+
+def lsh_pairs(
+    sig_rows: np.ndarray,
+    empty: np.ndarray,
+    mix: np.ndarray,
+    pair_window: int,
+) -> "np.ndarray | None":
+    """Packed ``lo * N + hi`` candidate pairs of every LSH band, with
+    repeats, in one call.
+
+    ``sig_rows`` is the contiguous int64 ``[N, H]`` signature, ``empty``
+    contiguous bool/uint8 per node and ``mix`` the contiguous int64
+    ``[bands, rows_per_band]`` band multipliers.  The pair set equals
+    the numpy lane's stable-argsort-and-compare over ``d <= pair_window``.
+    Returns None on an allocation failure.
+    """
+    lib = _load()
+    n, nh = sig_rows.shape
+    bands, rows = mix.shape
+    w = max(0, min(pair_window, n - 1))
+    out = np.empty(bands * w * n, dtype=np.int64)
+    count = lib.lsh_pairs(
+        sig_rows.ctypes.data, n, nh, bands, rows, mix.ctypes.data,
+        empty.ctypes.data, w, out.ctypes.data,
+    )
+    return out[:count] if count >= 0 else None
+
+
+def pair_similarity(
+    sig_rows: np.ndarray, empty: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Share of equal signature entries per ``(u[p], v[p])`` pair, 0.0
+    for two empty rows.  Inputs contiguous: ``sig_rows`` int64
+    ``[N, H]``, ``empty`` bool/uint8, ``u``/``v`` int64 ids in
+    ``[0, N)``."""
+    lib = _load()
+    out = np.empty(u.shape[0], dtype=np.float64)
+    lib.pair_similarity(
+        sig_rows.ctypes.data, sig_rows.shape[1], empty.ctypes.data,
+        u.ctypes.data, v.ctypes.data, u.shape[0], out.ctypes.data,
+    )
+    return out
 
 
 def prev_occurrence(

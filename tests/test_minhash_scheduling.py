@@ -36,7 +36,7 @@ class TestMinHash:
         dst = np.array([0, 0, 0, 1, 1, 1])
         g = coo_to_csr(src, dst, 8)
         sig = minhash_signatures(g, num_hashes=16)
-        assert np.array_equal(sig.matrix[:, 0], sig.matrix[:, 1])
+        assert np.array_equal(sig.rows[0], sig.rows[1])
         assert signature_similarity(
             sig, np.array([0]), np.array([1])
         )[0] == 1.0
@@ -59,8 +59,8 @@ class TestMinHash:
 
     def test_deterministic(self):
         g = small_dataset()
-        a = minhash_signatures(g, seed=5).matrix
-        b = minhash_signatures(g, seed=5).matrix
+        a = minhash_signatures(g, seed=5).rows
+        b = minhash_signatures(g, seed=5).rows
         assert np.array_equal(a, b)
 
     @given(st.integers(0, 2**31 - 1))
@@ -161,3 +161,25 @@ class TestScheduling:
         g = coo_to_csr(np.array([0, 1]), np.array([1, 0]), 6)
         sched = locality_aware_schedule(g)
         sched.validate(6)
+
+
+class TestMergeOrder:
+    def test_pairs_sorted_so_stable_similarity_sort_is_heap_order(self):
+        """Candidate pairs come out sorted by (u, v), so the merge's
+        stable sort on similarity alone equals the three-key
+        (similarity desc, u, v) order — also after the top-k cap."""
+        g = small_dataset()
+        sig = minhash_signatures(g)
+        pairs, sims = lsh_candidate_pairs(sig)
+        u, v = pairs[:, 0], pairs[:, 1]
+        assert np.all(np.diff(u * g.num_nodes + v) > 0)
+        assert np.unique(sims).size < sims.size  # ties do occur
+        assert np.array_equal(
+            np.lexsort((v, u, -sims)), np.argsort(-sims, kind="stable")
+        )
+        top = np.argsort(-sims, kind="stable")[: sims.size // 3]
+        pairs, sims = pairs[top], sims[top]
+        assert np.array_equal(
+            np.lexsort((pairs[:, 1], pairs[:, 0], -sims)),
+            np.argsort(-sims, kind="stable"),
+        )

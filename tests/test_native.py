@@ -7,18 +7,29 @@ the whole module degrades to trivially-passing skips when no C compiler
 is available, mirroring the library's own graceful fallback.
 """
 
+import contextlib
 import heapq
 import logging
 import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpusim import _native
 from repro.gpusim import executor as ex
 from repro.gpusim.cache import previous_occurrence, window_hits_from_prev
+from repro.core import minhash
+from repro.core.minhash import (
+    MinHashSignature,
+    lsh_candidate_pairs,
+    minhash_signatures,
+    signature_similarity,
+)
 from repro.core.scheduling import locality_aware_schedule
-from repro.graph import load_dataset
+from repro.graph import coo_to_csr, khop_sampled_subgraph, load_dataset
+from repro.graph.csr import sorted_unique
 from repro.perf import configure
 
 needs_native = pytest.mark.skipif(
@@ -37,6 +48,49 @@ def _ragged(rng, n_blocks=400, lo=1, hi=40):
     row_ptr = np.zeros(n_blocks + 1, dtype=np.int64)
     np.cumsum(lengths, out=row_ptr[1:])
     return row_ptr
+
+
+@contextlib.contextmanager
+def _numpy_lane():
+    """The native lane switched off for the duration of the block."""
+    saved = _native._LIB, _native._TRIED
+    _native._LIB, _native._TRIED = None, True
+    try:
+        yield
+    finally:
+        _native._LIB, _native._TRIED = saved
+
+
+@st.composite
+def csr_graphs(draw):
+    """Random CSR graphs: N = 1 and E = 0 included, with empty rows and,
+    from a small source pool, rows with equal neighbor sets (buckets
+    larger than the pair window)."""
+    n = draw(st.integers(1, 48))
+    e = draw(st.integers(0, 4 * n))
+    pool = draw(st.integers(1, n))
+    src = draw(st.lists(st.integers(0, pool - 1), min_size=e, max_size=e))
+    # Destinations from a subset of the nodes, so some rows stay empty.
+    hubs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    dst = draw(st.lists(st.sampled_from(hubs), min_size=e, max_size=e))
+    return coo_to_csr(
+        np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), n
+    )
+
+
+def _khop_sample():
+    """One serve-fresh-style request graph: 256 seeds, fanouts (10, 10)."""
+    parent = load_dataset("arxiv")
+    seeds = np.random.default_rng(0).choice(
+        parent.num_nodes, size=256, replace=False
+    )
+    return khop_sampled_subgraph(parent, seeds, (10, 10), seed=0).graph
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
 
 
 @needs_native
@@ -203,14 +257,92 @@ class TestNativeBitIdentity:
             assert np.array_equal(ends_ref, ends)
 
     def test_merge_pairs_partition_identical(self):
-        g = load_dataset("ddi")
-        configure(fastpath=False)
-        ref = locality_aware_schedule(g)
-        configure(fastpath=True)
-        fast = locality_aware_schedule(g)
-        assert np.array_equal(ref.order, fast.order)
-        assert np.array_equal(ref.cluster_id, fast.cluster_id)
-        assert ref.num_clusters == fast.num_clusters
+        graphs = [load_dataset("ddi"), load_dataset("arxiv"), _khop_sample()]
+        for g in graphs:
+            configure(fastpath=False)
+            ref = locality_aware_schedule(g)
+            configure(fastpath=True)
+            fast = locality_aware_schedule(g)
+            assert np.array_equal(ref.order, fast.order), g.name
+            assert np.array_equal(ref.cluster_id, fast.cluster_id), g.name
+            assert ref.num_clusters == fast.num_clusters, g.name
+            assert (ref.num_candidate_pairs
+                    == fast.num_candidate_pairs), g.name
+
+    @given(csr_graphs(), st.integers(0, 40), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_minhash_rows_match_numpy_lane(self, g, num_hashes, seed):
+        native = minhash_signatures(g, num_hashes=num_hashes, seed=seed)
+        with _numpy_lane():
+            ref = minhash_signatures(g, num_hashes=num_hashes, seed=seed)
+        assert _same_bits(native.rows, ref.rows)
+        assert np.array_equal(native.empty, ref.empty)
+        assert (native.rows[native.empty] == np.iinfo(np.int64).max).all()
+
+    def test_minhash_rows_declines_out_of_range_neighbors(self):
+        indptr = np.array([0, 2, 3], dtype=np.int64)
+        a = np.array([3, 5], dtype=np.int64)
+        for bad in (2, -1):
+            indices = np.array([0, bad, 1], dtype=np.int32)
+            assert _native.minhash_rows(indptr, indices, a, a) is None
+
+    @given(
+        csr_graphs(),
+        st.sampled_from([(32, 16), (30, 7), (16, 2), (24, 3), (5, 5)]),
+        st.one_of(st.integers(0, 3), st.integers(4, 60)),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_lsh_pairs_match_numpy_lane(self, g, shape, pair_window, seed):
+        """Native banding equals the stable-argsort lane: hash counts not
+        divisible by the band count, 8 rows per band (keys wrap
+        negative) and windows at least as wide as the graph."""
+        num_hashes, bands = shape
+        sig = minhash_signatures(g, num_hashes=num_hashes, seed=seed)
+        pairs, sims = lsh_candidate_pairs(
+            sig, bands=bands, pair_window=pair_window, seed=seed + 1
+        )
+        with _numpy_lane():
+            ref_pairs, ref_sims = lsh_candidate_pairs(
+                sig, bands=bands, pair_window=pair_window, seed=seed + 1
+            )
+        assert _same_bits(pairs, ref_pairs)
+        assert _same_bits(sims, ref_sims)
+
+    def test_lsh_pairs_band_key_collides_with_empty_sentinel(self):
+        """With 8 rows per band a real key wraps negative and can equal
+        an empty row's ``-1 - k`` key; both lanes then bucket the two
+        together.  Eight entries of P - 1 under unit multipliers sum to
+        2**64 - 16, i.e. key -16: the 16th empty row's sentinel."""
+        n, rows = 40, 8
+        sig_rows = np.random.default_rng(3).integers(
+            0, minhash._MERSENNE_P, size=(n, rows), dtype=np.int64
+        )
+        empty = np.zeros(n, dtype=bool)
+        empty[:20] = True
+        sig_rows[empty] = np.iinfo(np.int64).max
+        sig_rows[20:26] = minhash._MERSENNE_P - 1
+        sig = MinHashSignature(rows=sig_rows, empty=empty)
+        mix = np.ones((1, rows), dtype=np.int64)
+        for w in (1, 3, 50):
+            got = _native.lsh_pairs(sig_rows, empty, mix, w)
+            ref = minhash._banded_pairs(sig, mix, w)
+            assert np.array_equal(sorted_unique(got), sorted_unique(ref))
+            assert 15 * n + 20 in set(got.tolist())
+
+    @given(csr_graphs(), st.integers(1, 40), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_similarity_matches_numpy(self, g, num_hashes, seed):
+        sig = minhash_signatures(g, num_hashes=num_hashes, seed=seed)
+        rng = np.random.default_rng(seed)
+        n = g.num_nodes
+        u = rng.integers(0, n, size=3 * n)
+        v = rng.integers(0, n, size=3 * n)
+        got = _native.pair_similarity(
+            sig.rows, sig.empty, np.ascontiguousarray(u),
+            np.ascontiguousarray(v),
+        )
+        assert _same_bits(got, signature_similarity(sig, u, v))
 
 
 class TestNativeDisabled:
@@ -230,6 +362,10 @@ class TestNativeDisabled:
             [np.full(200, 1.5), rng.random(300) * 3.0]
         )
         with_native_sched = ex._list_schedule(durations, 13)
+        g = load_dataset("ddi")
+        with_native_sig = minhash_signatures(g)
+        with_native_pairs = lsh_candidate_pairs(with_native_sig)
+        with_native_schedule = locality_aware_schedule(g)
         monkeypatch.setattr(_native, "_LIB", None)
         monkeypatch.setattr(_native, "_TRIED", True)
         assert not _native.available()
@@ -248,6 +384,18 @@ class TestNativeDisabled:
         assert np.array_equal(with_native_plan.prev, plan.prev)
         for a, b in zip(with_native_sched, ex._list_schedule(durations, 13)):
             assert np.array_equal(a, b)
+        sig = minhash_signatures(g)
+        assert np.array_equal(with_native_sig.rows, sig.rows)
+        assert np.array_equal(with_native_sig.empty, sig.empty)
+        for a, b in zip(with_native_pairs, lsh_candidate_pairs(sig)):
+            assert _same_bits(a, b)
+        schedule = locality_aware_schedule(g)
+        assert np.array_equal(with_native_schedule.order, schedule.order)
+        assert np.array_equal(
+            with_native_schedule.cluster_id, schedule.cluster_id
+        )
+        assert (with_native_schedule.num_candidate_pairs
+                == schedule.num_candidate_pairs)
 
     def test_env_var_disables_build(self, monkeypatch, caplog):
         monkeypatch.setenv("REPRO_NATIVE", "0")
