@@ -6,10 +6,14 @@ times), the tick sweep that turns a block layout into its issue order,
 last-seen tables and, for locality-aware scheduling, the MinHash
 per-row minima (reduced in place, where numpy gathers per edge), the
 LSH bucket grouping (a hash map instead of one argsort per band), the
-pair similarities and the pair-merging heap.  This module compiles the embedded C source below with the
-system C compiler on first use (no third-party packages, no Python
-headers — plain ``ctypes`` against a shared object) and caches the
-artifact in the system temp directory keyed by source hash.
+pair similarities and the pair-merging heap.  One more loop is cheap
+per step but called once per row: the k-hop sampler's
+``rng.choice(d, k, replace=False)`` draws, which ``choice_rows`` makes
+for a whole hop in one call on the caller's own bit generator.  This
+module compiles the embedded C source below with the system C compiler
+on first use (no third-party packages, no Python headers — plain
+``ctypes`` against a shared object) and caches the artifact in the
+system temp directory keyed by source hash.
 
 Bit-identity: the scheduler performs exactly the reference arithmetic —
 ``end = start + duration`` one IEEE double addition per block, compiled
@@ -17,6 +21,9 @@ without any fast-math relaxation — and a binary min-heap always pops the
 multiset minimum, so starts/ends match ``heapq`` to the last bit even
 though the heap's internal layout differs.  The other loops mirror
 their references operation for operation (see each one's comment).
+``choice_rows`` mirrors numpy's ``Generator.choice``, which NEP 19 lets
+numpy change, so it checks itself against ``rng.choice`` on first use
+and, on a mismatch, warns once and declines for the rest of the process.
 
 Everything degrades gracefully: no compiler, a failed build, or
 ``REPRO_NATIVE=0`` simply leaves the pure-Python fallback in charge.
@@ -37,6 +44,7 @@ from ..perf import env_flag
 
 __all__ = [
     "available",
+    "choice_rows",
     "estimate_first_touch",
     "greedy_schedule",
     "lsh_pairs",
@@ -49,7 +57,9 @@ __all__ = [
 ]
 
 _SOURCE = r"""
+#include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 static void sift_down(double* h, long k, long i) {
     for (;;) {
@@ -501,6 +511,85 @@ void pair_similarity(const long* sig, long nh, const unsigned char* empty,
         out[p] = (double)c / (double)nh;
     }
 }
+
+/* ---- k-hop neighbor draws (graph sampling) ----
+ *
+ * numpy 2.x Generator.choice(d, k, replace=False), Floyd branch, step
+ * for step, on the caller's own bit generator: for j in d-k .. d-1 draw
+ * val in [0, j] and insert it into an open-addressing set of
+ * _gen_mask(1.2 * k) + 1 slots (linear probing), inserting j instead
+ * when val is already present; then the in-place shuffle _shuffle_int
+ * (k, first=1).  Every draw is random_bounded_uint64(0, rng) on the
+ * 32-bit path: no draw for rng == 0, next_uint32 itself for
+ * rng == 2**32 - 1, else Lemire's bounded draw. */
+
+typedef struct {                        /* numpy's bitgen_t */
+    void* state;
+    uint64_t (*next_uint64)(void* st);
+    uint32_t (*next_uint32)(void* st);
+    double (*next_double)(void* st);
+    uint64_t (*next_raw)(void* st);
+} np_bitgen;
+
+static uint64_t bounded_u32(np_bitgen* bg, uint64_t rng) {
+    uint32_t excl, left;
+    uint64_t m;
+    if (rng == 0) return 0;
+    if (rng == 0xFFFFFFFFUL) return bg->next_uint32(bg->state);
+    excl = (uint32_t)rng + 1;
+    m = (uint64_t)bg->next_uint32(bg->state) * excl;
+    left = (uint32_t)m;
+    if (left < excl) {
+        uint32_t threshold = (UINT32_MAX - (uint32_t)rng) % excl;
+        while (left < threshold) {
+            m = (uint64_t)bg->next_uint32(bg->state) * excl;
+            left = (uint32_t)m;
+        }
+    }
+    return m >> 32;
+}
+
+/* k draws from each of n rows, row after row, into out[r * k ...].
+ * Declines (-1, before any draw) when a row has d < k, d > 2**32 - 1
+ * or sits on numpy's tail-shuffle branch (d > 10000 and k > d / 50),
+ * or on allocation failure. */
+int choice_rows(np_bitgen* bg, const long* deg, long n, long k, long* out) {
+    long r, j, i;
+    uint64_t mask, *set;
+    if (k < 0) return -1;
+    for (r = 0; r < n; ++r)
+        if (deg[r] < k || deg[r] > 0xFFFFFFFFL
+            || (deg[r] > 10000 && k > deg[r] / 50)) return -1;
+    mask = (uint64_t)(1.2 * k);
+    for (i = 1; i < 64; i <<= 1) mask |= mask >> i;
+    set = malloc((mask + 1) * sizeof(uint64_t));
+    if (!set) return -1;
+    for (r = 0; r < n; ++r) {
+        long d = deg[r];
+        long* o = out + r * k;
+        memset(set, 0xFF, (mask + 1) * sizeof(uint64_t));
+        for (j = d - k; j < d; ++j) {
+            uint64_t val = bounded_u32(bg, (uint64_t)j), loc = val & mask;
+            while (set[loc] != UINT64_MAX && set[loc] != val)
+                loc = (loc + 1) & mask;
+            if (set[loc] == UINT64_MAX) {
+                set[loc] = val;
+            } else {                    /* taken: insert j instead */
+                val = (uint64_t)j;
+                for (loc = val & mask; set[loc] != UINT64_MAX;)
+                    loc = (loc + 1) & mask;
+                set[loc] = val;
+            }
+            o[j - d + k] = (long)val;
+        }
+        for (i = k - 1; i >= 1; --i) {
+            uint64_t s = bounded_u32(bg, (uint64_t)i);
+            long t = o[s]; o[s] = o[i]; o[i] = t;
+        }
+    }
+    free(set);
+    return 0;
+}
 """
 
 logger = logging.getLogger(__name__)
@@ -590,6 +679,9 @@ def _build() -> "ctypes.CDLL | None":
     fn = lib.pair_similarity
     fn.restype = None
     fn.argtypes = [vp, lg, vp, vp, vp, lg, vp]
+    fn = lib.choice_rows
+    fn.restype = ctypes.c_int
+    fn.argtypes = [vp, vp, lg, lg, vp]
     return lib
 
 
@@ -826,3 +918,79 @@ def stream_plan(
         prev.ctypes.data_as(lp),
     )
     return (perm, prev) if rc == 0 else None
+
+
+# (population, draws) per self-check row: k = 0, k = 1, d = k + 1,
+# set collisions (k near d), d >= 2**16, Lemire rejections (j just past
+# 2**31) and the largest population the kernel takes.
+_CHOICE_CHECK = (
+    (1, 0), (7, 1), (11, 10), (40, 39), (600, 10), (70_000, 25),
+    (2**31 + 5, 5), (2**32 - 1, 3),
+)
+_CHOICE_OK = None
+
+
+def _reference_choice(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
+    """What the self-check compares against (tests substitute it)."""
+    return rng.choice(d, k, replace=False)
+
+
+def _choice_call(lib, rng, deg, k):
+    out = np.empty(deg.shape[0] * max(k, 0), dtype=np.int64)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        rc = lib.choice_rows(
+            bitgen.ctypes.bit_generator, deg.ctypes.data, deg.shape[0], k,
+            out.ctypes.data,
+        )
+    return out if rc == 0 else None
+
+
+def _choice_self_check(lib) -> bool:
+    """Whether the kernel reproduces ``Generator.choice`` on this numpy.
+
+    NEP 19 lets numpy change the algorithm behind ``choice``, so a fixed
+    set of draws is compared, outputs and generator state afterwards.
+    """
+    for seed, (d, k) in enumerate(_CHOICE_CHECK):
+        got_rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        got = _choice_call(lib, got_rng, np.full(3, d, dtype=np.int64), k)
+        ref = np.concatenate(
+            [_reference_choice(ref_rng, d, k) for _ in range(3)]
+        )
+        if got is None or not np.array_equal(got, ref) or (
+            got_rng.bit_generator.state != ref_rng.bit_generator.state
+        ):
+            logger.warning(
+                "native k-hop draws disagree with numpy %s's "
+                "Generator.choice (d=%d, k=%d); sampling keeps rng.choice",
+                np.__version__, d, k,
+            )
+            return False
+    return True
+
+
+def choice_rows(
+    rng: np.random.Generator, deg: np.ndarray, k: int
+) -> "np.ndarray | None":
+    """``concatenate([rng.choice(d, k, replace=False) for d in deg])``
+    in one call, drawing from ``rng``'s own stream.
+
+    The draws and the generator state afterwards are exactly those of
+    the per-row calls.  Returns None, with ``rng`` untouched, when there
+    is no native lane, the load-time self-check failed, or a row is one
+    the kernel does not take: ``d < k``, ``d > 2**32 - 1``, or numpy's
+    tail-shuffle branch (``d > 10000 and k > d // 50``).
+    """
+    global _CHOICE_OK
+    lib = _load()
+    if lib is None:
+        return None
+    if _CHOICE_OK is None:
+        _CHOICE_OK = _choice_self_check(lib)
+    if not _CHOICE_OK:
+        return None
+    return _choice_call(
+        lib, rng, np.ascontiguousarray(deg, dtype=np.int64), k
+    )

@@ -26,6 +26,8 @@ from typing import Tuple
 
 import numpy as np
 
+from ..gpusim import _native
+from ..perf import fastpath_enabled
 from .csr import CSRGraph, coo_to_csr, sorted_unique
 
 __all__ = [
@@ -64,10 +66,22 @@ def khop_sampled_subgraph(
     Starting from ``seeds``, each hop samples at most ``fanouts[h]``
     in-neighbors per frontier node (without replacement when the degree
     allows).  Returns the subgraph induced on all visited nodes with
-    only the sampled edges, destination-major like the parent.
+    only the sampled edges, destination-major like the parent.  Raises
+    ``ValueError`` for a seed outside ``[0, N)`` or a negative or
+    non-integer fanout.
     """
-    rng = np.random.default_rng(seed)
     seeds = np.asarray(seeds, dtype=np.int64)
+    if seeds.size and (seeds.min() < 0 or seeds.max() >= graph.num_nodes):
+        raise ValueError(
+            f"seed nodes must lie in [0, {graph.num_nodes}); got "
+            f"{int(seeds.min())}..{int(seeds.max())}"
+        )
+    for fanout in fanouts:
+        if not isinstance(fanout, (int, np.integer)) or fanout < 0:
+            raise ValueError(
+                f"fanouts must be non-negative integers; got {fanout!r}"
+            )
+    rng = np.random.default_rng(seed)
     indptr, indices = graph.indptr, graph.indices
     # Parent id -> subgraph id, -1 while unvisited.  A repeated seed maps
     # to its last position.
@@ -83,19 +97,25 @@ def khop_sampled_subgraph(
         deg = indptr[frontier + 1] - start
         take = np.minimum(deg, fanout)
         # Offsets into each frontier row: whole rows within the fanout,
-        # else one ``rng.choice`` per row in frontier order, the same
-        # random stream as choosing from the row itself.
+        # else ``rng.choice(deg, fanout, replace=False)`` per row in
+        # frontier order, the same random stream as choosing from the row
+        # itself.  The native kernel makes every row's draws in one call;
+        # where it declines, the per-row calls do.
         row = np.repeat(np.arange(frontier.shape[0]), take)
         seg = np.cumsum(take) - take
         offset = np.arange(row.shape[0]) - seg[row]
         sampled = np.flatnonzero(deg > fanout)
         if sampled.size:
-            draws = [
-                rng.choice(d, fanout, replace=False)
-                for d in deg[sampled].tolist()
-            ]
+            draws = _native.choice_rows(
+                rng, deg[sampled], fanout
+            ) if fastpath_enabled() else None
+            if draws is None:
+                draws = np.concatenate([
+                    rng.choice(d, fanout, replace=False)
+                    for d in deg[sampled].tolist()
+                ])
             slots = seg[sampled][:, None] + np.arange(fanout)
-            offset[slots.ravel()] = np.concatenate(draws)
+            offset[slots.ravel()] = draws
         picked = indices[start[row] + offset].astype(np.int64)
         # Unvisited picks take the next ids in first-seen order.
         fresh = np.flatnonzero(local[picked] < 0)

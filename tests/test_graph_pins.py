@@ -7,10 +7,12 @@ with the original lexsort/per-node-loop implementations.
 """
 
 import hashlib
+import logging
 
 import numpy as np
 import pytest
 
+from repro.gpusim import _native
 from repro.graph import (
     DATASET_NAMES,
     coo_to_csr,
@@ -100,6 +102,32 @@ def test_khop_sample_digest(case):
     name, seeds, fanouts, seed = KHOP_CASES[case]
     sub = khop_sampled_subgraph(load_dataset(name), seeds, fanouts, seed)
     assert _sample_digest(sub) == KHOP_DIGESTS[case]
+
+
+@pytest.mark.skipif(not _native.available(), reason="no native lane")
+def test_khop_digests_hold_when_native_self_check_fails(monkeypatch, caplog):
+    """A numpy whose ``Generator.choice`` no longer matches the kernel
+    (NEP 19 allows it) is caught at load time: one warning, then every
+    hop keeps the per-row ``rng.choice`` calls and the digests hold."""
+    monkeypatch.setattr(_native, "_CHOICE_OK", None)
+    monkeypatch.setattr(
+        _native, "_reference_choice",
+        lambda rng, d, k: rng.choice(d, k, replace=False) + 1,
+    )
+    with caplog.at_level(logging.WARNING, logger=_native.__name__):
+        for case in sorted(KHOP_CASES):
+            name, seeds, fanouts, seed = KHOP_CASES[case]
+            sub = khop_sampled_subgraph(
+                load_dataset(name), seeds, fanouts, seed
+            )
+            assert _sample_digest(sub) == KHOP_DIGESTS[case], case
+    assert _native._CHOICE_OK is False
+    assert _native.choice_rows(
+        np.random.default_rng(0), np.array([50]), 3
+    ) is None
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "Generator.choice" in warnings[0].getMessage()
 
 
 def test_khop_empty_frontier_keeps_only_seeds():

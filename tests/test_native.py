@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim import _native
@@ -345,6 +345,76 @@ class TestNativeBitIdentity:
         assert _same_bits(got, signature_similarity(sig, u, v))
 
 
+@needs_native
+class TestChoiceRows:
+    """``choice_rows`` against one ``rng.choice(d, k, replace=False)`` per
+    row: same draws, same generator state afterwards."""
+
+    @given(
+        st.integers(0, 39),
+        st.lists(
+            st.one_of(
+                st.integers(0, 3), st.integers(4, 200),
+                st.integers(2**16, 2**20),
+            ),
+            max_size=6,
+        ),
+        st.integers(0, 2**63),
+    )
+    @example(0, [0, 5], 1)                      # k = 0
+    @example(1, [0, 1, 2**16], 2)               # k = 1, d = k and d = k + 1
+    @example(10, [1, 1, 1], 3)                  # d = k + 1
+    @example(39, [1, 0, 2, 1], 4)               # set collisions
+    @example(3, [2**32 - 4, 2**31 + 2], 5)      # d = 2**32 - 1, rejections
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rng_choice(self, k, extra, seed):
+        deg = [k + e for e in extra]
+        got_rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        got = _native.choice_rows(got_rng, np.array(deg, dtype=np.int64), k)
+        ref = np.concatenate([np.empty(0, np.int64)] + [
+            ref_rng.choice(d, k, replace=False) for d in deg
+        ])
+        assert got is not None
+        assert _same_bits(got, ref)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert got_rng.integers(2**62) == ref_rng.integers(2**62)
+
+    @pytest.mark.parametrize("deg, k", [
+        ([50, 3], 4),                   # d < k
+        ([50, 2**32], 4),               # d > 2**32 - 1
+        ([50, 20_000], 401),            # tail shuffle: k > d // 50
+        ([50], -1),
+    ])
+    def test_declines_before_drawing(self, deg, k):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert _native.choice_rows(
+            rng, np.array(deg, dtype=np.int64), k
+        ) is None
+        assert rng.bit_generator.state == before
+
+    def test_tail_shuffle_row_gives_same_subgraph(self):
+        """A hub with 12 000 in-neighbors sampled at fanout 300 sits on
+        numpy's tail-shuffle branch, next to a 500-neighbor row on the
+        Floyd branch: the hop declines to ``rng.choice`` for both rows
+        and the subgraph is unchanged."""
+        src = np.concatenate([np.arange(1, 12_001), np.arange(1, 501)])
+        dst = np.repeat(np.array([0, 12_001]), [12_000, 500])
+        hub = coo_to_csr(src, dst, 12_002)
+        seeds = np.array([12_001, 0], dtype=np.int64)
+        assert _native.choice_rows(
+            np.random.default_rng(0), hub.degrees[seeds], 300
+        ) is None
+        got = khop_sampled_subgraph(hub, seeds, (300,), seed=9)
+        with _numpy_lane():
+            ref = khop_sampled_subgraph(hub, seeds, (300,), seed=9)
+        assert got.graph.degrees[:2].tolist() == [300, 300]
+        assert np.array_equal(got.node_map, ref.node_map)
+        assert np.array_equal(got.graph.indptr, ref.graph.indptr)
+        assert np.array_equal(got.graph.indices, ref.graph.indices)
+
+
 class TestNativeDisabled:
     def test_repro_native_0_falls_back(self, monkeypatch):
         """With the native lane forced off, numpy paths carry the same
@@ -366,6 +436,9 @@ class TestNativeDisabled:
         with_native_sig = minhash_signatures(g)
         with_native_pairs = lsh_candidate_pairs(with_native_sig)
         with_native_schedule = locality_aware_schedule(g)
+        arxiv = load_dataset("arxiv")
+        khop_args = (arxiv, np.arange(0, 640, 10), (10, 10), 0)
+        with_native_khop = khop_sampled_subgraph(*khop_args)
         monkeypatch.setattr(_native, "_LIB", None)
         monkeypatch.setattr(_native, "_TRIED", True)
         assert not _native.available()
@@ -396,6 +469,12 @@ class TestNativeDisabled:
         )
         assert (with_native_schedule.num_candidate_pairs
                 == schedule.num_candidate_pairs)
+        khop = khop_sampled_subgraph(*khop_args)
+        assert np.array_equal(with_native_khop.node_map, khop.node_map)
+        assert np.array_equal(with_native_khop.graph.indptr, khop.graph.indptr)
+        assert np.array_equal(
+            with_native_khop.graph.indices, khop.graph.indices
+        )
 
     def test_env_var_disables_build(self, monkeypatch, caplog):
         monkeypatch.setenv("REPRO_NATIVE", "0")

@@ -74,6 +74,23 @@ class TestKHop:
         assert sub.graph.degrees[0] == g.degrees[0]
 
 
+class TestKHopValidation:
+    @pytest.mark.parametrize("seeds", [[-1], [0, 512], [3, 10**6]])
+    def test_seed_outside_graph(self, g, seeds):
+        with pytest.raises(ValueError, match="seed nodes"):
+            khop_sampled_subgraph(g, np.array(seeds), (5,))
+
+    @pytest.mark.parametrize("fanouts", [(-1,), (5, -2), (2.5,), ("3",)])
+    def test_bad_fanout(self, g, fanouts):
+        with pytest.raises(ValueError, match="fanouts"):
+            khop_sampled_subgraph(g, np.array([0, 1]), fanouts)
+
+    def test_numpy_integer_fanout(self, g):
+        sub = khop_sampled_subgraph(g, np.array([0]), (np.int32(3),), seed=1)
+        ref = khop_sampled_subgraph(g, np.array([0]), (3,), seed=1)
+        assert np.array_equal(sub.node_map, ref.node_map)
+
+
 def _reference_khop(graph, seeds, fanouts, seed):
     """The per-node, dict-based sampler the vectorized one must match."""
     rng = np.random.default_rng(seed)
