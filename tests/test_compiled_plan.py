@@ -21,6 +21,7 @@ import pytest
 from repro import perf
 from repro.analysis import FUSION_CONFIGS, lint_plan
 from repro.analysis.driver import _select_fusions, lint_chain
+from repro.bench import bench_config, sweep_config
 from repro.core import (
     load_plan,
     plan_key,
@@ -176,6 +177,189 @@ class TestRoundTrip:
             dispatch_overhead=fw.dispatch_overhead,
         )
         assert other != key
+
+
+#: Shard blob of the pinned grid (the shape ``Shard.options_blob`` emits).
+PINNED_SHARD = {
+    "method": "metis", "parts": 2, "part": 1, "shard_fingerprint": "0123abcd",
+}
+
+#: (framework, model, config, shard) -> plan id on ``small_dataset()``.
+#: The content address is an on-disk artifact name, so it must never move
+#: silently: these ids were computed by the plain ``json.dumps`` payload.
+PINNED_PLAN_IDS = {
+    ("dgl", "gcn", "bench", "mono"):
+        "3836589d1babc81990377c6709d10035",
+    ("dgl", "gcn", "bench", "shard"):
+        "f5603958e98d4114539f233e1e023496",
+    ("dgl", "gcn", "sweep", "mono"):
+        "075bf12875c0eadfd4ca5f8d688740a9",
+    ("dgl", "gcn", "sweep", "shard"):
+        "f7bd74c7031d25c5043aa660766fcef8",
+    ("dgl", "gat", "bench", "mono"):
+        "88d2301fecec592579397e4839343d1e",
+    ("dgl", "gat", "bench", "shard"):
+        "a8620c2a9455061d625b355625a19167",
+    ("dgl", "gat", "sweep", "mono"):
+        "fdae2c56c5dcd9e6a565e589bc207397",
+    ("dgl", "gat", "sweep", "shard"):
+        "8bfcc9e737324f3251fc8b442de922a2",
+    ("dgl", "sage_lstm", "bench", "mono"):
+        "530a76ebb7dac3af914b13364833fd8c",
+    ("dgl", "sage_lstm", "bench", "shard"):
+        "6a65e50bf2959c122f2cc418b396f95d",
+    ("dgl", "sage_lstm", "sweep", "mono"):
+        "06d3a1b562da51cb0cae7668e17927e0",
+    ("dgl", "sage_lstm", "sweep", "shard"):
+        "e9dfc04a18bc6c16eb919143f5c78d37",
+    ("neugraph", "gcn", "bench", "mono"):
+        "37e06cc01ebb243cd20e08115836bd36",
+    ("neugraph", "gcn", "bench", "shard"):
+        "c062c7b447c02596f34742c6770cfa3c",
+    ("neugraph", "gcn", "sweep", "mono"):
+        "237244ffbd46cbcf202ad6e45d9fdab8",
+    ("neugraph", "gcn", "sweep", "shard"):
+        "29df8d4f3c1500a0d4f2870521b2c3c9",
+    ("neugraph", "gat", "bench", "mono"):
+        "0d35e0be53e4b2ef68453a70fc3ecc1f",
+    ("neugraph", "gat", "bench", "shard"):
+        "48b24821e91ad7417e093ee14060981d",
+    ("neugraph", "gat", "sweep", "mono"):
+        "06577e876ad8122a8b601df30d6f35fb",
+    ("neugraph", "gat", "sweep", "shard"):
+        "92de0adc3cf75d85b0a6c45896ada7a1",
+    ("neugraph", "sage_lstm", "bench", "mono"):
+        "2061b2aad74d720450c9ffcdff989514",
+    ("neugraph", "sage_lstm", "bench", "shard"):
+        "0588abf27ddfa819829be906a1dc0609",
+    ("neugraph", "sage_lstm", "sweep", "mono"):
+        "ff32dc8154f25087b97c5d134b35692d",
+    ("neugraph", "sage_lstm", "sweep", "shard"):
+        "c7ef92e368cf95fd8590eae72fd88a13",
+    ("ours", "gcn", "bench", "mono"):
+        "bdfd5a3e1bdd672e3eac98d7d98bb8c8",
+    ("ours", "gcn", "bench", "shard"):
+        "19f4aa0f55a858df0512e45f665742c6",
+    ("ours", "gcn", "sweep", "mono"):
+        "977034413cc7f2b2c557a64969308aa0",
+    ("ours", "gcn", "sweep", "shard"):
+        "63b6542715ea10c5824ab2c18ff6fbac",
+    ("ours", "gat", "bench", "mono"):
+        "efdbeee6d66fa6d6c251787eab7654a2",
+    ("ours", "gat", "bench", "shard"):
+        "853f82bd882c9488cc867d30e2e55317",
+    ("ours", "gat", "sweep", "mono"):
+        "06a9178fcdca8ad4f4329388a13e1916",
+    ("ours", "gat", "sweep", "shard"):
+        "c6db33296619f9360202e1c2f602c46d",
+    ("ours", "sage_lstm", "bench", "mono"):
+        "80a9368310df66b1c9c343b64b947dd1",
+    ("ours", "sage_lstm", "bench", "shard"):
+        "1a3c0aecfe4e63f1506ad184e361b083",
+    ("ours", "sage_lstm", "sweep", "mono"):
+        "91951e2db2d13dac0831fe1f6f859f3e",
+    ("ours", "sage_lstm", "sweep", "shard"):
+        "2becfdfbed405c68090c72496946dca7",
+    ("pyg", "gcn", "bench", "mono"):
+        "a261aaa900c29dcd44429478fd8b7bb3",
+    ("pyg", "gcn", "bench", "shard"):
+        "19891958d05d6365258e092662524699",
+    ("pyg", "gcn", "sweep", "mono"):
+        "859adc771aff2139f8911ddd8d4f2c84",
+    ("pyg", "gcn", "sweep", "shard"):
+        "42b7d916dfcce26267423f14f0b24696",
+    ("pyg", "gat", "bench", "mono"):
+        "98fddb626404274e78fb9749827cfc37",
+    ("pyg", "gat", "bench", "shard"):
+        "ff033fc8cef4e7cbfe3caea6fa276af1",
+    ("pyg", "gat", "sweep", "mono"):
+        "f0e9810ada147a4ff8a9b4ccd582cdf7",
+    ("pyg", "gat", "sweep", "shard"):
+        "214ed92e7302f6d5a3da72f7950d2ece",
+    ("pyg", "sage_lstm", "bench", "mono"):
+        "6b28711944f67578064f619ac81c65cc",
+    ("pyg", "sage_lstm", "bench", "shard"):
+        "989ece420c9c85731248a28116dcfa20",
+    ("pyg", "sage_lstm", "sweep", "mono"):
+        "1c88a21a549827340a2dbffda43640f0",
+    ("pyg", "sage_lstm", "sweep", "shard"):
+        "7604f97c635c26eead9ff12ee04ea085",
+    ("roc", "gcn", "bench", "mono"):
+        "276e916551e528edc398071dc34b2b69",
+    ("roc", "gcn", "bench", "shard"):
+        "200795c41ecd73e9aabc1522de553e62",
+    ("roc", "gcn", "sweep", "mono"):
+        "8a7865b6c0ce64f6dd2970861226978f",
+    ("roc", "gcn", "sweep", "shard"):
+        "2ba13cca9b2b814b4d27ce5ef3471adf",
+    ("roc", "gat", "bench", "mono"):
+        "a5b09931965dc34f7825b5bf5bb2ff07",
+    ("roc", "gat", "bench", "shard"):
+        "1c4d7fbe2c8b0fcf3edd46f72762c2be",
+    ("roc", "gat", "sweep", "mono"):
+        "557a9b081c384ccf95b1370c4ef9bc19",
+    ("roc", "gat", "sweep", "shard"):
+        "abb8dc539e65c76099d023ac47f3279b",
+    ("roc", "sage_lstm", "bench", "mono"):
+        "324ca0bdfc3a592e0af0a09f0f108eb0",
+    ("roc", "sage_lstm", "bench", "shard"):
+        "21cb247180098a3ca193eb18dfe97700",
+    ("roc", "sage_lstm", "sweep", "mono"):
+        "5c986a5360b44d88e256fe921bab3bde",
+    ("roc", "sage_lstm", "sweep", "shard"):
+        "d16b537243831f127016bb5e13437545",
+    ("ours-nondefault", "gcn", "bench", "mono"):
+        "1ef79a29e3ba9e4cdb04472b099c3ab8",
+    ("ours-nondefault", "gcn", "bench", "shard"):
+        "d7d9e1a7279b6e95681b9fccaa4a7d35",
+    ("ours-nondefault", "gcn", "sweep", "mono"):
+        "addd2fe4b6dc22e6eb02d70bd6b08eff",
+    ("ours-nondefault", "gcn", "sweep", "shard"):
+        "59051262b7ebb5a6c813745b8d244903",
+    ("ours-nondefault", "gat", "bench", "mono"):
+        "60702f101adb06eb328798ced6d8b74f",
+    ("ours-nondefault", "gat", "bench", "shard"):
+        "610384f35e9ad64701d9edc4c291b157",
+    ("ours-nondefault", "gat", "sweep", "mono"):
+        "72fa2e2ac65f4ab5b75854415e164e1d",
+    ("ours-nondefault", "gat", "sweep", "shard"):
+        "87c3e9c68d17b898940e39159185b23c",
+    ("ours-nondefault", "sage_lstm", "bench", "mono"):
+        "35d2eb4a073a374e15543dd5b3f22c57",
+    ("ours-nondefault", "sage_lstm", "bench", "shard"):
+        "9036c720189b082b36975c1196842257",
+    ("ours-nondefault", "sage_lstm", "sweep", "mono"):
+        "2b8b48dc2cafb5fe332293565f9cc02a",
+    ("ours-nondefault", "sage_lstm", "sweep", "shard"):
+        "06b3b5f98405530c3f4fc36f1838510d",
+}
+
+
+def _pinned_frameworks():
+    fws = dict(sorted(all_frameworks().items()))
+    fws["ours-nondefault"] = OursRuntime(
+        OursOptions(adapter=False, ng_bound=16, sparse_fetch=False)
+    )
+    return fws
+
+
+class TestContentAddress:
+    """Plan ids name on-disk artifacts: pinned over a small grid."""
+
+    def test_pinned_plan_ids(self, g):
+        configs = {"bench": bench_config(), "sweep": sweep_config()}
+        shards = {"mono": None, "shard": PINNED_SHARD}
+        got = {}
+        for fname, fw in _pinned_frameworks().items():
+            for model in ("gcn", "gat", "sage_lstm"):
+                for cname, cfg in configs.items():
+                    for sname, blob in shards.items():
+                        got[fname, model, cname, sname], _ = (
+                            fw.plan_signature(
+                                model, g, cfg, shard_options=blob
+                            )
+                        )
+        assert got == PINNED_PLAN_IDS
 
 
 class TestCompileOnce:
