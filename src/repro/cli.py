@@ -25,6 +25,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import collections
 import glob
 import json
 import os
@@ -719,15 +720,22 @@ def cmd_serve_replay(args) -> int:
         ["tenant", "requests", "p50", "p95", "p99", "max"],
         rows,
     ))
-    rejected = [s for s in summaries if s["status"] != "ok"]
     print(
         f"served {stats['served']}/{stats['submitted']} request(s) in "
         f"{stats['batches']} batch(es) (max batch {stats['max_batch']}, "
         f"{100 * stats['batch_dedup_rate']:.1f}% fanned out, "
         f"plan-cache hit rate "
         f"{100 * stats['plan_cache_hit_rate']:.1f}%), "
-        f"{len(rejected)} rejected"
+        f"{stats['rejected']} rejected, {stats['failed']} failed"
     )
+    for status in ("rejected", "failed"):
+        reasons = collections.Counter(
+            s["reason"] for s in summaries if s["status"] == status
+        )
+        if reasons:
+            print(f"{status}: " + ", ".join(
+                f"{n} {reason}" for reason, n in sorted(reasons.items())
+            ))
     if args.json:
         print(json.dumps(
             {"stats": stats, "spec": spec.describe()}, indent=2,

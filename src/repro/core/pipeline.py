@@ -21,6 +21,7 @@ counters untouched on the second run — the plan cache answered.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import time
 from typing import Dict, Optional
 
@@ -58,10 +59,12 @@ def stage_counts() -> Dict[str, int]:
 class PlanBuilder:
     """Accumulates one staged compilation into a :class:`CompiledPlan`.
 
-    The builder computes the plan's content address from the compilation
-    inputs up front (:func:`repro.core.plan.plan_key`), so the framework
-    base class can consult the plan cache with the same key *before*
-    constructing a builder at all.
+    ``model_config`` is the model's frozen config dataclass; the plan
+    records its ``asdict``.  The builder computes the plan's content
+    address from the compilation inputs up front
+    (:func:`repro.core.plan.plan_key`), so the framework base class can
+    consult the plan cache with the same key *before* constructing a
+    builder at all.
     """
 
     def __init__(
@@ -71,7 +74,7 @@ class PlanBuilder:
         graph: CSRGraph,
         gpu_config: GPUConfig,
         *,
-        model_config: Dict[str, object],
+        model_config,
         options: Optional[Dict[str, object]] = None,
         dispatch_overhead: float = 0.0,
         label: str = "",
@@ -80,7 +83,7 @@ class PlanBuilder:
         self.model = model
         self.graph = graph
         self.gpu_config = gpu_config
-        self.model_config = dict(model_config)
+        self.model_config = dataclasses.asdict(model_config)
         self.options = dict(options or {})
         self.dispatch_overhead = dispatch_overhead
         self.label = label
@@ -89,7 +92,7 @@ class PlanBuilder:
         self.stage_seconds: Dict[str, float] = {}
         self.plan_id = plan_key(
             framework, model, graph,
-            model_config=self.model_config,
+            model_config=model_config,
             options=self.options,
             gpu_config=gpu_config,
             dispatch_overhead=dispatch_overhead,

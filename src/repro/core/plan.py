@@ -12,6 +12,10 @@ graph+model+config fingerprints that address it.
 The address (:func:`plan_key`) is computed from the compilation *inputs*
 (framework, model config, graph fingerprint, options, GPU config), so a
 cache lookup costs one hash — no pipeline stage runs on a hit.  The
+hashed payload is one sorted-key JSON object of those inputs; its text
+before and after the graph fingerprint is encoded once per distinct
+static inputs and memoized, so a request pays for encoding its
+options and its fingerprint, not the whole object.  The
 :class:`PlanCache` keeps an in-process LRU tier (a
 :class:`~repro.gpusim.memo.LRUCache`) plus an optional on-disk tier
 (``REPRO_PLAN_CACHE_DIR``) backed by :mod:`repro.core.persistence`, so
@@ -209,36 +213,84 @@ class CompiledPlan:
         return "\n".join(lines)
 
 
+#: ``json.dumps(..., sort_keys=True, default=str)``, with the encoder
+#: built once instead of per call.
+_ENCODE = json.JSONEncoder(sort_keys=True, default=str).encode
+
+#: The payload text around the graph fingerprint, per distinct static
+#: input set (see :func:`plan_key`).  A process addresses a handful of
+#: (framework, options, model config, GPU config) combinations.
+_STATIC_TEXT = LRUCache(max_entries=256, name="plan_key_static")
+
+
+def _config_key(config) -> Tuple:
+    """A frozen config dataclass as a memo key: class, values and types.
+
+    ``1``, ``1.0`` and ``True`` compare and hash equal but encode
+    differently, so the key carries each field value's type (and each
+    element's type for a tuple field) beside the value.
+    """
+    values = tuple(vars(config).values())
+    return type(config), values, tuple(
+        tuple(map(type, v)) if type(v) is tuple else type(v)
+        for v in values
+    )
+
+
+def _static_text(
+    framework, model, model_config, options, gpu_config, dispatch_overhead,
+) -> Tuple[str, str]:
+    """The payload JSON before and after the graph fingerprint.
+
+    The payload is one JSON object with sorted keys, so ``"graph"``
+    splits it into the keys that sort before it and those after.
+    """
+    fields = {
+        "version": PLAN_VERSION,
+        "framework": framework,
+        "model": model,
+        "model_config": dataclasses.asdict(model_config),
+        "options": options,
+        "gpu_config": dataclasses.asdict(gpu_config),
+        "dispatch_overhead": dispatch_overhead,
+    }
+    head = _ENCODE({k: v for k, v in fields.items() if k < "graph"})
+    tail = _ENCODE({k: v for k, v in fields.items() if k > "graph"})
+    return head[:-1] + ', "graph": ', ", " + tail[1:]
+
+
 def plan_key(
     framework: str,
     model: str,
     graph: CSRGraph,
     *,
-    model_config: Dict[str, object],
+    model_config,
     options: Dict[str, object],
     gpu_config: GPUConfig,
     dispatch_overhead: float,
 ) -> str:
     """Content address of a compilation, computed from its *inputs*.
 
-    Stable across processes: everything is canonicalized through JSON
-    (sorted keys, tuples and lists identical), so a fresh process
-    derives the same key and finds the same on-disk artifact.
+    ``model_config`` is the model's frozen config dataclass.  The address
+    hashes ``json.dumps`` of every input (sorted keys, ``default=str``),
+    so a fresh process derives the same key and finds the same on-disk
+    artifact.  Everything but the graph fingerprint is encoded once per
+    distinct static inputs; the memo keys on the inputs' values and
+    types, never on object identity.
     """
-    payload = json.dumps(
-        {
-            "version": PLAN_VERSION,
-            "framework": framework,
-            "model": model,
-            "graph": graph.fingerprint,
-            "model_config": model_config,
-            "options": options,
-            "gpu_config": dataclasses.asdict(gpu_config),
-            "dispatch_overhead": dispatch_overhead,
-        },
-        sort_keys=True,
-        default=str,
+    memo_key = (
+        framework, model, _config_key(model_config), _ENCODE(options),
+        _config_key(gpu_config), dispatch_overhead, type(dispatch_overhead),
     )
+    static = _STATIC_TEXT.get(memo_key)
+    if static is None:
+        static = _static_text(
+            framework, model, model_config, options, gpu_config,
+            dispatch_overhead,
+        )
+        _STATIC_TEXT.put(memo_key, static)
+    head, tail = static
+    payload = head + json.dumps(graph.fingerprint) + tail
     return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
 
 

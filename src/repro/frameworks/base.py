@@ -49,6 +49,7 @@ __all__ = [
     "Framework",
     "ForwardResult",
     "NotSupported",
+    "MODEL_CONFIGS",
     "make_features",
     "record_plan",
     "BASELINE_DISPATCH",
@@ -93,7 +94,9 @@ def make_features(
     )
 
 
-_DEFAULT_MODELS = {
+#: Model name -> its config dataclass (whose defaults a ``None`` config
+#: means).
+MODEL_CONFIGS = {
     "gcn": GCNConfig,
     "gat": GATConfig,
     "sage_lstm": SageLSTMConfig,
@@ -169,7 +172,7 @@ class Framework(abc.ABC):
         """A stage-attributing builder for one compilation of ``model``."""
         return PlanBuilder(
             self.name, model_name, graph, sim,
-            model_config=dataclasses.asdict(model),
+            model_config=model,
             options=self.plan_options(),
             dispatch_overhead=self.dispatch_overhead,
             label=f"{self.name}:{model_name}:{graph.name}",
@@ -193,16 +196,16 @@ class Framework(abc.ABC):
         when present, so every single-device plan id stays put while
         per-partition plans get their own content addresses.
         """
-        if model_name not in _DEFAULT_MODELS:
+        if model_name not in MODEL_CONFIGS:
             raise KeyError(f"unknown model {model_name!r}")
         if model is None:
-            model = _DEFAULT_MODELS[model_name]()
+            model = MODEL_CONFIGS[model_name]()
         options = self.plan_options()
         if shard_options:
             options = {**options, "shard": dict(shard_options)}
         key = plan_key(
             self.name, model_name, graph,
-            model_config=dataclasses.asdict(model),
+            model_config=model,
             options=options,
             gpu_config=sim,
             dispatch_overhead=self.dispatch_overhead,
@@ -276,7 +279,7 @@ class Framework(abc.ABC):
             if graph is None:
                 raise ValueError("compute=True requires the graph")
             if model is None:
-                model = _DEFAULT_MODELS[plan.model]()
+                model = MODEL_CONFIGS[plan.model]()
             output = self.reference_output(
                 plan.model, graph, model, feat=feat, seed=seed
             )

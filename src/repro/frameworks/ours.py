@@ -98,7 +98,9 @@ class OursRuntime(Framework):
     # Plan-cache plumbing
     # ------------------------------------------------------------------
     def plan_options(self) -> Dict[str, object]:
-        return dataclasses.asdict(self.options)
+        # The options are flat and frozen: ``vars`` equals ``asdict``
+        # without its per-field deep copies (this runs per request).
+        return dict(vars(self.options))
 
     def sage_strategy(self) -> SageStrategy:
         return self.options.sage_strategy

@@ -36,7 +36,6 @@ Performance layer (see DESIGN.md "Performance architecture"):
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 from typing import Iterable, Sequence, Tuple
 
@@ -632,9 +631,9 @@ def simulate_kernel(
     cached = KERNEL_MEMO.get(key)
     if cached is not None:
         PERF.count("kernel_memo_hit")
-        return dataclasses.replace(
-            cached, name=kernel.name, occupancy=dict(cached.occupancy)
-        )
+        stats = cached.copy()
+        stats.name = kernel.name
+        return stats
     PERF.count("kernel_memo_miss")
     stats = _simulate_kernel_cold(kernel, config, dispatch_overhead)
     KERNEL_MEMO.put(key, stats)

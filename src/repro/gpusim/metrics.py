@@ -96,6 +96,20 @@ class KernelStats:
     balanced_time: float     # sum(block durations) / slot count  (Fig. 8)
     occupancy: Dict[float, float]  # fraction of time below 100/50/10%
 
+    def copy(self) -> "KernelStats":
+        """An equal copy with its own ``occupancy`` dict.
+
+        Gives the new instance a copy of ``__dict__``: replayed and
+        memoized stats are copied per request, where
+        ``dataclasses.replace`` (a full ``__init__`` per copy) cost more
+        than the rest of the replay.  The other fields are immutable.
+        """
+        fields = self.__dict__.copy()
+        fields["occupancy"] = self.occupancy.copy()
+        new = object.__new__(type(self))
+        new.__dict__ = fields
+        return new
+
     @property
     def time(self) -> float:
         return self.makespan + self.launch_overhead
@@ -129,16 +143,15 @@ class RunReport:
                peak_mem_bytes: int = 0) -> "RunReport":
         """A report over copies of already-simulated ``kernels``.
 
-        Each stat gets its own ``occupancy`` dict, so the new report
-        shares no mutable state with a memoized or fanned-out source
-        yet is bit-identical to it.
+        Each stat is a :meth:`KernelStats.copy`, so the new report shares
+        no mutable state with a memoized or fanned-out source yet is
+        bit-identical to it.
         """
-        report = cls(label=label, peak_mem_bytes=peak_mem_bytes)
-        for stats in kernels:
-            report.add(dataclasses.replace(
-                stats, occupancy=dict(stats.occupancy)
-            ))
-        return report
+        return cls(
+            kernels=[stats.copy() for stats in kernels],
+            peak_mem_bytes=peak_mem_bytes,
+            label=label,
+        )
 
     def add(self, stats: KernelStats) -> None:
         self.kernels.append(stats)

@@ -29,7 +29,10 @@ every member request.
 """
 
 from .admission import (
+    REASON_BAD_MODEL_CONFIG,
     REASON_GRAPH_TOO_LARGE,
+    REASON_NOT_SUPPORTED,
+    REASON_SIMULATED_OOM,
     REASON_TENANT_QUOTA,
     REASON_UNKNOWN_FRAMEWORK,
     REASON_UNKNOWN_MODEL,
@@ -50,6 +53,9 @@ __all__ = [
     "REASON_UNKNOWN_FRAMEWORK",
     "REASON_GRAPH_TOO_LARGE",
     "REASON_TENANT_QUOTA",
+    "REASON_BAD_MODEL_CONFIG",
+    "REASON_NOT_SUPPORTED",
+    "REASON_SIMULATED_OOM",
     "Batch",
     "plan_batches",
     "PlanServer",

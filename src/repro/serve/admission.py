@@ -1,11 +1,11 @@
 """Admission control: what the server agrees to queue.
 
 Admission is the first pipeline stage and the only one that can say no.
-It is deliberately cheap — catalog lookups and integer comparisons, no
-graph work — because it runs per request before any batching leverage
-exists.  Every rejection carries a stable reason code so tenants (and
-the replay benchmark's assertions) can tell quota pressure from bad
-requests.
+It is deliberately cheap — catalog lookups, type checks and integer
+comparisons, no graph work — because it runs per request before any
+batching leverage exists.  Every rejection carries a stable reason code
+so tenants (and the replay benchmark's assertions) can tell quota
+pressure from bad requests.
 """
 
 from __future__ import annotations
@@ -13,25 +13,34 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Mapping, Optional
 
-from ..frameworks.base import Framework
+from ..frameworks.base import MODEL_CONFIGS, Framework
 from .request import InferenceRequest
 
 __all__ = [
     "REASON_UNKNOWN_MODEL",
     "REASON_UNKNOWN_FRAMEWORK",
+    "REASON_BAD_MODEL_CONFIG",
     "REASON_GRAPH_TOO_LARGE",
     "REASON_TENANT_QUOTA",
+    "REASON_NOT_SUPPORTED",
+    "REASON_SIMULATED_OOM",
     "AdmissionPolicy",
     "admit",
 ]
 
 REASON_UNKNOWN_MODEL = "unknown_model"
 REASON_UNKNOWN_FRAMEWORK = "unknown_framework"
+#: ``model_config`` is neither ``None`` nor the model's config dataclass.
+REASON_BAD_MODEL_CONFIG = "bad_model_config"
 REASON_GRAPH_TOO_LARGE = "graph_too_large"
 REASON_TENANT_QUOTA = "tenant_quota"
 
-#: The model catalog every framework understands (the paper's three).
-KNOWN_MODELS = ("gcn", "gat", "sage_lstm")
+#: Not admission verdicts: the reason codes of an admitted request whose
+#: batch failed to compile (``status="failed"``).  The framework lacks
+#: the model (the paper's '×'), or the plan exceeds the simulated device
+#: memory.
+REASON_NOT_SUPPORTED = "not_supported"
+REASON_SIMULATED_OOM = "simulated_oom"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,8 +79,15 @@ def admit(
     requests per tenant (the admitted request is *not* counted yet —
     the server increments after a ``None`` verdict).
     """
-    if request.model not in KNOWN_MODELS:
+    config_cls = MODEL_CONFIGS.get(request.model)
+    if config_cls is None:
         return REASON_UNKNOWN_MODEL
+    if request.model_config is not None and not isinstance(
+        request.model_config, config_cls
+    ):
+        # The config keys the plan address and feeds the compiler; a
+        # wrong type must not get past the door.
+        return REASON_BAD_MODEL_CONFIG
     if isinstance(request.framework, str) and (
         request.framework not in frameworks
     ):

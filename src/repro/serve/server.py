@@ -6,7 +6,11 @@ process-wide content-addressed :data:`~repro.core.plan.PLAN_CACHE`
 (unbounded unless :meth:`~repro.core.plan.PlanCache.set_capacity`
 bounds it), executes every batch exactly once, and fans bit-identical
 results back to each member request while per-tenant latency
-histograms accumulate.
+histograms accumulate.  A batch whose compilation raises
+:class:`~repro.frameworks.base.NotSupported` or
+:class:`~repro.gpusim.memory.SimulatedOOM` fails alone: its members get
+``status="failed"`` with a reason code, and the rest of the window is
+served as if it had not been there.
 
 :func:`execute_one` is the single-request degenerate case of the same
 stages — it is what ``Framework.run_*`` calls, so there is one
@@ -20,12 +24,23 @@ import time
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..core.plan import PLAN_CACHE
-from ..frameworks.base import ForwardResult, Framework, record_plan
+from ..frameworks.base import (
+    ForwardResult,
+    Framework,
+    NotSupported,
+    record_plan,
+)
 from ..gpusim.config import GPUConfig
+from ..gpusim.memory import SimulatedOOM
 from ..gpusim.metrics import RunReport
 from ..graph.csr import CSRGraph
 from ..perf import PERF, LatencyHistogram
-from .admission import AdmissionPolicy, admit
+from .admission import (
+    REASON_NOT_SUPPORTED,
+    REASON_SIMULATED_OOM,
+    AdmissionPolicy,
+    admit,
+)
 from .batching import Batch, plan_batches
 from .request import InferenceRequest, ServeResponse
 
@@ -160,7 +175,7 @@ class PlanServer:
         self._tenant_latency: Dict[str, LatencyHistogram] = {}
         self._served_plans: Dict[str, Tuple[str, object, object]] = {}
         self._counts = {
-            "submitted": 0, "served": 0, "rejected": 0,
+            "submitted": 0, "served": 0, "rejected": 0, "failed": 0,
             "batches": 0, "fanned_out": 0, "cache_hits": 0,
             "flushes": 0, "max_batch": 0,
         }
@@ -217,7 +232,12 @@ class PlanServer:
             )
             resolved = self._resolve_batches(batches)
             responses: Dict[str, ServeResponse] = {}
-            for batch_id, (batch, plan, cache_hit) in enumerate(resolved):
+            for batch_id, (batch, plan, cache_hit, reason) in enumerate(
+                resolved
+            ):
+                if reason is not None:
+                    self._fail_batch(batch, reason, responses)
+                    continue
                 self._execute_batch(
                     batch, plan, cache_hit, batch_id,
                     submit_time, responses,
@@ -240,15 +260,39 @@ class PlanServer:
 
     # ------------------------------------------------------------------
     def _resolve_batches(self, batches: List[Batch]):
+        """``(batch, plan, cache_hit, reason)`` per batch.
+
+        Compilation is where a framework refuses a model or a plan
+        overflows the simulated device memory; such a batch resolves to
+        a failure ``reason`` (and no plan) instead of raising, so it
+        cannot take the rest of the window down.
+        """
         resolved = []
         for batch in batches:
-            plan, cache_hit = resolve_plan(
-                batch.framework, batch.model_name, batch.graph,
-                self.sim, model=batch.model,
-                signature=(batch.key, batch.model),
-            )
-            resolved.append((batch, plan, cache_hit))
+            try:
+                plan, cache_hit = resolve_plan(
+                    batch.framework, batch.model_name, batch.graph,
+                    self.sim, model=batch.model,
+                    signature=(batch.key, batch.model),
+                )
+            except NotSupported:
+                resolved.append((batch, None, False, REASON_NOT_SUPPORTED))
+            except SimulatedOOM:
+                resolved.append((batch, None, False, REASON_SIMULATED_OOM))
+            else:
+                resolved.append((batch, plan, cache_hit, None))
         return resolved
+
+    def _fail_batch(
+        self, batch: Batch, reason: str,
+        responses: Dict[str, ServeResponse],
+    ) -> None:
+        self._counts["failed"] += batch.size
+        PERF.count("serve_failed", batch.size)
+        for req in batch.requests:
+            responses[req.request_id] = ServeResponse(
+                request=req, status="failed", reason=reason
+            )
 
     def _execute_batch(
         self, batch: Batch, plan, cache_hit: bool, batch_id: int,

@@ -4,11 +4,13 @@ Covers the compile-once/run-many contract: plan round-trip determinism
 (compile -> serialize -> load -> execute is byte-identical to the
 in-memory plan), stage counters proving recompilation never happens for
 a repeated (graph, model, config), the content-addressed disk cache
-across *fresh processes*, the plan loader's warnings, and the
-offline ``lint_plan`` path over saved artifacts.
+across *fresh processes*, pinned plan ids and the static-text memo
+behind them, replay isolation of carried stats, the plan loader's
+warnings, and the offline ``lint_plan`` path over saved artifacts.
 """
 
 import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -29,12 +31,13 @@ from repro.core import (
     save_plan,
     stage_counts,
 )
-from repro.core.plan import STAGE_NAMES
+from repro.core.plan import PLAN_VERSION, STAGE_NAMES
 from repro.frameworks import all_frameworks
 from repro.frameworks.base import NotSupported
 from repro.frameworks.ours import OursOptions, OursRuntime
-from repro.gpusim import V100_SCALED, simulate_kernels
-from repro.gpusim.memo import clear_caches
+from repro.gpusim import V100_SCALED, simulate_kernel, simulate_kernels
+from repro.gpusim.memo import KERNEL_MEMO, clear_caches
+from repro.serve import InferenceRequest, PlanServer
 from repro.graph import power_law_graph, small_dataset
 from repro.models import GCNConfig
 
@@ -161,7 +164,7 @@ class TestRoundTrip:
         fw = OursRuntime()
         key = plan_key(
             fw.name, "gcn", g,
-            model_config=dataclasses.asdict(GCNConfig()),
+            model_config=GCNConfig(),
             options=fw.plan_options(),
             gpu_config=V100_SCALED,
             dispatch_overhead=fw.dispatch_overhead,
@@ -171,7 +174,7 @@ class TestRoundTrip:
         # Any compilation input shift moves the address.
         other = plan_key(
             fw.name, "gcn", g,
-            model_config=dataclasses.asdict(GCNConfig()),
+            model_config=GCNConfig(),
             options=fw.plan_options(),
             gpu_config=V100_SCALED.replace(device_mem_bytes=2 << 30),
             dispatch_overhead=fw.dispatch_overhead,
@@ -362,6 +365,136 @@ class TestContentAddress:
         assert got == PINNED_PLAN_IDS
 
 
+def _reference_key(framework, model, graph, *, model_config, options,
+                   gpu_config, dispatch_overhead):
+    """The plain content address: one ``json.dumps`` of every input."""
+    payload = json.dumps(
+        {
+            "version": PLAN_VERSION,
+            "framework": framework,
+            "model": model,
+            "graph": graph.fingerprint,
+            "model_config": dataclasses.asdict(model_config),
+            "options": options,
+            "gpu_config": dataclasses.asdict(gpu_config),
+            "dispatch_overhead": dispatch_overhead,
+        },
+        sort_keys=True,
+        default=str,
+    )
+    return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
+
+
+def _shifted(value):
+    """A different value of the same kind (a bool flips, ``None`` gets a
+    bound)."""
+    if value is None:
+        return 16
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return value + "-x"
+    if isinstance(value, tuple):
+        return value[:-1] + (value[-1] + 1,)
+    return value * 2 + 1
+
+
+def _static_shifts():
+    """(label, plan_key inputs) with exactly one static input shifted.
+
+    Covers a new value for every input and every config field, and a
+    new *type* for an equal value (``80`` vs ``80.0``, ``True`` vs
+    ``1``): equal under ``==`` but a different payload.
+    """
+    fw = OursRuntime()
+    base = {
+        "framework": fw.name, "model": "gcn", "model_config": GCNConfig(),
+        "options": fw.plan_options(), "gpu_config": V100_SCALED,
+        "dispatch_overhead": fw.dispatch_overhead,
+    }
+    shifts = [
+        ("framework", dict(base, framework="dgl")),
+        ("model", dict(base, model="gat")),
+        ("dispatch_overhead",
+         dict(base, dispatch_overhead=base["dispatch_overhead"] * 2)),
+        ("dims-type", dict(base, model_config=GCNConfig(
+            dims=(512.0,) + GCNConfig().dims[1:]))),
+        ("num_sms-type", dict(base, gpu_config=V100_SCALED.replace(
+            num_sms=float(V100_SCALED.num_sms)))),
+        ("adapter-type", dict(base, options={**base["options"],
+                                             "adapter": 1})),
+        ("shard", dict(base, options={**base["options"],
+                                      "shard": PINNED_SHARD})),
+        ("shard-part", dict(base, options={
+            **base["options"], "shard": dict(PINNED_SHARD, part=0)})),
+    ]
+    for f in dataclasses.fields(GCNConfig):
+        value = _shifted(getattr(GCNConfig(), f.name))
+        shifts.append((f"model_config.{f.name}", dict(
+            base, model_config=GCNConfig(**{f.name: value}))))
+    for f in dataclasses.fields(V100_SCALED):
+        value = _shifted(getattr(V100_SCALED, f.name))
+        shifts.append((f"gpu_config.{f.name}", dict(
+            base, gpu_config=V100_SCALED.replace(**{f.name: value}))))
+    for name, value in base["options"].items():
+        shifts.append((f"options.{name}", dict(
+            base, options={**base["options"], name: _shifted(value)})))
+    return base, shifts
+
+
+class TestAddressMemo:
+    """The static part of the address is encoded once per distinct
+    inputs; no input shift may ever get a stale address."""
+
+    def test_every_static_shift_moves_the_key(self, g):
+        base, shifts = _static_shifts()
+        base_key = plan_key(graph=g, **base)
+        assert base_key == _reference_key(graph=g, **base)
+        seen = {base_key}
+        for label, inputs in shifts:
+            key = plan_key(graph=g, **inputs)
+            assert key == _reference_key(graph=g, **inputs), label
+            assert key not in seen, label
+            seen.add(key)
+            # Warm, and after the base input set ran again.
+            assert plan_key(graph=g, **base) == base_key, label
+            assert plan_key(graph=g, **inputs) == key, label
+
+    def test_mutated_options_dict_gets_a_fresh_key(self, g):
+        _, shifts = _static_shifts()
+        inputs = dict(shifts[0][1])
+        options = inputs["options"] = dict(inputs["options"])
+        before = plan_key(graph=g, **inputs)
+        options["tuned"] = not options["tuned"]
+        after = plan_key(graph=g, **inputs)
+        assert after != before
+        assert after == _reference_key(graph=g, **inputs)
+
+    def test_reassigned_runtime_options_move_the_key(self, g):
+        fw = OursRuntime()
+        before, _ = fw.plan_signature("gcn", g, V100_SCALED)
+        fw.options = OursOptions(adapter=False)
+        after, _ = fw.plan_signature("gcn", g, V100_SCALED)
+        assert after != before
+        assert after == OursRuntime(OursOptions(adapter=False)) \
+            .plan_signature("gcn", g, V100_SCALED)[0]
+        assert fw.compile("gcn", g, V100_SCALED).plan_id == after
+
+    def test_runtimes_with_different_options_never_share_a_batch(self, g):
+        fws = {"plain": OursRuntime(),
+               "unfused": OursRuntime(OursOptions(adapter=False))}
+        server = PlanServer(frameworks=fws, sim=V100_SCALED)
+        responses = server.serve([
+            InferenceRequest("gcn", g, framework=name)
+            for name in ("plain", "unfused", "plain", "unfused")
+        ])
+        assert all(r.ok for r in responses)
+        assert server.stats()["batches"] == 2
+        ids = [r.plan_id for r in responses]
+        assert ids[0] == ids[2] != ids[1] == ids[3]
+        assert [r.batch_id for r in responses] == [0, 1, 0, 1]
+
+
 class TestCompileOnce:
     """The same (graph, model, config) runs the staged pipeline once."""
 
@@ -460,6 +593,72 @@ class TestPlanCarriedStats:
         assert load_plan(path, expect_id=plan.plan_id).simulated is None
         assert "simulated" not in report.extra
         assert all(v is not plan.simulated for v in report.extra.values())
+
+
+def _scribble(stats):
+    """Mutate every field of a stat: ``occupancy`` in place, then each
+    field rebound."""
+    stats.occupancy.clear()
+    stats.occupancy[1.0] = -1.0
+    for f in dataclasses.fields(stats):
+        setattr(stats, f.name, None)
+
+
+def _memo_snapshot():
+    return {
+        key: dataclasses.asdict(entry[0])
+        for key, entry in KERNEL_MEMO._data.items()
+    }
+
+
+class TestReplayIsolation:
+    """Replayed, fanned-out and memo-hit stats equal their source field by
+    field, and no mutation of them reaches the source."""
+
+    def test_replayed_and_fanned_out_stats_are_copies(self, g):
+        fw = OursRuntime()
+        server = PlanServer(frameworks={"ours": fw}, sim=V100_SCALED)
+        # The first window simulates the plan and stores its stats; the
+        # second replays them to the leader and fans out to the follower.
+        server.serve([InferenceRequest("gcn", g, framework="ours")])
+        plan = fw.compile("gcn", g, V100_SCALED)
+        carried = [dataclasses.asdict(s) for s in plan.simulated]
+        memo = _memo_snapshot()
+        leader, follower = server.serve([
+            InferenceRequest("gcn", g, framework="ours", tenant=t)
+            for t in ("a", "b")
+        ])
+        assert leader.batch_leader and not follower.batch_leader
+        for resp in (leader, follower):
+            kernels = resp.result.report.kernels
+            assert [dataclasses.asdict(s) for s in kernels] == carried
+            for stats, source in zip(kernels, plan.simulated):
+                assert stats is not source
+                assert stats.occupancy is not source.occupancy
+        for resp in (leader, follower):
+            for stats in resp.result.report.kernels:
+                _scribble(stats)
+        assert [dataclasses.asdict(s) for s in plan.simulated] == carried
+        again = fw.execute(plan).report
+        assert again.extra["perf"]["plan_memo_hit"] is True
+        assert [dataclasses.asdict(s) for s in again.kernels] == carried
+        assert _memo_snapshot() == memo
+
+    def test_kernel_memo_hit_is_a_copy(self, g):
+        plan = OursRuntime().compile("gcn", g, V100_SCALED)
+        for kernel in plan.kernels:
+            simulate_kernel(kernel, V100_SCALED, plan.dispatch_overhead)
+        memo = _memo_snapshot()
+        for kernel in plan.kernels:
+            hit = simulate_kernel(kernel, V100_SCALED, plan.dispatch_overhead)
+            want = simulate_kernels(
+                [kernel], V100_SCALED,
+                dispatch_overhead=plan.dispatch_overhead,
+            ).kernels[0]
+            assert dataclasses.asdict(hit) == dataclasses.asdict(want)
+            assert hit.name == kernel.name
+            _scribble(hit)
+        assert _memo_snapshot() == memo
 
 
 _DISK_WORKER = """

@@ -5,9 +5,9 @@ admission, compatibility batching, pooled execution, fan-out — returns
 *bit-identical* simulated results to the same request run alone through
 ``execute_one`` (which is what every ``run_*`` entry point calls).
 Covered here across the framework x model x fusion matrix, plus the
-bounded plan-cache tiers, admission reason codes, batching
-compatibility, the fresh-process disk-tier warm start, and the
-``repro serve replay`` CLI.
+bounded plan-cache tiers, admission reason codes, per-batch failure
+isolation, batching compatibility, the fresh-process disk-tier warm
+start, and the ``repro serve replay`` CLI.
 """
 
 import dataclasses
@@ -23,14 +23,18 @@ from repro import perf
 from repro.core import reset_stage_counts, stage_counts
 from repro.core.plan import PLAN_CACHE, PlanCache, plan_nbytes
 from repro.frameworks import all_frameworks
+from repro.frameworks.dgl_like import DGLLike
 from repro.frameworks.ours import OursOptions, OursRuntime
-from repro.gpusim import V100_SCALED
+from repro.gpusim import V100_SCALED, SimulatedOOM
 from repro.gpusim.memo import LRUCache, clear_caches
 from repro.graph import khop_sampled_subgraph, small_dataset
-from repro.models import GCNConfig
+from repro.models import GATConfig, GCNConfig
 from repro.perf import PERF
 from repro.serve import (
+    REASON_BAD_MODEL_CONFIG,
     REASON_GRAPH_TOO_LARGE,
+    REASON_NOT_SUPPORTED,
+    REASON_SIMULATED_OOM,
     REASON_TENANT_QUOTA,
     REASON_UNKNOWN_FRAMEWORK,
     REASON_UNKNOWN_MODEL,
@@ -207,6 +211,87 @@ class TestBatchedBitIdentity:
 
 
 # ----------------------------------------------------------------------
+# Per-batch failure isolation
+# ----------------------------------------------------------------------
+
+class _OOMOnGCN(DGLLike):
+    """A strategy whose GCN plan never fits the simulated device."""
+
+    name = "oom-dgl"
+
+    def compile_gcn(self, graph, model, sim):
+        raise SimulatedOOM(1 << 40, 0, sim.device_mem_bytes, "stub")
+
+
+class TestFailureIsolation:
+    """A batch that cannot compile fails alone: its members get a
+    ``failed`` response with a reason code, every other batch of the
+    window is served exactly as its sequential run."""
+
+    def _check_mixed_window(self, g, frameworks, requests, bad, reason):
+        sequential = {
+            r.request_id: execute_one(
+                frameworks[r.framework_name()], r.model, r.graph,
+                V100_SCALED,
+            )
+            for r in requests if r.request_id not in bad
+        }
+        clear_caches()
+        failed_before = PERF.counts.get("serve_failed", 0)
+        server = PlanServer(frameworks=frameworks, sim=V100_SCALED)
+        responses = server.serve(requests)
+        for req, resp in zip(requests, responses):
+            assert resp.request is req
+            if req.request_id in bad:
+                assert resp.status == "failed"
+                assert resp.reason == reason
+                assert resp.result is None
+                assert "FAILED" in resp.describe()
+            else:
+                assert resp.ok
+                assert_results_identical(
+                    resp.result, sequential[req.request_id]
+                )
+        stats = server.stats()
+        assert stats["failed"] == len(bad)
+        assert stats["served"] == len(requests) - len(bad)
+        assert PERF.counts.get("serve_failed", 0) - failed_before == len(bad)
+
+    def test_unsupported_batch_fails_alone(self, g):
+        requests = [
+            InferenceRequest("gcn", g, framework="dgl", tenant="a"),
+            InferenceRequest("gat", g, framework="roc", tenant="b"),
+            InferenceRequest("gcn", g, framework="pyg", tenant="c"),
+            InferenceRequest("gat", g, framework="roc", tenant="a"),
+            InferenceRequest("gcn", g, framework="roc", tenant="b"),
+            InferenceRequest("gat", g, framework="ours", tenant="c"),
+        ]
+        bad = {requests[1].request_id, requests[3].request_id}
+        self._check_mixed_window(
+            g, all_frameworks(), requests, bad, REASON_NOT_SUPPORTED
+        )
+
+    def test_simulated_oom_batch_fails_alone(self, g):
+        frameworks = {**all_frameworks(), "oom-dgl": _OOMOnGCN()}
+        requests = [
+            InferenceRequest("gcn", g, framework="oom-dgl", tenant="a"),
+            InferenceRequest("gat", g, framework="oom-dgl", tenant="b"),
+            InferenceRequest("gcn", g, framework="dgl", tenant="c"),
+        ]
+        bad = {requests[0].request_id}
+        self._check_mixed_window(
+            g, frameworks, requests, bad, REASON_SIMULATED_OOM
+        )
+
+    def test_next_window_is_unaffected(self, g):
+        server = PlanServer(sim=V100_SCALED)
+        first = server.serve([InferenceRequest("gat", g, framework="roc")])
+        assert [r.status for r in first] == ["failed"]
+        second = server.serve([InferenceRequest("gcn", g, framework="roc")])
+        assert [r.status for r in second] == ["ok"]
+
+
+# ----------------------------------------------------------------------
 # Batching compatibility
 # ----------------------------------------------------------------------
 
@@ -259,6 +344,27 @@ class TestAdmission:
             InferenceRequest("gcn", g, framework="tensorflow")
         )
         assert resp is not None and resp.reason == REASON_UNKNOWN_FRAMEWORK
+
+    @pytest.mark.parametrize(
+        "model,config",
+        [("gcn", "oops"), ("gcn", GATConfig()), ("gat", GCNConfig())],
+        ids=["not-a-config", "gat-config-on-gcn", "gcn-config-on-gat"],
+    )
+    def test_bad_model_config_rejected(self, g, model, config):
+        server = PlanServer(sim=V100_SCALED)
+        resp = server.submit(
+            InferenceRequest(model, g, framework="dgl", model_config=config)
+        )
+        assert resp is not None and resp.reason == REASON_BAD_MODEL_CONFIG
+        assert server.flush() == []
+
+    def test_matching_model_config_admitted(self, g):
+        server = PlanServer(sim=V100_SCALED)
+        for model, config in (("gcn", None), ("gcn", GCNConfig()),
+                              ("gat", GATConfig())):
+            assert server.submit(InferenceRequest(
+                model, g, framework="dgl", model_config=config
+            )) is None
 
     def test_graph_size_cap(self, g):
         server = PlanServer(
