@@ -5,8 +5,11 @@ feature length) and the optimizations' characteristics:
 
 * **neighbor-grouping bound** — multiples of 16, at most 10x the average
   degree, at most 20 rounds of online search (the paper's exact search
-  space); each round simulates the representative aggregation kernel and
-  keeps the fastest bound.
+  space); each round prices the representative aggregation kernel with
+  :func:`~repro.gpusim.executor.kernel_time` (its time alone, no
+  statistics or memo entry) and keeps the fastest bound.  A bound at or
+  above the max degree groups nothing, so its kernel *is* the baseline
+  and it takes the baseline's time unsimulated.
 * **feature-lane mapping** — how many threads map along the feature
   dimension ("putting tasks of feature dimension to the same computing
   unit"); picking lanes that divide F removes the warp-lane and
@@ -15,7 +18,9 @@ feature length) and the optimizations' characteristics:
 
 The offline part (locality-aware scheduling) is computed separately and
 passed in — §4.4 stresses it is optional; :func:`tune` works with or
-without it.
+without it.  Results are memoized per (graph, feature length, config,
+center order, rounds) in one bounded LRU, so repeated sweeps and every
+runtime tuning the same graph share one search.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..gpusim.config import GPUConfig
-from ..gpusim.executor import simulate_kernel
-from ..gpusim.memo import LRUCache
+from ..gpusim.executor import kernel_time
+from ..gpusim.memo import LRUCache, array_digest
 from ..gpusim.occupancy import LaunchConfig, SMResources, blocks_per_sm
 from ..graph.csr import CSRGraph
 from ..perf import memo_enabled
@@ -144,6 +149,10 @@ def _cached_grouping(graph: CSRGraph, bound: int):
     return plan
 
 
+#: Tuning results, content-keyed; cleared by ``gpusim.memo.clear_caches``.
+_TUNE_CACHE = LRUCache(max_entries=256, name="tune_cache")
+
+
 def tune(
     graph: CSRGraph,
     feat_len: int,
@@ -153,42 +162,66 @@ def tune(
     max_rounds: int = 20,
 ) -> TuningResult:
     """Online multi-round search for the aggregation configuration."""
+    key = None
+    if memo_enabled():
+        key = (
+            graph.fingerprint,
+            feat_len,
+            config,
+            None if center_order is None else array_digest(center_order),
+            max_rounds,
+        )
+        cached = _TUNE_CACHE.get(key)
+        if cached is not None:
+            # The trace dict is the one mutable part: hand out a copy.
+            return dataclasses.replace(cached, trace=dict(cached.trace))
     lanes = pick_lanes(feat_len)
-    base_layout = ExecLayout(
-        grouping=identity_grouping(graph),
-        center_order=center_order,
-        lanes=lanes,
-        packed_rows=True,
-    )
-    base = simulate_kernel(
-        aggregation_kernel(graph, feat_len, config, base_layout), config
-    )
-    best_bound: Optional[int] = None
-    best_time = base.time
-    trace: Dict[int, float] = {}
-    bounds = candidate_bounds(graph, max_rounds=max_rounds)
-    for bound in bounds:
-        layout = ExecLayout(
-            grouping=_cached_grouping(graph, bound),
+
+    def layout(grouping) -> ExecLayout:
+        return ExecLayout(
+            grouping=grouping,
             center_order=center_order,
             lanes=lanes,
             packed_rows=True,
         )
-        stats = simulate_kernel(
-            aggregation_kernel(graph, feat_len, config, layout), config
-        )
-        trace[bound] = stats.time
-        if stats.time < best_time:
-            best_time = stats.time
+
+    base_time = kernel_time(
+        aggregation_kernel(
+            graph, feat_len, config, layout(identity_grouping(graph))
+        ),
+        config,
+    )
+    best_bound: Optional[int] = None
+    best_time = base_time
+    trace: Dict[int, float] = {}
+    bounds = candidate_bounds(graph, max_rounds=max_rounds)
+    for bound in bounds:
+        if bound >= graph.max_degree:
+            # No center splits: the grouping is the identity layout.
+            seconds = base_time
+        else:
+            seconds = kernel_time(
+                aggregation_kernel(
+                    graph, feat_len, config,
+                    layout(_cached_grouping(graph, bound)),
+                ),
+                config,
+            )
+        trace[bound] = seconds
+        if seconds < best_time:
+            best_time = seconds
             best_bound = bound
     launch = pick_launch_config(feat_len, bound=best_bound or 32)
-    return TuningResult(
+    result = TuningResult(
         bound=best_bound,
         lanes=lanes,
         packed_rows=True,
         rounds=len(bounds),
         trace=trace,
-        baseline_seconds=base.time,
+        baseline_seconds=base_time,
         launch=launch,
         resident_blocks_per_sm=blocks_per_sm(launch),
     )
+    if key is not None:
+        _TUNE_CACHE.put(key, dataclasses.replace(result, trace=dict(trace)))
+    return result

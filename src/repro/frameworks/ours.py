@@ -25,7 +25,7 @@ paper's amortization argument.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class OursRuntime(Framework):
 
     def __init__(self, options: Optional[OursOptions] = None) -> None:
         self.options = options if options is not None else OursOptions()
-        self._tune_cache: Dict[Tuple[str, int, GPUConfig], Optional[int]] = {}
 
     # ------------------------------------------------------------------
     # Plan-cache plumbing
@@ -117,7 +116,7 @@ class OursRuntime(Framework):
     def ng_bound(
         self, graph: CSRGraph, feat_len: int, sim: GPUConfig
     ) -> Optional[int]:
-        """Online-tuned grouping bound, cached per (graph, feat_len, sim)."""
+        """Online-tuned grouping bound (``tune`` memoizes the search)."""
         if not self.options.neighbor_grouping:
             return None
         if self.options.ng_bound is not None:
@@ -125,18 +124,15 @@ class OursRuntime(Framework):
         if not self.options.tuned:
             # Untuned default: one warp's worth of neighbors.
             return 32
-        key = (graph.fingerprint, feat_len, sim)
-        if key not in self._tune_cache:
-            # May be None: the tuner found grouping unprofitable (e.g. on
-            # low-variance graphs like protein, where Fig. 8 shows NG
-            # overhead outweighing its benefit).
-            self._tune_cache[key] = tune(graph, feat_len, sim).bound
-        return self._tune_cache[key]
+        # May be None: the tuner found grouping unprofitable (e.g. on
+        # low-variance graphs like protein, where Fig. 8 shows NG overhead
+        # outweighing its benefit).
+        return tune(graph, feat_len, sim).bound
 
     def layout(
-        self, graph: CSRGraph, feat_len: int, sim: GPUConfig
+        self, graph: CSRGraph, feat_len: int, bound: Optional[int]
     ) -> ExecLayout:
-        bound = self.ng_bound(graph, feat_len, sim)
+        """The execution layout for a grouping bound from :meth:`ng_bound`."""
         grouping = (
             _cached_grouping(graph, bound)
             if bound is not None
@@ -166,9 +162,9 @@ class OursRuntime(Framework):
             with b.stage("schedule"):
                 self.center_order(graph)
             with b.stage("tune"):
-                self.ng_bound(graph, f_out, sim)
+                bound = self.ng_bound(graph, f_out, sim)
             with b.stage("group"):
-                layout = self.layout(graph, f_out, sim)
+                layout = self.layout(graph, f_out, bound)
                 grouped = bool(layout.grouping.needs_atomic.any())
             with b.stage("trace"):
                 ops = gcn_layer_ops()
@@ -220,9 +216,9 @@ class OursRuntime(Framework):
             with b.stage("schedule"):
                 self.center_order(graph)
             with b.stage("tune"):
-                self.ng_bound(graph, f_out, sim)
+                bound = self.ng_bound(graph, f_out, sim)
             with b.stage("group"):
-                layout = self.layout(graph, f_out, sim)
+                layout = self.layout(graph, f_out, bound)
                 grouped = bool(layout.grouping.needs_atomic.any())
             with b.stage("trace"):
                 ops = gat_attention_ops()

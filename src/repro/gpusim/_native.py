@@ -53,6 +53,7 @@ __all__ = [
     "pair_similarity",
     "prev_occurrence",
     "stream_plan",
+    "window_hit_count",
     "window_mask",
 ]
 
@@ -196,6 +197,17 @@ void window_mask(const long* prev, long n, long w, unsigned char* out) {
         if (t < 0) t = 0;
         out[i] = prev[i] >= t;
     }
+}
+
+/* The number of hits window_mask would mark, without the mask. */
+long window_hit_count(const long* prev, long n, long w) {
+    long i, count = 0;
+    for (i = 0; i < n; ++i) {
+        long t = i - w;
+        if (t < 0) t = 0;
+        count += prev[i] >= t;
+    }
+    return count;
 }
 
 /* ---- Priority-queue pair merging (locality-aware scheduling) ----
@@ -659,6 +671,9 @@ def _build() -> "ctypes.CDLL | None":
         ctypes.POINTER(ctypes.c_long), ctypes.c_long, ctypes.c_long,
         ctypes.POINTER(ctypes.c_ubyte),
     ]
+    fn = lib.window_hit_count
+    fn.restype = ctypes.c_long
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long]
     fn = lib.merge_pairs
     fn.restype = ctypes.c_int
     fn.argtypes = [
@@ -756,6 +771,14 @@ def window_mask(prev: np.ndarray, w: int) -> np.ndarray:
         out.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
     )
     return out
+
+
+def window_hit_count(prev: np.ndarray, w: int) -> int:
+    """``count_nonzero(window_mask(prev, w))`` in one pass, no mask.
+
+    ``prev`` must be contiguous int64.
+    """
+    return _load().window_hit_count(prev.ctypes.data, prev.shape[0], w)
 
 
 def merge_pairs(

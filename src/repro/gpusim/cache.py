@@ -49,6 +49,7 @@ __all__ = [
     "previous_occurrence",
     "window_hits",
     "window_hits_from_prev",
+    "window_hit_rate_from_prev",
     "lru_hits",
     "reuse_distances",
     "reuse_distances_from_prev",
@@ -256,6 +257,16 @@ def effective_window(
     return lo
 
 
+def _native_window_lane(prev: np.ndarray) -> bool:
+    """Whether the compiled window pass takes this ``prev`` array."""
+    return (
+        fastpath_enabled()
+        and prev.dtype == np.int64
+        and prev.flags.c_contiguous
+        and _native.available()
+    )
+
+
 def window_hits_from_prev(
     prev: np.ndarray, capacity_rows: int, window: int | None = None
 ) -> np.ndarray:
@@ -266,21 +277,34 @@ def window_hits_from_prev(
     if window is None:
         window = effective_window(None, capacity_rows, prev=prev)
     w = max(window, 1)
+    if _native_window_lane(prev):
+        return _native.window_mask(prev, int(w))
     if fastpath_enabled():
         # prev >= 0 and (i - prev) <= w  <=>  prev >= max(i - w, 0):
         # one comparison against a fused threshold ramp instead of four
-        # stream-length temporaries (or a single native pass).
-        if (
-            prev.dtype == np.int64
-            and prev.flags.c_contiguous
-            and _native.available()
-        ):
-            return _native.window_mask(prev, int(w))
+        # stream-length temporaries.
         thresh = index_ramp(n) - np.int64(w)
         np.maximum(thresh, 0, out=thresh)
         return prev >= thresh
     gap = np.arange(n, dtype=np.int64) - prev
     return (prev >= 0) & (gap <= w)
+
+
+def window_hit_rate_from_prev(
+    prev: np.ndarray, capacity_rows: int, window: int
+) -> float:
+    """Mean of :func:`window_hits_from_prev`, 0.0 for an empty stream.
+
+    The native lane counts the hits in one pass without the mask;
+    ``count / n`` is bit-identical to ``mask.mean()`` (an exact float64
+    sum of ones, then one division).
+    """
+    n = prev.shape[0]
+    if n == 0:
+        return 0.0
+    if _native_window_lane(prev):
+        return _native.window_hit_count(prev, int(max(window, 1))) / n
+    return float(window_hits_from_prev(prev, capacity_rows, window).mean())
 
 
 def window_hits(

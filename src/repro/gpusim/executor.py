@@ -27,8 +27,11 @@ Performance layer (see DESIGN.md "Performance architecture"):
   counting-sort pass in numpy;
 * stream analyses (issue permutation + previous-occurrence array) and
   whole :class:`KernelStats` are memoized content-addressed in
-  :mod:`repro.gpusim.memo`, so ablation variants and tuner rounds stop
-  re-simulating shared kernels;
+  :mod:`repro.gpusim.memo`, so ablation variants stop re-simulating
+  shared kernels and tuner rounds share stream analyses;
+* :func:`kernel_time` prices a kernel through the same stages but
+  returns its time alone (no statistics, no memo entry), for the
+  tuner's rounds;
 * the cache-model and scheduling stages report wall-clock into
   :data:`repro.perf.PERF`; ``simulate_kernels`` attaches the per-run
   delta to ``RunReport.extra["perf"]``.
@@ -48,6 +51,7 @@ from .cache import (
     index_ramp,
     previous_occurrence,
     reuse_distances_from_prev,
+    window_hit_rate_from_prev,
     window_hits_from_prev,
 )
 from . import _native
@@ -65,6 +69,7 @@ from .memo import (
 from .metrics import KernelStats, RunReport, occupancy_below
 
 __all__ = [
+    "kernel_time",
     "simulate_kernel",
     "simulate_kernels",
     "simulate_plan",
@@ -182,35 +187,49 @@ def _stream_plan(
     return plan
 
 
+def _plan_window(plan: StreamPlan, capacity: int) -> int:
+    """The window model's effective window for a cached stream analysis
+    (memoized on the plan per capacity)."""
+    window = plan.windows.get(capacity)
+    if window is None:
+        prev = plan.prev
+        if fastpath_enabled() and prev.shape[0] <= np.iinfo(np.int32).max:
+            # The window searches at each probed capacity share one
+            # narrow copy (estimates are dtype-independent).
+            if plan.prev32 is None:
+                plan.prev32 = prev.astype(np.int32)
+            prev = plan.prev32
+        window = effective_window(
+            None, capacity, prev=prev, est_cache=plan.distinct,
+        )
+        plan.windows[capacity] = window
+    return window
+
+
 def _plan_hits(
     plan: StreamPlan, capacity: int, model: str
 ) -> np.ndarray:
     """Hit mask (in permuted order) from a cached stream analysis."""
     if model == "window":
-        window = plan.windows.get(capacity)
-        if window is None:
-            prev = plan.prev
-            if (
-                fastpath_enabled()
-                and prev.shape[0] <= np.iinfo(np.int32).max
-            ):
-                # The window searches at each probed capacity share one
-                # narrow copy (estimates are dtype-independent).
-                if plan.prev32 is None:
-                    plan.prev32 = prev.astype(np.int32)
-                prev = plan.prev32
-            window = effective_window(
-                None, capacity, prev=prev,
-                est_cache=plan.distinct,
-            )
-            plan.windows[capacity] = window
-        return window_hits_from_prev(plan.prev, capacity, window=window)
+        return window_hits_from_prev(
+            plan.prev, capacity, window=_plan_window(plan, capacity)
+        )
     if model == "lru":
         if plan.lru_distances is None:
             plan.lru_distances = reuse_distances_from_prev(plan.prev)
         dist = plan.lru_distances
         return (dist >= 0) & (dist < capacity)
     raise ValueError(f"unknown cache model {model!r}")
+
+
+def _plan_hit_rate(plan: StreamPlan, capacity: int, model: str) -> float:
+    """Overall hit rate of a cached stream analysis."""
+    if model == "window":
+        return window_hit_rate_from_prev(
+            plan.prev, capacity, _plan_window(plan, capacity)
+        )
+    hits = _plan_hits(plan, capacity, model)
+    return float(hits.mean()) if hits.size else 0.0
 
 
 def _row_hit_counts(
@@ -249,11 +268,11 @@ def _row_hit_counts(
                     slots,
                 )
             plan = _stream_plan(sub_ptr, sub_ids, slots, key=key)
-            hits_win = _plan_hits(plan, capacity, config.cache_model)
+            rate = _plan_hit_rate(plan, capacity, config.cache_model)
         else:
             perm = interleaved_order(sub_ptr, slots)
             hits_win = hit_mask(sub_ids[perm], capacity, config.cache_model)
-        rate = float(hits_win.mean()) if hits_win.size else 0.0
+            rate = float(hits_win.mean()) if hits_win.size else 0.0
         per_block_rows = np.diff(row_ptr).astype(np.float64)
         return per_block_rows * rate, rate
     if use_plan:
@@ -578,14 +597,47 @@ def _list_schedule(
 # Kernel simulation
 # ----------------------------------------------------------------------
 
+def _schedule(
+    durations: np.ndarray, slots: int
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """List-schedule priced blocks; returns (starts, ends, makespan)."""
+    with PERF.stage("schedule"):
+        starts, ends = _list_schedule(durations, slots)
+    return starts, ends, float(ends.max()) if ends.size else 0.0
+
+
+def _launch_overhead(
+    kernel: KernelSpec, config: GPUConfig, dispatch_overhead: float
+) -> float:
+    """Host launch cost charged to one kernel."""
+    if not kernel.counts_launch:
+        return 0.0
+    return config.kernel_launch_overhead + dispatch_overhead
+
+
+def kernel_time(
+    kernel: KernelSpec, config: GPUConfig, dispatch_overhead: float = 0.0
+) -> float:
+    """Simulated seconds of one kernel, and nothing else.
+
+    The same cache model, block pricing and list schedule as
+    :func:`simulate_kernel`, so the result equals
+    ``simulate_kernel(kernel, config, dispatch_overhead).time`` bit for
+    bit; it skips the occupancy timeline, the :class:`KernelStats` and
+    the kernel memo (its fingerprint and entry).  For callers that only
+    compare times, such as the tuner's rounds.
+    """
+    durations, _, _ = block_durations(kernel, config)
+    _, _, makespan = _schedule(durations, config.total_block_slots)
+    return makespan + _launch_overhead(kernel, config, dispatch_overhead)
+
+
 def _simulate_kernel_cold(
     kernel: KernelSpec, config: GPUConfig, dispatch_overhead: float
 ) -> KernelStats:
     durations, hit_counts, _ = block_durations(kernel, config)
     slots = config.total_block_slots
-    with PERF.stage("schedule"):
-        starts, ends = _list_schedule(durations, slots)
-    makespan = float(ends.max()) if ends.size else 0.0
+    starts, ends, makespan = _schedule(durations, slots)
     balanced = float(durations.sum()) / slots
     rows = kernel.num_row_accesses
     row_hits = float(hit_counts.sum())
@@ -595,11 +647,7 @@ def _simulate_kernel_cold(
         name=kernel.name,
         tag=kernel.tag,
         makespan=makespan,
-        launch_overhead=(
-            config.kernel_launch_overhead + dispatch_overhead
-            if kernel.counts_launch
-            else 0.0
-        ),
+        launch_overhead=_launch_overhead(kernel, config, dispatch_overhead),
         flops=kernel.total_flops,
         bytes_dram=float(miss_bytes + kernel.stream_bytes.sum()),
         bytes_l2=float(row_hits * kernel.row_bytes),

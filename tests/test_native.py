@@ -233,6 +233,22 @@ class TestNativeBitIdentity:
             fast = window_hits_from_prev(prev, capacity)
             assert np.array_equal(ref, fast)
 
+    def test_window_hit_count(self):
+        rng = np.random.default_rng(3)
+        streams = [
+            previous_occurrence(rng.integers(0, 200, size=5_000)),
+            previous_occurrence(np.repeat(np.arange(50), 3)),  # gap 1
+            np.zeros(0, dtype=np.int64),
+            np.full(64, -1, dtype=np.int64),
+        ]
+        for prev in streams:
+            n = prev.shape[0]
+            for w in (0, 1, 2, 17, n, n + 5):
+                mask = _native.window_mask(prev, w)
+                assert _native.window_hit_count(prev, w) == (
+                    np.count_nonzero(mask)
+                )
+
     def test_greedy_schedule_matches_heapq(self):
         rng = np.random.default_rng(4)
         durations = rng.random(3_000) * 10.0

@@ -20,6 +20,7 @@ import pytest
 from repro import perf
 from repro.bench import fig7_overall, fig12_tuned_sweep, harness, sweep_config
 from repro.core import PLAN_CACHE, pipeline, save_plan
+from repro.core.grouping import neighbor_grouping
 from repro.core.lowering import ExecLayout, aggregation_kernel
 from repro.core.minhash import minhash_signatures
 from repro.frameworks import DGLLike
@@ -37,7 +38,11 @@ from repro.gpusim.config import V100_SCALED
 from repro.gpusim.executor import (
     _list_schedule,
     _list_schedule_reference,
+    _plan_hit_rate,
+    _plan_hits,
+    _stream_plan,
     _wave_schedule,
+    kernel_time,
     simulate_kernel,
     simulate_kernels,
 )
@@ -301,6 +306,88 @@ def test_stream_cache_off_and_on_identical():
     cached = simulate_kernel(k, V100_SCALED)
     for f in dataclasses.fields(no_cache):
         assert getattr(no_cache, f.name) == getattr(cached, f.name), f.name
+
+
+# ----------------------------------------------------------------------
+# kernel_time: the simulated time without the statistics
+# ----------------------------------------------------------------------
+
+_LANES = pytest.mark.parametrize(
+    "fast,native",
+    [(False, True), (True, False), (True, True)],
+    ids=["reference", "fast-numpy", "native"],
+)
+
+
+def _set_lane(monkeypatch, fast, native):
+    if not native:
+        monkeypatch.setattr(_native, "_LIB", None)
+        monkeypatch.setattr(_native, "_TRIED", True)
+    elif not _native.available():
+        pytest.skip("no C compiler / native lane disabled")
+    perf.configure(fastpath=fast, memo=fast)
+
+
+@_LANES
+def test_kernel_time_equals_simulated_time(monkeypatch, fast, native):
+    """``kernel_time`` is ``simulate_kernel(...).time`` bit for bit over
+    full and prefix-cut streams, both cache models, identity, grouped
+    and reordered layouts, with and without a launch charge."""
+    _set_lane(monkeypatch, fast, native)
+    counted = []
+    if fast and native:
+        count = _native.window_hit_count
+        monkeypatch.setattr(
+            _native, "window_hit_count",
+            lambda prev, w: counted.append(w) or count(prev, w),
+        )
+    g = power_law_graph(800, avg_degree=11, seed=1)
+    grouped = neighbor_grouping(g, 16)
+    order = np.random.default_rng(0).permutation(g.num_nodes)
+    layouts = [
+        ExecLayout.default(g),
+        ExecLayout(grouping=grouped, lanes=16, packed_rows=True),
+        ExecLayout(grouping=grouped, center_order=order, packed_rows=True),
+    ]
+    prefix = g.num_edges // 3
+    configs = [
+        V100_SCALED,
+        V100_SCALED.replace(cache_trace_limit=prefix),
+        V100_SCALED.replace(cache_model="lru"),
+        V100_SCALED.replace(cache_model="lru", cache_trace_limit=prefix),
+    ]
+    for layout in layouts:
+        for config in configs:
+            for counts_launch in (True, False):
+                k = aggregation_kernel(
+                    g, 48, config, layout, counts_launch=counts_launch
+                )
+                for overhead in (0.0, 25e-6):
+                    got = kernel_time(k, config, overhead)
+                    want = simulate_kernel(k, config, overhead).time
+                    assert got.hex() == want.hex()
+    # The native lane prices the window prefix cuts by count.
+    assert bool(counted) == (fast and native)
+
+
+@pytest.mark.parametrize("model", ["window", "lru"])
+@_LANES
+def test_plan_hit_rate_is_the_mask_mean(monkeypatch, fast, native, model):
+    """The prefix-cut hit rate (a native count for the window model) is
+    bit-identical to the hit mask's mean, empty stream included."""
+    _set_lane(monkeypatch, fast, native)
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(0, 30, size=600)
+    row_ptr = np.zeros(601, dtype=np.int64)
+    np.cumsum(lengths, out=row_ptr[1:])
+    row_ids = rng.integers(0, 400, size=int(row_ptr[-1]))
+    for ptr, ids in ((row_ptr, row_ids), (np.zeros(4, np.int64), row_ids[:0])):
+        plan = _stream_plan(ptr, ids, 64)
+        for capacity in (8, 64, 512):
+            rate = _plan_hit_rate(plan, capacity, model)
+            hits = _plan_hits(plan, capacity, model)
+            want = float(hits.mean()) if hits.size else 0.0
+            assert rate.hex() == want.hex()
 
 
 # ----------------------------------------------------------------------
