@@ -303,6 +303,7 @@ def test_ogb_scale_sh001_flips_at_p8():
     from repro.graph import ogb_scale_graph
 
     g = ogb_scale_graph()
+    assert (g.fingerprint, g.num_edges) == ("75a8188f3c440662", 48_994_416)
     device = DeviceConfig()  # the 1 GiB simulated budget
     for parts, fires in [(1, True), (2, True), (4, True), (8, False)]:
         shard = partition_graph(g, parts, "edge_cut")
