@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..gpusim import _native
+from ..perf import fastpath_enabled
 from .csr import CSRGraph, coo_to_csr, sorted_unique
 
 __all__ = [
@@ -30,11 +32,51 @@ __all__ = [
 ]
 
 
+def _weighted_draw(
+    rng: np.random.Generator, size: int, p: np.ndarray
+) -> np.ndarray:
+    """``rng.choice(len(p), size=size, p=p)``: the same draws, and the
+    same generator state afterwards.
+
+    These are numpy 2.x's own steps for that call (a normalized
+    cumulative sum, one ``rng.random(size)``, a right-sided search),
+    with the search made by the native guide-table kernel where there
+    is one and by ``searchsorted`` otherwise (and always under
+    ``configure(fastpath=False)``).
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    if fastpath_enabled():
+        idx = _native.weighted_search(cdf, u)
+        if idx is not None:
+            return idx
+    return cdf.searchsorted(u, side="right")
+
+
+def _unique_csr(
+    src: np.ndarray, dst: np.ndarray, num_nodes: int, name: str
+) -> CSRGraph:
+    """CSR of the distinct (src, dst) pairs, self-loops dropped.
+
+    One sort of the packed ``dst * num_nodes + src`` keys both drops the
+    duplicates and puts the rows in the canonical (dst-grouped,
+    src-sorted) order: the graph ``coo_to_csr(*_dedupe(src, dst))``
+    builds with two sorts.
+    """
+    keep = src != dst
+    key = sorted_unique(dst[keep] * num_nodes + src[keep])
+    indptr = key.searchsorted(np.arange(num_nodes + 1) * num_nodes)
+    return CSRGraph(indptr, (key % num_nodes).astype(np.int32), name=name)
+
+
 def _dedupe(src: np.ndarray, dst: np.ndarray):
     """Drop duplicate (src, dst) pairs and self-loops.
 
     Returns the surviving pairs in (src, dst) order, decoded from the
-    sorted distinct packed keys.
+    sorted distinct packed keys.  Only :func:`dense_graph` uses it: its
+    subsample indexes this src-major order, which the dst-major
+    :func:`_unique_csr` does not produce.
     """
     mask = src != dst
     src, dst = src[mask], dst[mask]
@@ -84,26 +126,33 @@ def power_law_graph(
     deg = np.maximum(np.round(deg * scale).astype(np.int64), 1)
     if max_degree is not None:
         deg = np.minimum(deg, max_degree)
-    dst = np.repeat(np.arange(num_nodes, dtype=np.int64), deg)
+    num_edges = int(deg.sum())
+    nodes = np.arange(num_nodes, dtype=np.int64)
     # Preferential (hub) source pool.
     popularity = deg.astype(np.float64)
     popularity /= popularity.sum()
-    hub_src = rng.choice(num_nodes, size=dst.shape[0], p=popularity)
+    hub_src = _weighted_draw(rng, num_edges, popularity)
     # Community source pool: contiguous windows before the shuffle.
+    # Windows are per destination, so they are sized per node and
+    # repeated out to the edges.
     comm_size = max(2, int(round(community_scale * avg_degree)))
-    comm_lo = (dst // comm_size) * comm_size
+    comm_lo = (nodes // comm_size) * comm_size
     # Hubs draw from windows proportional to their own degree (anchored at
     # their community) so sampling-with-dedup does not collapse them.
-    want = np.maximum(comm_size, 2 * deg[dst])
+    want = np.maximum(comm_size, 2 * deg)
     width = np.minimum(comm_lo + want, num_nodes) - comm_lo
-    comm_src = comm_lo + (rng.random(dst.shape[0]) * width).astype(np.int64)
-    use_comm = rng.random(dst.shape[0]) < locality
+    comm_src = np.repeat(comm_lo, deg) + (
+        rng.random(num_edges) * np.repeat(width, deg)
+    ).astype(np.int64)
+    use_comm = rng.random(num_edges) < locality
     src = np.where(use_comm, comm_src, hub_src)
-    src, dst = _dedupe(src, dst)
     if shuffle:
+        # A relabel is a bijection on pairs (and keeps self-loops
+        # self-loops), so relabelling before the dedupe keeps the edge
+        # set and lets one sort build the CSR.
         relabel = rng.permutation(num_nodes)
-        src, dst = relabel[src], relabel[dst]
-    return coo_to_csr(src, dst, num_nodes, name=name)
+        src, nodes = relabel[src], relabel
+    return _unique_csr(src, np.repeat(nodes, deg), num_nodes, name)
 
 
 def ogb_scale_graph(
@@ -153,19 +202,20 @@ def ogb_scale_graph(
         ([0], np.cumsum(deg))
     ).astype(np.int64)
     num_edges = int(indptr[-1])
-    dst = np.repeat(np.arange(num_nodes, dtype=np.int64), deg)
+    nodes = np.arange(num_nodes, dtype=np.int64)
     # Community windows scale with the destination's own degree so hubs
     # reach past their window instead of collapsing onto duplicates.
     comm_size = max(2, int(round(1.5 * avg_degree)))
-    comm_lo = (dst // comm_size) * comm_size
-    want = np.maximum(comm_size, 2 * deg[dst])
+    comm_lo = (nodes // comm_size) * comm_size
+    want = np.maximum(comm_size, 2 * deg)
     width = np.minimum(comm_lo + want, num_nodes) - comm_lo
-    comm_src = comm_lo + (
-        rng.random(num_edges) * width
+    comm_src = np.repeat(comm_lo, deg) + (
+        rng.random(num_edges) * np.repeat(width, deg)
     ).astype(np.int64)
+    dst = np.repeat(nodes, deg)
     popularity = deg.astype(np.float64)
     popularity /= popularity.sum()
-    hub_src = rng.choice(num_nodes, size=num_edges, p=popularity)
+    hub_src = _weighted_draw(rng, num_edges, popularity)
     src = np.where(
         rng.random(num_edges) < locality, comm_src, hub_src
     )
@@ -196,19 +246,20 @@ def clustered_graph(
     rng = np.random.default_rng(seed)
     comm = np.sort(rng.integers(0, num_communities, size=num_nodes))
     deg = np.maximum(rng.poisson(avg_degree, size=num_nodes), 1)
-    dst = np.repeat(np.arange(num_nodes, dtype=np.int64), deg)
-    # Community member lists (communities are contiguous after sort).
+    num_edges = int(deg.sum())
+    # Community member lists (communities are contiguous after sort),
+    # one window per destination, repeated out to its edges.
     bounds = np.searchsorted(comm, np.arange(num_communities + 1))
-    dst_comm = comm[dst]
-    lo = bounds[dst_comm]
-    hi = bounds[dst_comm + 1]
-    intra = rng.random(dst.shape[0]) < intra_prob
-    width = np.maximum(hi - lo, 1)
-    src = lo + (rng.random(dst.shape[0]) * width).astype(np.int64)
-    rand_src = rng.integers(0, num_nodes, size=dst.shape[0])
+    lo = bounds[comm]
+    width = np.maximum(bounds[comm + 1] - lo, 1)
+    intra = rng.random(num_edges) < intra_prob
+    src = np.repeat(lo, deg) + (
+        rng.random(num_edges) * np.repeat(width, deg)
+    ).astype(np.int64)
+    rand_src = rng.integers(0, num_nodes, size=num_edges)
     src = np.where(intra, src, rand_src)
-    src, dst = _dedupe(src, dst)
-    return coo_to_csr(src, dst, num_nodes, name=name)
+    dst = np.repeat(np.arange(num_nodes, dtype=np.int64), deg)
+    return _unique_csr(src, dst, num_nodes, name)
 
 
 def dense_graph(
