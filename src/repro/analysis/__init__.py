@@ -49,22 +49,17 @@ pass self-registers into ``lint_chain``/``lint_shipped``/``lint_plan``
 without driver edits.  Every finding carries a stable code (``HB001``,
 ``FP002``, ...); ``repro lint --explain CODE`` documents each.
 
-The analyzer -> optimizer loop is closed: passes that can repair what
-they report expose a ``rewrite`` hook proposing
-:class:`~repro.analysis.registry.RewriteAction` candidates, the
-verified auto-fix engine (:mod:`.rewrite`) applies them — each
-candidate re-lowered, re-verified by every registered pass, and
-differentially executed over exact rationals
-(:mod:`.diffexec`) against the original before acceptance — and the
-footprint-guided beam search (:mod:`.search`) explores the reachable
-plan space scored by the symbolic N/E/F footprint, optimizing whole
-:class:`~repro.core.plan.CompiledPlan` artifacts.
+The passes report; they do not rewrite.  The advisory findings name
+the paper's gaps — ``FP003`` a legal fusion the planner skipped
+(Listing 1, §4.3), ``FP002`` an O(E) materialization with an O(N)
+equivalent (Table 5), ``HB003`` a removable synchronization — and on
+the shipped grid they sit only on the Table 6 ablation configs that
+stop short of full fusion on purpose.
 
 Entry points: ``python -m repro lint`` (CI sweep, with ``--fail-on``,
-``--baseline``, ``--sarif``, and ``--fix [--dry-run]`` for the
-auto-fix engine), ``python -m repro plan lint`` / ``plan optimize``
-for saved artifacts, and the opt-in ``OursOptions(verify_plans=True)``
-/ ``REPRO_VERIFY_PLANS=1`` hook that verifies every plan the runtime
+``--baseline``, ``--sarif``), ``python -m repro plan lint`` for saved
+artifacts, and the opt-in ``OursOptions(verify_plans=True)`` /
+``REPRO_VERIFY_PLANS=1`` hook that verifies every plan the runtime
 lowers.
 """
 
@@ -103,38 +98,21 @@ from .footprint import (
     shard_env,
     shard_term,
 )
-from .diffexec import differential_verify
 from .hb import check_happens_before
 from .legality import chain_dataflow, check_fusion_legality
 from .linearity import check_linear_flags, probe_commutes_with_sum
 from .registry import (
     LintContext,
     LintPass,
-    RewriteAction,
     lint_passes,
     pass_names,
     register_pass,
 )
-from .rewrite import (
-    FIXABLE_CODES,
-    AutofixResult,
-    AutofixSweep,
-    RewriteStats,
-    autofix_lowering,
-    autofix_shipped,
-    collect_actions,
-)
-from .search import (
-    PlanScore,
-    SearchResult,
+from .shardlint import (
     ShardChoice,
+    ShardLintContext,
     ShardScore,
     choose_partitioning,
-    optimize_plan,
-    search_plan,
-)
-from .shardlint import (
-    ShardLintContext,
     lint_shard,
     round_feat_lens,
     shard_peak_bytes,
@@ -153,26 +131,13 @@ __all__ = [
     "WARNING",
     "INFO",
     "FUSION_CONFIGS",
-    "FIXABLE_CODES",
     "MODEL_CHAINS",
-    "AutofixResult",
-    "AutofixSweep",
-    "PlanScore",
-    "RewriteAction",
-    "RewriteStats",
-    "SearchResult",
     "ShardChoice",
     "ShardLintContext",
     "ShardScore",
     "ShardSymExpr",
     "SymExpr",
     "choose_partitioning",
-    "autofix_lowering",
-    "autofix_shipped",
-    "collect_actions",
-    "differential_verify",
-    "optimize_plan",
-    "search_plan",
     "chain_dataflow",
     "check_atomic_races",
     "check_conservation",

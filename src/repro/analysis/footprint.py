@@ -41,8 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.compgraph import OP_EFFECTS, FusionPlan, Op, OpKind
 from ..gpusim.kernel import KernelSpec
 from .findings import ERROR, INFO, Finding, make_finding, register_code
-from .registry import LintContext, LintPass, RewriteAction, register_pass
-from .transform import merge_boundary
+from .registry import LintContext, LintPass, register_pass
 
 __all__ = [
     "SymExpr",
@@ -55,7 +54,6 @@ __all__ = [
     "shard_env",
     "check_footprint",
     "check_opportunities",
-    "opportunity_rewrites",
 ]
 
 PASS_FOOTPRINT = "footprint"
@@ -536,63 +534,6 @@ def check_opportunities(ctx: LintContext) -> List[Finding]:
     return findings
 
 
-def opportunity_rewrites(ctx: LintContext) -> List[RewriteAction]:
-    """Candidate fixes for the FP002/FP003 advisories.
-
-    Each action mirrors one finding :func:`check_opportunities` emits
-    on the same context — same code, same ``where`` string — so the
-    rewrite engine can pair them up without parsing messages.
-
-    * FP002 (BCAST materialization): merge the broadcasting group with
-      the following group, so the replicated per-center scalar stays in
-      registers instead of round-tripping through DRAM.  The EF-hoist
-      variant has no structural plan fix (it needs an op rewrite, not a
-      regrouping) and proposes nothing.
-    * FP003 (skipped legal fusion): merge the two boundary groups.
-    """
-    actions: List[RewriteAction] = []
-    ops = _ops_by_name(ctx.plan)
-    plan = ctx.plan
-
-    for ki, buf in _materialized_buffers(ctx.kernels):
-        op = _buffer_op(buf, ops)
-        if op is None or op.kind != OpKind.BCAST:
-            continue
-        if ki >= len(plan.groups) - 1:
-            continue  # no following kernel to keep the value in
-        actions.append(RewriteAction(
-            code=FP002,
-            where=f"kernel {ki}: {ctx.kernels[ki].name}",
-            description=(
-                f"merge kernel {ki} into kernel {ki + 1} so the "
-                f"broadcast {op.name!r} stays in registers "
-                f"(redundancy bypassing)"
-            ),
-            build=lambda gi=ki: merge_boundary(plan, gi),
-        ))
-
-    for gi in range(len(plan.groups) - 1):
-        left, right = plan.groups[gi], plan.groups[gi + 1]
-        if not left.ops or not right.ops:
-            continue
-        p, c = left.ops[-1], right.ops[0]
-        p_eff, c_eff = OP_EFFECTS[p.kind], OP_EFFECTS[c.kind]
-        if p.kind == OpKind.SEG_REDUCE:
-            continue
-        if p_eff.elementwise or (c_eff.elementwise and c.linear):
-            actions.append(RewriteAction(
-                code=FP003,
-                where=f"kernel boundary {gi}|{gi + 1}: "
-                      f"{p.name}->{c.name}",
-                description=(
-                    f"fuse {p.name!r} and {c.name!r} into one kernel, "
-                    f"removing a launch and the boundary buffer"
-                ),
-                build=lambda gi=gi: merge_boundary(plan, gi),
-            ))
-    return actions
-
-
 register_pass(LintPass(
     name=PASS_FOOTPRINT,
     doc="symbolic peak-footprint lower bound vs recorded peak memory",
@@ -603,5 +544,4 @@ register_pass(LintPass(
     name=PASS_OPPORTUNITY,
     doc="missed redundancy-bypassing and fusion opportunities",
     lowering=check_opportunities,
-    rewrite=opportunity_rewrites,
 ))

@@ -42,13 +42,11 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 from ..gpusim.kernel import KernelSpec
 from .findings import ERROR, INFO, WARNING, Finding, register_code
 from .findings import make_finding
-from .registry import LintContext, LintPass, RewriteAction, register_pass
-from .transform import chain_order, postpone_group
+from .registry import LintPass, register_pass
 
 __all__ = [
     "check_happens_before",
     "check_happens_before_multidev",
-    "hb_rewrites",
 ]
 
 PASS = "hb"
@@ -370,53 +368,10 @@ def check_happens_before_multidev(
     return findings
 
 
-def hb_rewrites(ctx: LintContext) -> List[RewriteAction]:
-    """Candidate fixes for HB003: elide the removable sync by moving
-    the postponable kernel's ops into the downstream aggregate group.
-
-    One action per HB003 finding, same ``(code, where)`` strings.  A
-    lone-BCAST postponement is still proposed here — the legality pass
-    rejects it (LG006) until its consumer is postponed with it, which
-    is exactly the propose/verify division of labour: the engine's
-    reject is what sequences the two moves correctly.
-    """
-    readers: Dict[str, List[int]] = {}
-    for ki, kernel in enumerate(ctx.kernels):
-        if kernel.dataflow is None:
-            continue
-        for buf in kernel.dataflow.reads:
-            readers.setdefault(buf, []).append(ki)
-    order = chain_order(ctx.ops)
-    plan = ctx.plan
-    actions: List[RewriteAction] = []
-    for ki, kernel in enumerate(ctx.kernels):
-        flow = kernel.dataflow
-        if flow is None or not flow.postponable:
-            continue
-        if ki >= len(plan.groups):
-            continue  # stream/plan mismatch; other passes report it
-        if not _reaches_aggregate(ki, ctx.kernels, readers):
-            continue
-        if postpone_group(plan, ki, order) is None:
-            continue
-        actions.append(RewriteAction(
-            code=HB003,
-            where=f"kernel {ki}: {kernel.name}",
-            description=(
-                f"postpone kernel {ki}'s ops past the downstream "
-                f"aggregation (linear property), deleting its global "
-                f"sync"
-            ),
-            build=lambda gi=ki: postpone_group(plan, gi, order),
-        ))
-    return actions
-
-
 register_pass(LintPass(
     name=PASS,
     doc="happens-before sync safety over the lowered kernel stream",
     lowering=lambda ctx: check_happens_before(ctx.kernels),
-    rewrite=hb_rewrites,
     # Whole-plan scope: the same checker over the full launch-ordered
     # stream catches cross-layer ordering damage; advisories already
     # fired per layer.

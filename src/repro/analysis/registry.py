@@ -5,7 +5,7 @@ registers a :class:`LintPass` at import time, and the drivers
 (:func:`~repro.analysis.driver.verify_lowering`,
 ``lint_chain``/``lint_shipped``/``lint_plan``) iterate the registry, so
 a new pass lands by adding one module — no driver edits.  A pass
-exposes up to three hooks, one per scope it analyzes:
+exposes up to four hooks, one per scope it analyzes:
 
 * ``chain(ops)`` — properties of the op chain alone, independent of any
   graph or lowering (linearity is one); run once per model by
@@ -22,13 +22,7 @@ exposes up to three hooks, one per scope it analyzes:
   :func:`~repro.analysis.shardlint.lint_shard` with a
   :class:`~repro.analysis.shardlint.ShardLintContext`.
 
-A pass that can also *repair* what it reports exposes a fourth hook,
-``rewrite(ctx)``, returning :class:`RewriteAction` candidates — one per
-advisory finding the pass would emit on the same context, correlated by
-``(code, where)``.  Actions are proposals, never truths: the rewrite
-engine (:mod:`repro.analysis.rewrite`) re-lowers each candidate plan,
-re-runs every registered pass over it, and differentially executes it
-against the original before accepting.
+Every hook reports findings; no hook rewrites the plan it inspects.
 """
 
 from __future__ import annotations
@@ -43,8 +37,8 @@ from ..gpusim.kernel import KernelSpec
 from ..graph.csr import CSRGraph
 from .findings import Finding
 
-__all__ = ["LintContext", "LintPass", "RewriteAction", "register_pass",
-           "lint_passes", "pass_names"]
+__all__ = ["LintContext", "LintPass", "register_pass", "lint_passes",
+           "pass_names"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,23 +58,6 @@ class LintContext:
 
 
 @dataclasses.dataclass(frozen=True)
-class RewriteAction:
-    """One candidate plan transformation proposed by a pass.
-
-    ``code``/``where`` match the finding the action would fix, exactly
-    as the pass emits them (the rewrite engine correlates the two by
-    string equality).  ``build()`` returns a *new* :class:`FusionPlan`
-    with the transformation applied — the source plan is never mutated,
-    so a rejected candidate costs nothing.
-    """
-
-    code: str
-    where: str
-    description: str
-    build: Callable[[], FusionPlan]
-
-
-@dataclasses.dataclass(frozen=True)
 class LintPass:
     """One registered pass: a name, a one-liner, and its scope hooks."""
 
@@ -91,9 +68,6 @@ class LintPass:
     artifact: Optional[
         Callable[..., List[Finding]]
     ] = None  # (plan, graph, config) -> findings
-    rewrite: Optional[
-        Callable[[LintContext], List["RewriteAction"]]
-    ] = None  # advisory findings -> candidate fixes
     shard: Optional[
         Callable[..., List[Finding]]
     ] = None  # (ShardLintContext) -> findings

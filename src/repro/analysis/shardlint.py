@@ -34,6 +34,9 @@ SH001/SH003/SH004 need only the :class:`ShardPlan` and a model config
 — zero compiles, zero simulation.  SH002/SH005 additionally inspect
 per-partition plans / stitched streams and are skipped when those are
 not supplied (``repro shard lint --no-plans``).
+
+:func:`choose_partitioning` ranks (method x P) candidates by these
+passes' verdicts and symbolic quantities (``repro shard choose``).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..graph.csr import CSRGraph
 from ..shard.cost import FLOAT_BYTES, DeviceConfig, LinkConfig
 from .findings import ERROR, INFO, WARNING, AnalysisReport, Finding, \
     make_finding, register_code
@@ -48,7 +52,10 @@ from .footprint import model_flops_expr, model_live_sets, shard_env
 from .registry import LintPass, register_pass
 
 __all__ = [
+    "ShardChoice",
     "ShardLintContext",
+    "ShardScore",
+    "choose_partitioning",
     "lint_shard",
     "round_feat_lens",
     "shard_transfer_bytes",
@@ -447,3 +454,107 @@ register_pass(LintPass(
     doc="transfer-volume conservation and exchange liveness",
     shard=check_shard_flow,
 ))
+
+
+# ----------------------------------------------------------------------
+# Partitioning choice: the shard analyses as the planner's oracle
+# ----------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True, order=True)
+class ShardScore:
+    """Lexicographic partitioning cost: smaller is better on every axis.
+
+    Feasibility dominates (``infeasible`` counts SH001 verdicts — a
+    partitioning that cannot compile never beats one that can), then
+    symbolic cross-device traffic (the quantity that gates multi-GPU
+    scaling), then the per-device symbolic peak, then device count —
+    P=1 wins whenever it fits, because it moves zero bytes.
+    """
+
+    infeasible: int       # SH001 findings (devices that cannot compile)
+    transfer_bytes: float  # total symbolic halo+mirror bytes
+    peak_bytes: float      # max per-device symbolic peak
+    num_parts: int
+
+    def to_dict(self) -> Dict[str, float]:
+        return {
+            "infeasible": int(self.infeasible),
+            "transfer_bytes": float(self.transfer_bytes),
+            "peak_bytes": float(self.peak_bytes),
+            "num_parts": int(self.num_parts),
+        }
+
+
+@dataclasses.dataclass
+class ShardChoice:
+    """One scored (method, P) candidate partitioning."""
+
+    method: str
+    num_parts: int
+    score: ShardScore
+    shard: object          # shard.partition.ShardPlan
+    report: AnalysisReport  # from lint_shard
+
+    @property
+    def feasible(self) -> bool:
+        return self.score.infeasible == 0
+
+
+def choose_partitioning(
+    graph: CSRGraph,
+    model_name: str,
+    *,
+    model=None,
+    device=None,
+    link=None,
+    methods: Optional[Tuple[str, ...]] = None,
+    parts: Tuple[int, ...] = (1, 2, 4, 8),
+    imbalance_threshold: Optional[float] = None,
+    blowup_threshold: Optional[float] = None,
+) -> List[ShardChoice]:
+    """Score every (strategy x P) candidate and rank them, statically.
+
+    Each candidate partitioning is verified by the registered shard
+    passes (:func:`lint_shard`, symbolic-only — zero compiles, zero
+    simulation) and scored by the lexicographic :class:`ShardScore`.
+    Returns candidates best-first; ``[0]`` is the cheapest *feasible*
+    partitioning whenever any candidate fits the declared
+    :class:`~repro.shard.cost.DeviceConfig` capacity.
+    """
+    from ..shard.partition import METHODS, partition_graph
+
+    model = resolve_model(model_name, model)
+    if imbalance_threshold is None:
+        imbalance_threshold = DEFAULT_IMBALANCE_THRESHOLD
+    feats = round_feat_lens(model_name, model)
+    candidates: List[ShardChoice] = []
+    for method in (methods or METHODS):
+        for p in parts:
+            if p < 1 or p > graph.num_nodes:
+                continue
+            shard = partition_graph(graph, p, method)
+            report = lint_shard(
+                shard, model_name=model_name, model=model,
+                device=device, link=link,
+                imbalance_threshold=imbalance_threshold,
+                blowup_threshold=blowup_threshold,
+            )
+            transfer = sum(
+                sum(kinds.values())
+                for kinds in shard_transfer_bytes(shard, feats).values()
+            )
+            peaks = shard_peak_bytes(shard, model_name, model)
+            score = ShardScore(
+                infeasible=sum(
+                    1 for f in report.findings if f.code == "SH001"
+                ),
+                transfer_bytes=float(transfer),
+                peak_bytes=max(peak for _, peak, _ in peaks),
+                num_parts=p,
+            )
+            candidates.append(ShardChoice(
+                method=method, num_parts=p, score=score,
+                shard=shard, report=report,
+            ))
+    candidates.sort(key=lambda c: c.score)
+    return candidates

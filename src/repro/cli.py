@@ -9,12 +9,10 @@ Examples::
     python -m repro tune --dataset products --feat 64
     python -m repro schedule --dataset citation
     python -m repro lint --model gat --dataset arxiv --fusion linear
-    python -m repro lint --fix --dry-run
     python -m repro lint --explain
     python -m repro plan compile --dataset arxiv --out plans/
     python -m repro plan show plans/plan_<id>.npz
     python -m repro plan lint --dir plans/
-    python -m repro plan optimize --dir plans/ --out plans-opt/
     python -m repro shard partition --dataset arxiv --parts 4
     python -m repro shard run --dataset arxiv --model gcn --parts 2
     python -m repro shard lint --dataset arxiv --model gcn --parts 2
@@ -167,10 +165,8 @@ def _write_sarif(path: str, report) -> None:
 def cmd_lint(args) -> int:
     from .analysis import (
         CODES,
-        FIXABLE_CODES,
         FUSION_CONFIGS,
         MODEL_CHAINS,
-        autofix_shipped,
         explain_code,
         lint_shipped,
         load_baseline,
@@ -193,8 +189,6 @@ def cmd_lint(args) -> int:
             )
         print(text)
         return 0
-    if args.dry_run and not args.fix:
-        raise SystemExit("--dry-run only makes sense with --fix")
     if args.prune_baseline and not args.baseline:
         raise SystemExit("--prune-baseline requires --baseline PATH")
 
@@ -215,14 +209,7 @@ def cmd_lint(args) -> int:
             raise SystemExit(
                 f"unknown fusion config {f!r}; choose from {fusion_names}"
             )
-    datasets = _dataset_list(args)
-    fixed_lines: List[str] = []
-    if args.fix:
-        sweep = autofix_shipped(datasets, models, fusions=fusions)
-        fixed_lines = sweep.fixed_lines()
-        report = sweep.remaining_report(label="lint --fix")
-    else:
-        report = lint_shipped(datasets, models, fusions=fusions)
+    report = lint_shipped(_dataset_list(args), models, fusions=fusions)
     entries = []
     suppressed = 0
     if args.baseline:
@@ -236,47 +223,33 @@ def cmd_lint(args) -> int:
         report, suppressed = report.apply_baseline(entries)
     if args.sarif:
         _write_sarif(args.sarif, report)
+    # Under --json, stdout holds the JSON document alone; the hygiene
+    # notes below go to stderr.
+    note = sys.stderr if args.json else sys.stdout
     if args.json:
         print(report.to_json())
     else:
-        for line in fixed_lines:
-            print(line)
         print(report.format(verbose=args.verbose))
         if suppressed:
             print(f"({suppressed} baselined finding(s) suppressed)")
-        if args.fix:
-            mode = "dry run; " if args.dry_run else ""
-            print(f"({mode}{len(fixed_lines)} finding(s) auto-fixed on "
-                  f"verified in-memory plans; "
-                  f"stats={sweep.stats.to_dict()})")
         for entry in unused:
             print(f"[STALE  ] baseline entry matches no finding: "
                   f"{json.dumps(entry, sort_keys=True)}")
     if unused and args.prune_baseline:
         removed = prune_baseline(args.baseline, all_findings)
         print(f"pruned {removed} stale entr"
-              f"{'y' if removed == 1 else 'ies'} from {args.baseline}")
+              f"{'y' if removed == 1 else 'ies'} from {args.baseline}",
+              file=note)
     if unused and args.fail_stale:
         # Baseline hygiene gate: a suppression matching nothing is debt
         # that silently weakens the gate — fail instead of drifting.
         print(f"{len(unused)} stale baseline entr"
               f"{'y' if len(unused) == 1 else 'ies'}; prune with "
-              f"--prune-baseline")
+              f"--prune-baseline", file=note)
         return 1
     # Exit-code contract: errors always gate; warnings only under
-    # --fail-on warning; info findings never gate — except under --fix,
-    # where an auto-fixable advisory the engine could not discharge (and
-    # no baseline covers) fails the run: that is the CI autofix-clean
-    # gate.
-    status = 0 if report.gate(args.fail_on) else 1
-    if args.fix and any(f.code in FIXABLE_CODES for f in report.findings):
-        unfixed = [f for f in report.findings if f.code in FIXABLE_CODES]
-        print(f"{len(unfixed)} auto-fixable finding(s) remain unfixed "
-              f"and un-baselined:")
-        for f in unfixed:
-            print(f"  {f.format()}")
-        status = 1
-    return status
+    # --fail-on warning; info findings never gate.
+    return 0 if report.gate(args.fail_on) else 1
 
 
 # ----------------------------------------------------------------------
@@ -379,52 +352,6 @@ def cmd_plan_lint(args) -> int:
     print(f"plan lint: {merged.checked} layer lowering(s) checked, "
           f"{'ok' if ok else 'FINDINGS'}")
     return 0 if ok else 1
-
-
-def cmd_plan_optimize(args) -> int:
-    """Search-optimize saved plan artifacts (footprint-guided)."""
-    from .analysis.search import optimize_plan
-    from .core.persistence import load_plan, save_plan
-    from .graph import DATASET_NAMES as SHIPPED
-
-    status = 0
-    for path in _plan_paths(args):
-        plan = load_plan(path)
-        if plan is None:
-            print(f"{path}: unreadable or stale plan artifact")
-            status = 1
-            continue
-        if plan.graph_name not in SHIPPED:
-            print(f"{path}: graph {plan.graph_name!r} is not a shipped "
-                  f"dataset; cannot optimize")
-            status = 1
-            continue
-        graph = load_dataset(plan.graph_name)
-        out = optimize_plan(
-            plan, graph, beam_width=args.beam_width,
-            max_nodes=args.max_nodes,
-        )
-        if out is plan:
-            print(f"{path}: no verified improvement "
-                  f"({plan.num_kernels} kernels)")
-            continue
-        meta = out.extra.get("optimize", {})
-        print(f"{path}: {plan.num_kernels} -> {out.num_kernels} kernels "
-              f"({meta.get('layers_improved', 0)} layer(s) improved, "
-              f"{meta.get('nodes_expanded', 0)} search nodes, "
-              f"{meta.get('accepts', 0)} accepted / "
-              f"{meta.get('rejects', 0)} rejected rewrites)")
-        for label, scores in meta.get("scores", {}).items():
-            before, after = scores["before"], scores["after"]
-            print(f"  layer {label}: peak {before['peak_bytes']:,.0f} B "
-                  f"-> {after['peak_bytes']:,.0f} B, kernels "
-                  f"{before['num_kernels']} -> {after['num_kernels']}")
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            opath = os.path.join(args.out, f"plan_{out.plan_id}.npz")
-            save_plan(opath, out)
-            print(f"  -> {opath}")
-    return status
 
 
 def cmd_plan(args) -> int:
@@ -615,7 +542,7 @@ def cmd_shard_lint(args) -> int:
 
 
 def cmd_shard_choose(args) -> int:
-    from .analysis.search import choose_partitioning
+    from .analysis.shardlint import choose_partitioning
     from .shard import DeviceConfig
 
     g = _load_shard_graph(args.dataset)
@@ -845,13 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the documentation of a finding code "
                          "(e.g. HB001) and exit; with no CODE, list "
                          "every registered code with its summary")
-    sp.add_argument("--fix", action="store_true",
-                    help="run the verified auto-fix engine over each "
-                         "linted pipeline and gate on what remains")
-    sp.add_argument("--dry-run", action="store_true", dest="dry_run",
-                    help="with --fix: report what the engine fixes "
-                         "(fixes are in-memory either way; this makes "
-                         "the report-only intent explicit)")
     sp.add_argument("--prune-baseline", action="store_true",
                     dest="prune_baseline",
                     help="rewrite --baseline without entries that "
@@ -914,23 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
     psp.add_argument("--sarif", default=None, metavar="PATH",
                      help="write the merged report as SARIF 2.1.0 JSON")
     psp.set_defaults(func=cmd_plan, plan_func=cmd_plan_lint)
-
-    psp = plan_sub.add_parser(
-        "optimize",
-        help="footprint-guided search over saved plan artifacts",
-    )
-    psp.add_argument("paths", nargs="*", help="plan_<id>.npz files")
-    psp.add_argument("--dir", default=None,
-                     help="read every *.npz artifact in a directory")
-    psp.add_argument("--beam-width", type=int, default=4,
-                     dest="beam_width",
-                     help="beam width of the plan search (default: 4)")
-    psp.add_argument("--max-nodes", type=int, default=64,
-                     dest="max_nodes",
-                     help="search-node budget per layer (default: 64)")
-    psp.add_argument("--out", default=None,
-                     help="directory to save optimized artifacts into")
-    psp.set_defaults(func=cmd_plan, plan_func=cmd_plan_optimize)
 
     sp = sub.add_parser(
         "shard",

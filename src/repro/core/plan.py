@@ -63,8 +63,7 @@ logger = logging.getLogger(__name__)
 PLAN_VERSION = 2
 
 #: The staged pipeline, in order.  Every ``PlanBuilder.stage`` entry must
-#: name one of these.  The footprint-guided plan search is not a stage:
-#: it runs offline over saved artifacts (``repro plan optimize``).
+#: name one of these.
 STAGE_NAMES = ("trace", "schedule", "group", "adapt", "lower", "tune")
 
 

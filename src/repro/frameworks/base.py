@@ -114,9 +114,6 @@ def record_plan(
     for key, value in plan.extra.items():
         report.extra.setdefault(key, value)
     perf = report.extra.setdefault("perf", {})
-    opt = plan.extra.get("optimize")
-    if isinstance(opt, dict):
-        perf["optimize"] = dict(opt)
     perf["plan"] = {
         "plan_id": plan.plan_id,
         "compile_seconds": plan.compile_seconds,

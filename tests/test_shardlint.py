@@ -20,8 +20,8 @@ import os
 import pytest
 
 from repro.analysis.findings import ERROR, INFO, WARNING
-from repro.analysis.search import choose_partitioning
 from repro.analysis.shardlint import (
+    choose_partitioning,
     lint_shard,
     resolve_model,
     round_feat_lens,
