@@ -39,6 +39,7 @@ Performance layer (see DESIGN.md "Performance architecture"):
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 from typing import Iterable, Sequence, Tuple
 
@@ -671,7 +672,8 @@ def simulate_kernel(
 
     Results are memoized content-addressed (see :mod:`repro.gpusim.memo`):
     two kernels with identical pricing inputs, row streams and config
-    share one simulation, with the display name restored per caller.
+    share one frozen stat, renamed through ``replace`` when a caller's
+    name differs.
     """
     if not memo_enabled():
         return _simulate_kernel_cold(kernel, config, dispatch_overhead)
@@ -679,9 +681,9 @@ def simulate_kernel(
     cached = KERNEL_MEMO.get(key)
     if cached is not None:
         PERF.count("kernel_memo_hit")
-        stats = cached.copy()
-        stats.name = kernel.name
-        return stats
+        if cached.name == kernel.name:
+            return cached
+        return dataclasses.replace(cached, name=kernel.name)
     PERF.count("kernel_memo_miss")
     stats = _simulate_kernel_cold(kernel, config, dispatch_overhead)
     KERNEL_MEMO.put(key, stats)

@@ -11,7 +11,7 @@ active-block timeline summaries (Table 4, Fig. 8).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -79,9 +79,23 @@ def occupancy_below(
     return out
 
 
-@dataclasses.dataclass
+class _ReadOnlyDict(dict):
+    """A ``dict`` whose mutators raise ``TypeError`` (it still pickles)."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("KernelStats.occupancy is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+@dataclasses.dataclass(frozen=True)
 class KernelStats:
-    """Per-kernel measurements from one simulated launch."""
+    """Per-kernel measurements from one simulated launch.  Frozen, with a
+    read-only ``occupancy``, so every holder shares one and none copies."""
 
     name: str
     tag: str
@@ -94,21 +108,12 @@ class KernelStats:
     row_hits: int
     num_blocks: int
     balanced_time: float     # sum(block durations) / slot count  (Fig. 8)
-    occupancy: Dict[float, float]  # fraction of time below 100/50/10%
+    occupancy: Mapping[float, float]  # fraction of time below 100/50/10%
 
-    def copy(self) -> "KernelStats":
-        """An equal copy with its own ``occupancy`` dict.
-
-        Gives the new instance a copy of ``__dict__``: replayed and
-        memoized stats are copied per request, where
-        ``dataclasses.replace`` (a full ``__init__`` per copy) cost more
-        than the rest of the replay.  The other fields are immutable.
-        """
-        fields = self.__dict__.copy()
-        fields["occupancy"] = self.occupancy.copy()
-        new = object.__new__(type(self))
-        new.__dict__ = fields
-        return new
+    def __post_init__(self) -> None:
+        occ = self.occupancy
+        if type(occ) is not _ReadOnlyDict:
+            object.__setattr__(self, "occupancy", _ReadOnlyDict(occ))
 
     @property
     def time(self) -> float:
@@ -141,14 +146,13 @@ class RunReport:
     @classmethod
     def replay(cls, kernels, label: str = "",
                peak_mem_bytes: int = 0) -> "RunReport":
-        """A report over copies of already-simulated ``kernels``.
+        """A report with its own list of already-simulated ``kernels``.
 
-        Each stat is a :meth:`KernelStats.copy`, so the new report shares
-        no mutable state with a memoized or fanned-out source yet is
-        bit-identical to it.
+        The stats are frozen, so sharing them with a plan, a batch leader
+        or the kernel memo cannot leak a write back to the source.
         """
         return cls(
-            kernels=[stats.copy() for stats in kernels],
+            kernels=list(kernels),
             peak_mem_bytes=peak_mem_bytes,
             label=label,
         )

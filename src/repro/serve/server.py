@@ -109,14 +109,14 @@ def _clone_result(
 ) -> ForwardResult:
     """Fan-out: a member's result from the batch's single execution.
 
-    The simulated kernel statistics are copied with
-    :meth:`RunReport.replay`, as a plan's carried stats are, and
-    the plan side data with :func:`record_plan`, the one ``execute()``
-    uses, so a fanned-out report is bit-identical (kernels, peak memory,
-    totals) to what a sequential per-request ``execute()`` would have
-    produced.  Only the host-side ``perf`` bookkeeping differs: it
-    records that this request rode a batch instead of driving its own
-    simulation.
+    The member's report replays the leader's frozen kernel statistics
+    (:meth:`RunReport.replay`: a new list, the same stats), as a plan's
+    carried stats are, with the plan side data from :func:`record_plan`,
+    the one ``execute()`` uses, so a fanned-out report is bit-identical
+    (kernels, peak memory, totals) to what a sequential per-request
+    ``execute()`` would have produced.  Only the host-side ``perf``
+    bookkeeping differs: it records that this request rode a batch
+    instead of driving its own simulation.
     """
     src = leader.report
     report = RunReport.replay(

@@ -40,6 +40,7 @@ from repro.gpusim.memo import KERNEL_MEMO, clear_caches
 from repro.serve import InferenceRequest, PlanServer
 from repro.graph import power_law_graph, small_dataset
 from repro.models import GCNConfig
+from repro.perf import PERF
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -595,13 +596,28 @@ class TestPlanCarriedStats:
         assert all(v is not plan.simulated for v in report.extra.values())
 
 
-def _scribble(stats):
-    """Mutate every field of a stat: ``occupancy`` in place, then each
-    field rebound."""
-    stats.occupancy.clear()
-    stats.occupancy[1.0] = -1.0
+def _assert_frozen(stats):
+    """Every field of ``stats`` refuses assignment and deletion, and every
+    mutator of its ``occupancy`` raises."""
     for f in dataclasses.fields(stats):
-        setattr(stats, f.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(stats, f.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(stats, f.name)
+    occ = stats.occupancy
+    writes = [
+        lambda: occ.__setitem__(1.0, -1.0),
+        lambda: occ.__delitem__(1.0),
+        lambda: occ.__ior__({1.0: -1.0}),
+        occ.clear,
+        lambda: occ.pop(1.0),
+        occ.popitem,
+        lambda: occ.setdefault(2.0, -1.0),
+        lambda: occ.update({1.0: -1.0}),
+    ]
+    for write in writes:
+        with pytest.raises(TypeError):
+            write()
 
 
 def _memo_snapshot():
@@ -611,11 +627,24 @@ def _memo_snapshot():
     }
 
 
-class TestReplayIsolation:
-    """Replayed, fanned-out and memo-hit stats equal their source field by
-    field, and no mutation of them reaches the source."""
+def _reference_stats(kernels, dispatch_overhead):
+    """The same kernels simulated cold, with every memo tier off."""
+    perf.configure(memo=False)
+    try:
+        report = simulate_kernels(
+            kernels, V100_SCALED, dispatch_overhead=dispatch_overhead
+        )
+    finally:
+        perf.configure(memo=True)
+    return [dataclasses.asdict(s) for s in report.kernels]
 
-    def test_replayed_and_fanned_out_stats_are_copies(self, g):
+
+class TestReplayIsolation:
+    """Replayed, fanned-out, memo-hit and cold stats are frozen: every
+    holder shares the simulator's one object, field by field equal to a
+    cold simulation, and no holder can write through to another."""
+
+    def test_replayed_and_fanned_out_stats_are_frozen(self, g):
         fw = OursRuntime()
         server = PlanServer(frameworks={"ours": fw}, sim=V100_SCALED)
         # The first window simulates the plan and stores its stats; the
@@ -629,22 +658,22 @@ class TestReplayIsolation:
             for t in ("a", "b")
         ])
         assert leader.batch_leader and not follower.batch_leader
+        # Each report owns its list; the stats in it are shared.
+        assert follower.result.report.kernels is not \
+            leader.result.report.kernels
         for resp in (leader, follower):
             kernels = resp.result.report.kernels
             assert [dataclasses.asdict(s) for s in kernels] == carried
             for stats, source in zip(kernels, plan.simulated):
-                assert stats is not source
-                assert stats.occupancy is not source.occupancy
-        for resp in (leader, follower):
-            for stats in resp.result.report.kernels:
-                _scribble(stats)
+                assert stats is source
+                _assert_frozen(stats)
         assert [dataclasses.asdict(s) for s in plan.simulated] == carried
         again = fw.execute(plan).report
         assert again.extra["perf"]["plan_memo_hit"] is True
         assert [dataclasses.asdict(s) for s in again.kernels] == carried
         assert _memo_snapshot() == memo
 
-    def test_kernel_memo_hit_is_a_copy(self, g):
+    def test_kernel_memo_hit_is_frozen(self, g):
         plan = OursRuntime().compile("gcn", g, V100_SCALED)
         for kernel in plan.kernels:
             simulate_kernel(kernel, V100_SCALED, plan.dispatch_overhead)
@@ -657,8 +686,42 @@ class TestReplayIsolation:
             ).kernels[0]
             assert dataclasses.asdict(hit) == dataclasses.asdict(want)
             assert hit.name == kernel.name
-            _scribble(hit)
+            _assert_frozen(hit)
         assert _memo_snapshot() == memo
+
+    def test_cold_report_cannot_poison_replays(self, g):
+        fw = OursRuntime()
+        plan = fw.compile("gcn", g, V100_SCALED)
+        cold = fw.execute(plan).report
+        assert cold.extra["perf"]["plan_memo_hit"] is False
+        # The cold report holds the very stats the plan carries.
+        assert cold.kernels[0] is plan.simulated[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cold.kernels[0].makespan = -1.0
+        with pytest.raises(TypeError):
+            cold.kernels[0].occupancy[1.0] = -7.0
+        again = fw.execute(plan).report
+        assert again.extra["perf"]["plan_memo_hit"] is True
+        assert [dataclasses.asdict(s) for s in again.kernels] == \
+            _reference_stats(plan.kernels, plan.dispatch_overhead)
+
+    def test_cold_kernel_memo_entry_cannot_be_poisoned(self, g):
+        plan = OursRuntime().compile("gcn", g, V100_SCALED)
+        clear_caches()
+        kernel = plan.kernels[0]
+        # A cold call returns the object it stored in the memo.
+        cold = simulate_kernel(kernel, V100_SCALED, plan.dispatch_overhead)
+        [entry] = [e[0] for e in KERNEL_MEMO._data.values()]
+        assert cold is entry
+        with pytest.raises(TypeError):
+            cold.occupancy[1.0] = -7.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cold.makespan = -1.0
+        hits = PERF.counts.get("kernel_memo_hit", 0)
+        hit = simulate_kernel(kernel, V100_SCALED, plan.dispatch_overhead)
+        assert PERF.counts.get("kernel_memo_hit", 0) == hits + 1
+        assert [dataclasses.asdict(hit)] == \
+            _reference_stats([kernel], plan.dispatch_overhead)
 
 
 _DISK_WORKER = """

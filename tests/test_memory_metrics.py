@@ -1,5 +1,9 @@
 """Tests for device-memory accounting and the metrics containers."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -123,10 +127,23 @@ class TestKernelStats:
         assert s.gflops == pytest.approx(1e6 / s.time / 1e9)
 
     def test_zero_rows(self):
-        s = _stats()
-        s.row_accesses = 0
-        s.row_hits = 0
+        s = dataclasses.replace(_stats(), row_accesses=0, row_hits=0)
         assert s.l2_hit_rate == 0.0
+
+    def test_frozen_with_read_only_occupancy(self):
+        occ = {1.0: 0.3, 0.5: 0.1, 0.1: 0.0}
+        s = dataclasses.replace(_stats(), occupancy=occ)
+        occ[1.0] = -1.0  # the caller's dict is copied, not aliased
+        assert s.occupancy == {1.0: 0.3, 0.5: 0.1, 0.1: 0.0}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.makespan = 0.0
+        with pytest.raises(TypeError):
+            s.occupancy[1.0] = 0.0
+        assert dataclasses.asdict(s)["occupancy"] == s.occupancy
+        for twin in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s
+            with pytest.raises(TypeError):
+                twin.occupancy.clear()
 
 
 class TestRunReport:
@@ -145,9 +162,7 @@ class TestRunReport:
         rep = RunReport()
         s = _stats("aggregate")
         rep.add(s)
-        other = _stats("gemm")
-        other.row_hits = 0
-        rep.add(other)
+        rep.add(dataclasses.replace(_stats("gemm"), row_hits=0))
         assert rep.l2_hit_rate("aggregate") == pytest.approx(0.6)
         assert rep.l2_hit_rate() == pytest.approx(0.3)
 

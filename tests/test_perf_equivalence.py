@@ -215,9 +215,11 @@ def test_memo_restores_caller_name_and_isolates_occupancy():
     b = simulate_kernel(renamed, V100_SCALED)
     assert b.name == "other" and a.name == k.name
     assert b.makespan == a.makespan
-    b.occupancy[0.5] = -1.0  # mutating a hit must not poison the cache
+    want = dataclasses.asdict(a)
+    with pytest.raises(TypeError):  # a hit cannot poison the cache
+        b.occupancy[0.5] = -1.0
     c = simulate_kernel(k, V100_SCALED)
-    assert c.occupancy == a.occupancy
+    assert dataclasses.asdict(c) == want
 
 
 def test_memo_distinguishes_config_and_overhead():
