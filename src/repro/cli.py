@@ -530,11 +530,11 @@ def cmd_shard_lint(args) -> int:
         report, suppressed = report.apply_baseline(entries)
     if args.sarif:
         _write_sarif(args.sarif, report)
+    if note:  # to stderr under --json: stdout holds the JSON alone
+        print(f"note: {note}", file=sys.stderr if args.json else sys.stdout)
     if args.json:
         print(report.to_json())
     else:
-        if note:
-            print(f"note: {note}")
         print(report.format(verbose=args.verbose))
         if suppressed:
             print(f"({suppressed} baselined finding(s) suppressed)")
@@ -604,6 +604,7 @@ def cmd_serve_replay(args) -> int:
         synthetic_trace,
     )
 
+    out = sys.stderr if args.json else sys.stdout  # JSON alone on stdout
     frameworks = all_frameworks()
     tenant_fws = args.frameworks or ["dgl", "ours", "pyg"]
     for f in tenant_fws:
@@ -623,7 +624,7 @@ def cmd_serve_replay(args) -> int:
         pool_per_dataset=args.pool,
         seed=args.seed,
     )
-    print(f"trace: {spec.describe()}")
+    print(f"trace: {spec.describe()}", file=out)
     policy = AdmissionPolicy(
         max_nodes=args.max_nodes, max_edges=args.max_edges
     )
@@ -646,14 +647,15 @@ def cmd_serve_replay(args) -> int:
         "per-tenant serving latency (host ms)",
         ["tenant", "requests", "p50", "p95", "p99", "max"],
         rows,
-    ))
+    ), file=out)
     print(
         f"served {stats['served']}/{stats['submitted']} request(s) in "
         f"{stats['batches']} batch(es) (max batch {stats['max_batch']}, "
         f"{100 * stats['batch_dedup_rate']:.1f}% fanned out, "
         f"plan-cache hit rate "
         f"{100 * stats['plan_cache_hit_rate']:.1f}%), "
-        f"{stats['rejected']} rejected, {stats['failed']} failed"
+        f"{stats['rejected']} rejected, {stats['failed']} failed",
+        file=out,
     )
     for status in ("rejected", "failed"):
         reasons = collections.Counter(
@@ -662,7 +664,7 @@ def cmd_serve_replay(args) -> int:
         if reasons:
             print(f"{status}: " + ", ".join(
                 f"{n} {reason}" for reason, n in sorted(reasons.items())
-            ))
+            ), file=out)
     if args.json:
         print(json.dumps(
             {"stats": stats, "spec": spec.describe()}, indent=2,
@@ -678,12 +680,14 @@ def cmd_serve_replay(args) -> int:
             merged.merge(report)
             for f in report.findings:
                 if f.severity != INFO:
-                    print(f"{fw_name}:{plan.label}: {f.format()}")
+                    print(f"{fw_name}:{plan.label}: {f.format()}",
+                          file=out)
         infos = sum(1 for f in merged.findings if f.severity == INFO)
         print(
             f"served-plan lint: {len(server.served_plans)} plan(s), "
             f"{len(merged.findings)} finding(s) "
-            f"({infos} info, {len(merged.findings) - infos} gating)"
+            f"({infos} info, {len(merged.findings) - infos} gating)",
+            file=out,
         )
         if args.sarif:
             _write_sarif(args.sarif, merged)

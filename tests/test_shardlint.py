@@ -348,6 +348,29 @@ class TestShardLintCLI:
         assert "SH001" in rules
         assert all(r["level"] == "error" for r in run["results"])
 
+    def test_json_stdout_is_one_document_with_oom_note(
+        self, capsys, monkeypatch
+    ):
+        """A per-partition ``SimulatedOOM`` under ``--json``: the
+        degradation note goes to stderr, stdout parses as JSON."""
+        import repro.cli as cli
+        from repro.frameworks.dgl_like import DGLLike
+        from repro.gpusim import SimulatedOOM
+
+        class _OOMOnCompile(DGLLike):
+            def compile(self, model_name, graph, sim, **kwargs):
+                raise SimulatedOOM(1 << 40, 0, sim.device_mem_bytes, "stub")
+
+        monkeypatch.setattr(
+            cli, "all_frameworks", lambda: {"dgl": _OOMOnCompile()}
+        )
+        cli.main(["shard", "lint", "--dataset", "arxiv", "--parts", "2",
+                  "--json"])
+        captured = capsys.readouterr()
+        json.loads(captured.out)
+        assert "note: per-partition compile raised SimulatedOOM" in \
+            captured.err
+
     def test_choose_recommends(self, capsys):
         from repro.cli import main
 
