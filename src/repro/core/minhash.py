@@ -14,9 +14,10 @@ Datasets), we:
 The native lane (:mod:`repro.gpusim._native`) evaluates each hash once
 per node and min-reduces every center row in place over its neighbors,
 then groups all bands' keys in one pass; it never builds a per-edge
-intermediate.  The numpy lane (no C compiler, or ``REPRO_NATIVE=0``)
-gathers hashes per edge and reduces them with ``np.minimum.reduceat``,
-and stable-sorts each band's keys.  Both give the same bits.
+intermediate.  Without it (no C compiler, or ``REPRO_NATIVE=0``) the
+references run: one universal hash per loop step, evaluated per edge
+and min-reduced with ``np.minimum.reduceat``, and one stable sort of
+each band's keys (:func:`_banded_pairs`).  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -75,65 +76,12 @@ def minhash_signatures(
     if graph.num_edges:
         neigh = graph.indices.astype(np.int64)
         starts = graph.indptr[:-1][nonempty]
-        if not fastpath_enabled():
-            for h in range(num_hashes):
-                # Universal hash evaluated on every edge endpoint, then
-                # min-reduced per center row (reference: loop over hashes).
-                vals = (a[h] * neigh + b[h]) % _MERSENNE_P
-                rows[nonempty, h] = np.minimum.reduceat(vals, starts)
-        else:
-            rows[nonempty] = _batched_minima(neigh, starts, n, a, b).T
+        for h in range(num_hashes):
+            # Universal hash evaluated on every edge endpoint, then
+            # min-reduced per center row (reference: loop over hashes).
+            vals = (a[h] * neigh + b[h]) % _MERSENNE_P
+            rows[nonempty, h] = np.minimum.reduceat(vals, starts)
     return MinHashSignature(rows=rows, empty=empty)
-
-
-#: Reusable 2D scratch for :func:`_batched_minima` — gathers are sized by
-#: the edge count, and re-faulting a fresh large buffer per call costs
-#: more than the arithmetic it holds.
-_GATHER_SCRATCH: list = [None]
-
-#: Upper bound on scratch elements (rows x edges) per reduceat batch.
-_BATCH_ELEMS = 1 << 23
-
-
-def _batched_minima(
-    neigh: np.ndarray,
-    starts: np.ndarray,
-    num_nodes: int,
-    a: np.ndarray,
-    b: np.ndarray,
-) -> np.ndarray:
-    """Per-row minima of every universal hash, batched.
-
-    The hash value depends only on the node id, so each function is
-    evaluated once per *node* (an ``[num_hashes, N]`` table, O(N·H)
-    multiplies instead of the reference's O(E·H)), then gathered per edge
-    endpoint and min-reduced for all batched rows in a single
-    ``np.minimum.reduceat(..., axis=1)`` pass.  Values are the same
-    int64 wraparound arithmetic as the reference, so signatures match
-    bit for bit.
-    """
-    num_hashes = a.shape[0]
-    edges = neigh.shape[0]
-    ids = np.arange(num_nodes, dtype=np.int64)
-    table = np.empty((num_hashes, num_nodes), dtype=np.int64)
-    for h in range(num_hashes):
-        row = table[h]
-        np.multiply(ids, a[h], out=row)
-        row += b[h]
-        row %= _MERSENNE_P
-    rows = max(1, min(num_hashes, _BATCH_ELEMS // max(edges, 1)))
-    buf = _GATHER_SCRATCH[0]
-    if buf is None or buf.shape[0] < rows or buf.shape[1] != edges:
-        buf = np.empty((rows, edges), dtype=np.int64)
-        _GATHER_SCRATCH[0] = buf
-    out = np.empty((num_hashes, starts.shape[0]), dtype=np.int64)
-    for h0 in range(0, num_hashes, rows):
-        h1 = min(h0 + rows, num_hashes)
-        r = h1 - h0
-        for j in range(r):
-            np.take(table[h0 + j], neigh, out=buf[j])
-        out[h0:h1] = np.minimum.reduceat(buf[:r], starts, axis=1)
-    return out
 
 
 def signature_similarity(
@@ -212,9 +160,10 @@ def lsh_candidate_pairs(
 def _banded_pairs(
     sig: MinHashSignature, mix: np.ndarray, pair_window: int
 ) -> np.ndarray:
-    """Packed ``lo * N + hi`` pairs of every band, with repeats (numpy
-    lane): each band's keys are stable-sorted, and positions up to
-    ``pair_window`` apart with equal keys are paired."""
+    """Packed ``lo * N + hi`` pairs of every band, with repeats (the
+    reference, and the lane without a C compiler): each band's keys are
+    stable-sorted, and positions up to ``pair_window`` apart with equal
+    keys are paired."""
     n = sig.num_nodes
     rows = mix.shape[1]
     chunks = []

@@ -31,7 +31,8 @@ and, on a mismatch, warns once and declines for the rest of the process.
 the guide table only picks where each exact forward scan starts.
 
 Everything degrades gracefully: no compiler, a failed build, or
-``REPRO_NATIVE=0`` simply leaves the pure-Python fallback in charge.
+``REPRO_NATIVE=0`` leaves each call site on its reference
+implementation, the one ``configure(fastpath=False)`` selects.
 """
 
 from __future__ import annotations
@@ -748,7 +749,7 @@ def _load() -> "ctypes.CDLL | None":
     except Exception as exc:
         logger.warning(
             "native accelerator unavailable: build with compiler %r "
-            "failed (%s: %s); using the pure-Python fallback",
+            "failed (%s: %s); using the reference implementations",
             os.environ.get("CC", "cc"), type(exc).__name__, exc,
         )
         _LIB = None
@@ -856,7 +857,7 @@ def minhash_rows(
 
     ``indptr`` must be contiguous int64, ``indices`` contiguous int32,
     ``a``/``b`` contiguous int64 of length H.  Rows with no neighbors
-    hold ``INT64_MAX``.  Returns None (the numpy lane takes over, and
+    hold ``INT64_MAX``.  Returns None (the reference takes over, and
     raises where it would) on a neighbor id outside ``[0, N)``.
     """
     lib = _load()
@@ -884,7 +885,8 @@ def lsh_pairs(
     ``sig_rows`` is the contiguous int64 ``[N, H]`` signature, ``empty``
     contiguous bool/uint8 per node and ``mix`` the contiguous int64
     ``[bands, rows_per_band]`` band multipliers.  The pair set equals
-    the numpy lane's stable-argsort-and-compare over ``d <= pair_window``.
+    the reference's stable-argsort-and-compare over ``d <= pair_window``
+    (``core.minhash._banded_pairs``).
     Returns None on an allocation failure.
     """
     lib = _load()
@@ -943,12 +945,13 @@ def stream_plan(
 
     One C tick sweep: the block lengths are greedy-scheduled on
     ``slots`` slots and positions are emitted in (tick, offset, block)
-    order, so ``perm`` equals the stable argsort of the packed
-    interleave key and ``prev`` equals ``prev_occurrence`` of
-    ``row_ids[perm]``, exactly.  Returns None (the numpy lane takes
-    over, and raises where it would) for ``slots < 1``, a ``row_ptr``
-    that does not rise from 0 to at most ``len(row_ids)``, row ids outside
-    ``[0, 50_000_000]`` or not integers, or an allocation failure.
+    order, so ``perm`` equals the reference ``interleaved_order`` (a
+    ``lexsort`` by tick, offset, block) and ``prev`` equals
+    ``prev_occurrence`` of ``row_ids[perm]``, exactly.  Returns None
+    (the reference takes over, and raises where it would) for
+    ``slots < 1``, a ``row_ptr`` that does not rise from 0 to at most
+    ``len(row_ids)``, row ids outside ``[0, 50_000_000]`` or not
+    integers, or an allocation failure.
     """
     lib = _load()
     nb = row_ptr.shape[0] - 1

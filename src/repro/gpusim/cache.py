@@ -33,14 +33,9 @@ variants directly.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
-
-try:  # pragma: no cover - scipy is a declared dependency
-    from scipy.sparse import _sparsetools as _sptools
-except ImportError:  # pragma: no cover
-    _sptools = None
 
 from ..perf import fastpath_enabled
 from . import _native
@@ -59,61 +54,13 @@ __all__ = [
 ]
 
 
-def _group_by_value(
-    stream: np.ndarray,
-) -> "Tuple[np.ndarray, np.ndarray] | None":
-    """Stream positions grouped by row id, index-ascending within a group.
-
-    The grouped order is equivalent to ``np.argsort(stream,
-    kind="stable")`` but O(n): row ids are small non-negative ints, so a
-    counting sort (scipy's C coo->csr row-grouping pass, which is stable
-    and does not merge duplicates) replaces the comparison sort.  Returns
-    ``(order, indptr)`` where ``indptr[v]:indptr[v+1]`` delimits value
-    ``v``'s group, or ``None`` when the preconditions don't hold and the
-    caller must argsort.
-    """
-    if _sptools is None or stream.dtype.kind not in "iu":
-        return None
-    n = stream.shape[0]
-    if n >= np.iinfo(np.int32).max:
-        return None
-    lo = int(stream.min())
-    hi = int(stream.max())
-    if lo < 0 or hi > 50_000_000:  # indptr stays small vs the stream
-        return None
-    nvals = hi + 1
-    rows = stream.astype(np.int32, copy=False)
-    cols = np.zeros(n, dtype=np.int32)
-    indptr = np.zeros(nvals + 1, dtype=np.int32)
-    indices = np.empty(n, dtype=np.int32)
-    order = np.empty(n, dtype=np.int64)
-    _sptools.coo_tocsr(
-        nvals, 1, n, rows, cols, np.arange(n, dtype=np.int64),
-        indptr, indices, order,
-    )
-    return order, indptr
-
-
-#: Monotonically growing ``0..n`` ramp shared by the hot masks below —
-#: re-materializing ``np.arange`` per call is measurable at stream scale.
-_RAMP: list = [np.empty(0, dtype=np.int64)]
-
-
-def index_ramp(n: int) -> np.ndarray:
-    """Read-only ``arange(n, dtype=int64)`` backed by a reusable buffer."""
-    buf = _RAMP[0]
-    if buf.shape[0] < n:
-        buf = np.arange(max(n, 2 * buf.shape[0]), dtype=np.int64)
-        _RAMP[0] = buf
-    return buf[:n]
-
-
 def previous_occurrence(stream: np.ndarray) -> np.ndarray:
     """For each position, the index of the previous access to the same row.
 
     Returns ``int64[n]`` with ``-1`` where the access is a first touch.
-    Vectorized: grouping accesses per row in stream order (stable argsort,
-    or an O(n) counting sort when the fast path is on).
+    Natively one last-seen-position pass; otherwise (no C compiler,
+    ``REPRO_NATIVE=0``, or ``configure(fastpath=False)``) accesses are
+    grouped per row in stream order by a stable argsort.
     """
     stream = np.asarray(stream)
     n = stream.shape[0]
@@ -130,27 +77,11 @@ def previous_occurrence(stream: np.ndarray) -> np.ndarray:
             # exact indices, so the output is identical by definition.
             s64 = np.ascontiguousarray(stream, dtype=np.int64)
             return _native.prev_occurrence(s64, hi + 1)
-    grouped = _group_by_value(stream) if fastpath_enabled() else None
-    if grouped is None:
-        order = np.argsort(stream, kind="stable")
-        sorted_rows = stream[order]
-        prev = np.full(n, -1, dtype=np.int64)
-        same = sorted_rows[1:] == sorted_rows[:-1]
-        prev[order[1:]] = np.where(same, order[:-1], -1)
-        return prev
-    order, indptr = grouped
-    # Positions ascend within a value group (the counting sort is
-    # stable), so each grouped element's predecessor in ``order`` is its
-    # previous occurrence — except at group starts, which are first
-    # touches.  ``indptr`` gives the group starts directly, replacing the
-    # gather-and-compare of adjacent sorted values.
-    shifted = np.empty(n, dtype=np.int64)
-    shifted[0] = -1
-    shifted[1:] = order[:-1]
-    group_starts = indptr[:-1]
-    shifted[group_starts[group_starts < n]] = -1
-    prev = np.empty(n, dtype=np.int64)
-    prev[order] = shifted
+    order = np.argsort(stream, kind="stable")
+    sorted_rows = stream[order]
+    prev = np.full(n, -1, dtype=np.int64)
+    same = sorted_rows[1:] == sorted_rows[:-1]
+    prev[order[1:]] = np.where(same, order[:-1], -1)
     return prev
 
 
@@ -279,13 +210,6 @@ def window_hits_from_prev(
     w = max(window, 1)
     if _native_window_lane(prev):
         return _native.window_mask(prev, int(w))
-    if fastpath_enabled():
-        # prev >= 0 and (i - prev) <= w  <=>  prev >= max(i - w, 0):
-        # one comparison against a fused threshold ramp instead of four
-        # stream-length temporaries.
-        thresh = index_ramp(n) - np.int64(w)
-        np.maximum(thresh, 0, out=thresh)
-        return prev >= thresh
     gap = np.arange(n, dtype=np.int64) - prev
     return (prev >= 0) & (gap <= w)
 

@@ -19,12 +19,12 @@ adjacent computing units").
 
 Performance layer (see DESIGN.md "Performance architecture"):
 
-* the list scheduler is one compiled heap loop (:mod:`._native`) or,
-  without a C compiler, runs wave-by-wave in numpy, falling back to the
-  reference binary heap only for the irregular tail of a wave;
+* the list scheduler is one compiled heap loop (:mod:`._native`);
 * a cold stream analysis (issue permutation + previous-occurrence
-  array) is one compiled tick sweep, or a radix argsort plus a
-  counting-sort pass in numpy;
+  array) is one compiled tick sweep;
+* without a C compiler (or under ``REPRO_NATIVE=0``) both fall back to
+  their references: the ``heapq`` scheduler, and a ``lexsort`` issue
+  order followed by a stable-argsort previous-occurrence pass;
 * stream analyses (issue permutation + previous-occurrence array) and
   whole :class:`KernelStats` are memoized content-addressed in
   :mod:`repro.gpusim.memo`, so ablation variants stop re-simulating
@@ -49,7 +49,6 @@ from ..perf import PERF, fastpath_enabled, memo_enabled
 from .cache import (
     effective_window,
     hit_mask,
-    index_ramp,
     previous_occurrence,
     reuse_distances_from_prev,
     window_hit_rate_from_prev,
@@ -100,26 +99,6 @@ def interleaved_order(
     # describes — while grouped/clustered layouts keep co-issued blocks
     # co-resident.
     starts, _ = _list_schedule(lengths.astype(np.float64), num_slots)
-    if fastpath_enabled() and total < (1 << 30):
-        # One radix argsort instead of a three-key lexsort.  ``tick`` is
-        # integer-valued (sums of integer lengths) and < 2*total, so
-        # ``(tick << 31) | offset`` fits int64 and orders by
-        # (tick, offset); a *stable* sort breaks remaining ties by array
-        # index, which within a fixed offset increases with block id —
-        # exactly lexsort's (tick, offset, block) order.  The native
-        # lane needs no sort at all: ``_native.stream_plan`` emits this
-        # order directly in one tick sweep (see ``_cold_stream_plan``).
-        block_of = np.repeat(
-            np.arange(lengths.shape[0], dtype=np.int64), lengths
-        )
-        offset = row_ptr[:-1].astype(np.int64, copy=False)[block_of]
-        np.subtract(index_ramp(total), offset, out=offset)
-        tick = starts[block_of]
-        tick += offset
-        key = tick.astype(np.int64)
-        key <<= 31
-        key += offset
-        return np.argsort(key, kind="stable")
     block_of = np.repeat(
         np.arange(lengths.shape[0], dtype=np.int64), lengths
     )
@@ -364,203 +343,6 @@ def _list_schedule_reference(
     return starts, ends
 
 
-def _const_run_schedule(
-    free: np.ndarray,
-    dstar: float,
-    count: int,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    base: int,
-) -> Tuple[np.ndarray, int]:
-    """Greedy-schedule ``count`` blocks of equal duration, vectorized.
-
-    With one duration ``dstar``, each slot's successive free times form a
-    chain ``F[j], F[j]+d, (F[j]+d)+d, ...`` and the heap's pops are
-    exactly the ``count`` smallest chain values, taken ascending: the pop
-    sequence is nondecreasing, every push lands at ``pop + d`` >= the
-    pop, and deeper chain values only grow — so the heap's frontier min
-    is always the global min of the remaining chain multiset.  Chains
-    are materialized with ``np.add.accumulate`` down the level axis,
-    which performs the same left-associated float additions the heap
-    would, so every start/end is bit-identical, not just equal.
-
-    Fills ``starts``/``ends`` from ``base`` and returns the new sorted
-    free multiset plus the number of blocks left unscheduled (non-zero
-    only on the defensive no-progress bail).
-    """
-    k = free.shape[0]
-    if dstar == 0.0:
-        # Zero-length blocks: pop the min, push it straight back.
-        v = free[0]
-        starts[base : base + count] = v
-        ends[base : base + count] = v
-        return free, 0
-    F = free
-    pos = 0
-    rem = count
-    while rem > 0:
-        chunk = min(rem, 32768)
-        # Horizon heuristic: chains whose current head lies within the
-        # batch's value reach participate; the rest stay frozen behind
-        # the cap.  Only batch *sizing* depends on this — correctness
-        # comes from the cap below.
-        level0 = max(1, chunk // k)
-        m = int(np.searchsorted(F, F[0] + (level0 + 1) * dstar, "right"))
-        m = max(1, min(m, k))
-        levels = max(1, chunk // m)
-        M = np.empty((levels + 1, m))
-        M[0] = F[:m]
-        M[1:] = dstar
-        np.add.accumulate(M, axis=0, out=M)
-        # No value >= cap may be popped yet: frozen chains (>= F[m]) and
-        # unbuilt levels (>= M[levels, 0], the smallest level-``levels``
-        # value since float addition is monotone) could still undercut.
-        cap = M[levels, 0] if m >= k else min(F[m], M[levels, 0])
-        flat = M[:levels].reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        vals = flat[order]
-        p = min(int(np.searchsorted(vals, cap, "left")), rem)
-        if p <= 0:  # cannot happen (F[0] < cap); guard the loop anyway
-            break
-        sl = slice(base + pos, base + pos + p)
-        starts[sl] = vals[:p]
-        np.add(vals[:p], dstar, out=ends[sl])
-        # Popped cells form a prefix of each chain: advance each head to
-        # its first unpopped level and re-sort the frontier.
-        cnt = np.bincount(order[:p] % m, minlength=m)
-        heads = M[cnt, np.arange(m)]
-        if m < k:
-            F = np.concatenate([heads, F[m:]])
-            F.sort()
-        else:
-            F = np.sort(heads)
-        pos += p
-        rem -= p
-    return F, rem
-
-
-def _heap_run(
-    durations: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    lo: int,
-    hi: int,
-    free: np.ndarray,
-) -> np.ndarray:
-    """Greedy-schedule ``durations[lo:hi]`` through the heap.
-
-    ``free`` is the live multiset of slot free times (any order, not
-    mutated); the new multiset is returned sorted ascending.
-    """
-    heap = free.tolist()
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    out_s = []
-    out_e = []
-    for d in durations[lo:hi].tolist():
-        s = pop(heap)
-        out_s.append(s)
-        e = s + d
-        out_e.append(e)
-        push(heap, e)
-    starts[lo:hi] = out_s
-    ends[lo:hi] = out_e
-    return np.sort(np.asarray(heap))
-
-
-def _wave_schedule(
-    durations: np.ndarray, slots: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Wave-decomposed greedy schedule, bit-identical to the heap.
-
-    Maintain the sorted multiset of slot free times.  A wave of up to
-    ``slots`` blocks can be assigned in one shot — block ``j`` to the
-    ``j``-th earliest free slot — exactly when no block's freshly
-    created end time undercuts a later block's claimed slot:
-    ``free[j] <= min(ends of blocks < j in the wave)``.  The longest
-    valid prefix of every wave is assigned vectorized; only the
-    (rare) irregular remainder of a wave goes through the heap.  Every
-    start/end is produced by the same float additions as the reference,
-    so results are bit-identical, not just equal makespans.
-    """
-    b = durations.shape[0]
-    starts = np.empty(b)
-    ends = np.empty(b)
-    free = np.zeros(slots)  # sorted ascending
-    # Run map: GNN duration streams are dominated by long stretches of
-    # one repeated value (degree-bound blocks sharing flop/byte/hit
-    # counts), which the constant-duration lane schedules in bulk.
-    run_min = 4 * slots
-    bounds = np.flatnonzero(durations[1:] != durations[:-1]) + 1
-    run_starts = np.concatenate(([0], bounds))
-    run_ends = np.concatenate((bounds, [b]))
-    big = run_ends - run_starts >= run_min
-    big_starts = run_starts[big]
-    big_ends = run_ends[big]
-    nbig = big_starts.shape[0]
-    bi = 0  # index of the first big run not fully behind ``i``
-    i = 0
-    # Windowed accept-rate statistics: duration streams routinely switch
-    # regime (an irregular size-class mix up front, a near-uniform tail
-    # behind it), so the decision to fall back to the heap must not be
-    # sticky — a bounded heap burst clears the irregular region, then
-    # the vectorized wave path gets a fresh chance.
-    win_base = 0
-    accepted = 0
-    while i < b:
-        while bi < nbig and big_ends[bi] <= i:
-            bi += 1
-        if (
-            bi < nbig
-            and big_starts[bi] <= i
-            and big_ends[bi] - i >= run_min
-        ):
-            stop = int(big_ends[bi])
-            free, left = _const_run_schedule(
-                free, float(durations[i]), stop - i, starts, ends, i
-            )
-            i = stop - left
-            win_base = i
-            accepted = 0
-            continue
-        if i - win_base >= 8 * slots and accepted < (i - win_base) // 2:
-            # Irregular duration mix: the vectorized prefix keeps
-            # collapsing, so per-wave numpy overhead exceeds the heap's.
-            # Burn through a bounded window with the heap.
-            stop = min(b, i + 16 * slots)
-            if bi < nbig and big_starts[bi] > i:
-                # Leave upcoming constant runs to the vectorized lane.
-                stop = min(stop, int(big_starts[bi]))
-            free = _heap_run(durations, starts, ends, i, stop, free)
-            i = stop
-            if i == b:
-                return starts, ends
-            win_base = i
-            accepted = 0
-            continue
-        c = min(slots, b - i)
-        d = durations[i : i + c]
-        fc = free[:c]
-        new_ends = fc + d
-        cap = np.minimum.accumulate(new_ends)
-        ok = fc[1:] <= cap[:-1]
-        m = c if ok.all() else int(np.argmin(ok)) + 1
-        starts[i : i + m] = fc[:m]
-        ends[i : i + m] = new_ends[:m]
-        accepted += m
-        if m < c:
-            # Irregular tail of this wave (e.g. a hub slot still busy):
-            # finish it with the heap over the live multiset.
-            live = np.concatenate([free[m:], new_ends[:m]])
-            free = _heap_run(durations, starts, ends, i + m, i + c, live)
-        elif c == slots:
-            free = np.sort(new_ends)
-        else:  # final partial wave: free times no longer needed
-            free = np.sort(np.concatenate([free[c:], new_ends]))
-        i += c
-    return starts, ends
-
-
 def _list_schedule(
     durations: np.ndarray, slots: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -577,21 +359,19 @@ def _list_schedule(
         waves = np.arange(b, dtype=np.int64) // slots
         starts = waves * dmax
         return starts.astype(np.float64), starts + durations
-    if not fastpath_enabled():
+    if not (fastpath_enabled() and _native.available()):
         return _list_schedule_reference(durations, slots)
-    if _native.available():
-        # One compiled heap loop over every block: a binary min-heap
-        # pops the same multiset minima whatever its internal layout,
-        # and the C loop runs the identical ``end = start + duration``
-        # additions, so it is bit-identical to the reference.
-        starts = np.empty(b)
-        ends = np.empty(b)
-        _native.greedy_schedule(
-            np.ascontiguousarray(durations, dtype=np.float64),
-            np.zeros(slots), starts, ends,
-        )
-        return starts, ends
-    return _wave_schedule(durations, slots)
+    # One compiled heap loop over every block: a binary min-heap pops the
+    # same multiset minima whatever its internal layout, and the C loop
+    # runs the identical ``end = start + duration`` additions, so it is
+    # bit-identical to the reference.
+    starts = np.empty(b)
+    ends = np.empty(b)
+    _native.greedy_schedule(
+        np.ascontiguousarray(durations, dtype=np.float64),
+        np.zeros(slots), starts, ends,
+    )
+    return starts, ends
 
 
 # ----------------------------------------------------------------------

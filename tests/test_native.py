@@ -51,7 +51,7 @@ def _ragged(rng, n_blocks=400, lo=1, hi=40):
 
 
 @contextlib.contextmanager
-def _numpy_lane():
+def _no_native():
     """The native lane switched off for the duration of the block."""
     saved = _native._LIB, _native._TRIED
     _native._LIB, _native._TRIED = None, True
@@ -76,6 +76,22 @@ def csr_graphs(draw):
     return coo_to_csr(
         np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), n
     )
+
+
+def _duration_mixes(rng):
+    b = int(rng.integers(1, 1500))
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        return rng.uniform(0.1, 1.0, b)
+    if kind == 1:  # heavy tail (hub blocks)
+        return rng.pareto(1.1, b) + 0.01
+    if kind == 2:  # near-uniform with float jitter
+        return 1.0 + rng.normal(0, 1e-6, b)
+    if kind == 3:  # heavy duplication / ties
+        return rng.choice([0.5, 1.0, 2.0], b)
+    d = rng.uniform(0.01, 0.02, b)  # one giant hub among tiny blocks
+    d[rng.integers(0, b)] = 50.0
+    return d
 
 
 def _khop_sample():
@@ -107,16 +123,6 @@ class TestNativeBitIdentity:
         )
         assert np.array_equal(ref, fast)
         assert np.array_equal(ref, direct)
-
-    def test_interleave_order(self):
-        rng = np.random.default_rng(1)
-        for slots in (1, 7, 80):
-            row_ptr = _ragged(rng)
-            configure(fastpath=False)
-            ref = ex.interleaved_order(row_ptr, slots)
-            configure(fastpath=True)
-            fast = ex.interleaved_order(row_ptr, slots)
-            assert np.array_equal(ref, fast)
 
     @staticmethod
     def _stream_layouts(rng):
@@ -177,14 +183,15 @@ class TestNativeBitIdentity:
         assert _native.stream_plan(row_ptr, ids[:-1], 7) is None
         assert _native.stream_plan(row_ptr, ids, 0) is None
         configure(memo=False)
-        plan = ex._stream_plan(row_ptr, big, 7)  # numpy lane answers
+        plan = ex._stream_plan(row_ptr, big, 7)  # the reference answers
         assert np.array_equal(plan.perm, ex.interleaved_order(row_ptr, 7))
 
     def test_list_schedule_matches_reference(self):
         """One native heap call over every block equals the heapq
-        reference on the shapes the numpy wave lane special-cases: long
-        constant runs, irregular stretches and a hub block."""
+        reference: long constant runs, irregular stretches and a hub
+        block in one stream, then 80 random duration mixes."""
         rng = np.random.default_rng(9)
+        cases = []
         for slots in (1, 7, 160):
             parts = [
                 np.full(6 * slots, 2.5),
@@ -195,10 +202,15 @@ class TestNativeBitIdentity:
                 np.zeros(2 * slots),
                 np.full(5 * slots, 0.1),
             ]
-            durations = np.concatenate(parts)
+            cases.append((np.concatenate(parts), slots))
+        fuzz = np.random.default_rng(11)
+        for _ in range(80):
+            durations = _duration_mixes(fuzz)
+            cases.append((durations, int(fuzz.integers(1, 170))))
+        for durations, slots in cases:
             s_ref, e_ref = ex._list_schedule_reference(durations, slots)
             s, e = ex._list_schedule(durations, slots)
-            assert np.array_equal(s, s_ref), slots
+            assert np.array_equal(s, s_ref), slots  # bit-identical
             assert np.array_equal(e, e_ref), slots
 
     def test_count_and_estimate_first_touch(self):
@@ -287,9 +299,9 @@ class TestNativeBitIdentity:
 
     @given(csr_graphs(), st.integers(0, 40), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
-    def test_minhash_rows_match_numpy_lane(self, g, num_hashes, seed):
+    def test_minhash_rows_match_reference(self, g, num_hashes, seed):
         native = minhash_signatures(g, num_hashes=num_hashes, seed=seed)
-        with _numpy_lane():
+        with _no_native():
             ref = minhash_signatures(g, num_hashes=num_hashes, seed=seed)
         assert _same_bits(native.rows, ref.rows)
         assert np.array_equal(native.empty, ref.empty)
@@ -308,17 +320,22 @@ class TestNativeBitIdentity:
         st.one_of(st.integers(0, 3), st.integers(4, 60)),
         st.integers(0, 2**32),
     )
+    # Eight rows with one shared neighbor fill one bucket in every band,
+    # wider than the window, so the ring must hold the last members.
+    @example(
+        coo_to_csr(np.zeros(8, np.int64), np.arange(8), 10), (16, 2), 2, 0
+    )
     @settings(max_examples=80, deadline=None)
-    def test_lsh_pairs_match_numpy_lane(self, g, shape, pair_window, seed):
-        """Native banding equals the stable-argsort lane: hash counts not
-        divisible by the band count, 8 rows per band (keys wrap
-        negative) and windows at least as wide as the graph."""
+    def test_lsh_pairs_match_reference(self, g, shape, pair_window, seed):
+        """Native banding equals the stable-argsort reference: hash
+        counts not divisible by the band count, 8 rows per band (keys
+        wrap negative) and windows at least as wide as the graph."""
         num_hashes, bands = shape
         sig = minhash_signatures(g, num_hashes=num_hashes, seed=seed)
         pairs, sims = lsh_candidate_pairs(
             sig, bands=bands, pair_window=pair_window, seed=seed + 1
         )
-        with _numpy_lane():
+        with _no_native():
             ref_pairs, ref_sims = lsh_candidate_pairs(
                 sig, bands=bands, pair_window=pair_window, seed=seed + 1
             )
@@ -423,7 +440,7 @@ class TestChoiceRows:
             np.random.default_rng(0), hub.degrees[seeds], 300
         ) is None
         got = khop_sampled_subgraph(hub, seeds, (300,), seed=9)
-        with _numpy_lane():
+        with _no_native():
             ref = khop_sampled_subgraph(hub, seeds, (300,), seed=9)
         assert got.graph.degrees[:2].tolist() == [300, 300]
         assert np.array_equal(got.node_map, ref.node_map)
@@ -508,14 +525,15 @@ class TestGuideSearch:
         assert _native.weighted_search(cdf, np.array([0.5, bad])) is None
 
     def test_no_native_lane_declines(self):
-        with _numpy_lane():
+        with _no_native():
             assert _native.weighted_search(_cdf([1.0]), np.zeros(3)) is None
 
 
 class TestNativeDisabled:
     def test_repro_native_0_falls_back(self, monkeypatch):
-        """With the native lane forced off, numpy paths carry the same
-        results — the accelerator is an implementation detail."""
+        """With the native lane forced off, the reference paths carry
+        the same results — the accelerator is an implementation
+        detail."""
         rng = np.random.default_rng(5)
         stream = rng.integers(0, 300, size=10_000)
         row_ptr = _ragged(rng)

@@ -1,11 +1,11 @@
 """Fast paths must be bit-identical to their reference implementations.
 
-The performance layer (vectorized reuse distances, wave-decomposed list
-scheduling, batched MinHash, kernel memoization) is only admissible
-because it changes *nothing* about simulated results.  These tests pin
-that contract with seeded property-style sweeps over the regimes the
-simulator actually produces: uniform blocks, heavy-tailed hub blocks,
-duplicated durations, short streams, empty rows.
+The performance layer (vectorized reuse distances, the native kernels,
+kernel memoization) is only admissible because it changes *nothing*
+about simulated results.  These tests pin that contract with seeded
+property-style sweeps over the regimes the simulator actually produces:
+uniform blocks, heavy-tailed hub blocks, duplicated durations, short
+streams, empty rows.
 """
 
 import dataclasses
@@ -37,11 +37,9 @@ from repro.gpusim.cache import (
 from repro.gpusim.config import V100_SCALED
 from repro.gpusim.executor import (
     _list_schedule,
-    _list_schedule_reference,
     _plan_hit_rate,
     _plan_hits,
     _stream_plan,
-    _wave_schedule,
     kernel_time,
     simulate_kernel,
     simulate_kernels,
@@ -123,35 +121,8 @@ def test_window_hits_from_prev_matches_whole_pipeline():
 
 
 # ----------------------------------------------------------------------
-# Wave-decomposed list scheduling
+# List scheduling
 # ----------------------------------------------------------------------
-
-def _duration_mixes(rng):
-    b = int(rng.integers(1, 1500))
-    kind = int(rng.integers(0, 5))
-    if kind == 0:
-        return rng.uniform(0.1, 1.0, b)
-    if kind == 1:  # heavy tail (hub blocks)
-        return rng.pareto(1.1, b) + 0.01
-    if kind == 2:  # near-uniform with float jitter
-        return 1.0 + rng.normal(0, 1e-6, b)
-    if kind == 3:  # heavy duplication / ties
-        return rng.choice([0.5, 1.0, 2.0], b)
-    d = rng.uniform(0.01, 0.02, b)  # one giant hub among tiny blocks
-    d[rng.integers(0, b)] = 50.0
-    return d
-
-
-def test_wave_schedule_matches_heap_fuzz():
-    rng = np.random.default_rng(11)
-    for _ in range(80):
-        d = _duration_mixes(rng)
-        slots = int(rng.integers(1, 170))
-        s_ref, e_ref = _list_schedule_reference(d, slots)
-        s_fast, e_fast = _wave_schedule(d, slots)
-        assert np.array_equal(s_ref, s_fast)  # bit-identical, not approx
-        assert np.array_equal(e_ref, e_fast)
-
 
 def test_list_schedule_dispatch_and_trivial_paths():
     d = np.array([3.0, 1.0, 2.0])
@@ -427,8 +398,10 @@ def test_quick_grid_hash_in_both_modes(monkeypatch, fast, native):
     Each mode starts from cold caches, the offline schedule and the
     shared runtime's tuning included, so the reference run exercises
     every reference implementation.  ``fast-numpy`` is the fast mode
-    on a host without a C compiler: the numpy wave scheduler and radix
-    interleave carry every simulation."""
+    on a host without a C compiler: every loop with a native kernel
+    (the list schedule, the stream analysis, MinHash and LSH) falls back
+    to its reference, while the memo tiers and the fast paths that have
+    no native kernel stay on."""
     pipeline._SCHEDULES.clear()
     monkeypatch.setattr(harness, "_RUNTIMES", {})
     if not native:
