@@ -25,7 +25,8 @@ __all__ = [
     "RESULTS_DIR",
 ]
 
-#: Where benchmark tables are persisted (next to bench_output.txt).
+#: Where the paper-claim tables are persisted, one ``<out>.txt`` per
+#: claim of :mod:`repro.bench.claims`.
 RESULTS_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))

@@ -2,10 +2,9 @@
 
 Examples::
 
-    python -m repro datasets
+    python -m repro paper table3
+    python -m repro paper fig7_gat
     python -m repro compare --model gat --datasets arxiv ddi
-    python -m repro fig3
-    python -m repro table6 --datasets arxiv collab
     python -m repro tune --dataset products --feat 64
     python -m repro schedule --dataset citation
     python -m repro lint --model gat --dataset arxiv --fusion linear
@@ -30,18 +29,11 @@ import os
 import sys
 from typing import List, Optional
 
-from .bench import (
-    bench_config,
-    fig3_l2_miss_rates,
-    format_table,
-    table4_occupancy,
-    table5_expansion_transform,
-    table6_gat_ablation,
-)
+from .bench import bench_config, claims, format_table
 from .core import cluster_sizes, shared_schedule, tune
 from .frameworks import NotSupported, all_frameworks
 from .gpusim.memory import SimulatedOOM
-from .graph import DATASET_NAMES, dataset_stats_row, load_dataset
+from .graph import DATASET_NAMES, load_dataset
 
 __all__ = ["main", "build_parser"]
 
@@ -54,20 +46,6 @@ def _dataset_list(args) -> List[str]:
                 f"unknown dataset {n!r}; choose from {DATASET_NAMES}"
             )
     return names
-
-
-def cmd_datasets(args) -> int:
-    rows = []
-    for name in _dataset_list(args):
-        r = dataset_stats_row(name)
-        rows.append([r["name"], r["domain"], r["N"], r["E"],
-                     round(r["avg"], 1), r["max"], f"{r['density']:.1e}"])
-    print(format_table(
-        "Scaled datasets (Table 3 signatures)",
-        ["dataset", "domain", "N", "E", "avg", "max", "density"],
-        rows,
-    ))
-    return 0
 
 
 def cmd_compare(args) -> int:
@@ -97,47 +75,13 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_fig3(args) -> int:
-    res = fig3_l2_miss_rates(_dataset_list(args))
-    rows = [[n, 100 * res[n][0]] for n in res]
-    print(format_table(
-        "Fig. 3 — DGL GCN graph-op L2 miss rate (%)",
-        ["dataset", "miss%"], rows,
-    ))
-    return 0
-
-
-def cmd_table4(args) -> int:
-    res = table4_occupancy(_dataset_list(args))
-    rows = [[n, res[n][1.0], res[n][0.5], res[n][0.1]] for n in res]
-    print(format_table(
-        "Table 4 — % time active blocks below thresholds (DGL GAT)",
-        ["dataset", "<100%", "<50%", "<10%"], rows,
-    ))
-    return 0
-
-
-def cmd_table5(args) -> int:
-    res = table5_expansion_transform(_dataset_list(args))
-    rows = [[n, res[n][0], res[n][1]] for n in res]
-    print(format_table(
-        "Table 5 — expansion / transformation % (DGL SAGE-LSTM)",
-        ["dataset", "expand%", "transf%"], rows,
-    ))
-    return 0
-
-
-def cmd_table6(args) -> int:
-    res = table6_gat_ablation(_dataset_list(args))
-    rows = [
-        [n, res[n]["adp"], res[n]["adp_ng"], res[n]["adp_ng_las"]]
-        for n in res
-    ]
-    print(format_table(
-        "Table 6 — GAT-layer ablation speedups",
-        ["dataset", "Adp", "Adp+NG", "+LAS"], rows,
-    ))
-    return 0
+def cmd_paper(args) -> int:
+    claim = claims.CLAIMS[args.id]
+    text, failed = claim.evaluate()
+    print(text)
+    if failed:
+        print(claims.describe_failures(claim.id, failed))
+    return 1 if failed else 0
 
 
 def cmd_tune(args) -> int:
@@ -723,9 +667,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--datasets", nargs="*", default=None,
                         help="subset of datasets (default: all eight)")
 
-    sp = sub.add_parser("datasets", help="print Table 3 statistics")
-    add_datasets_arg(sp)
-    sp.set_defaults(func=cmd_datasets)
+    sp = sub.add_parser(
+        "paper",
+        help="run one paper claim on the full grid and check its shape",
+    )
+    sp.add_argument("id", choices=list(claims.CLAIMS),
+                    help="claim id (EXPERIMENTS.md section)")
+    sp.set_defaults(func=cmd_paper)
 
     sp = sub.add_parser("compare", help="Fig. 7-style comparison")
     sp.add_argument("--model", choices=["gcn", "gat", "sage_lstm"],
@@ -733,16 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--frameworks", nargs="*", default=None)
     add_datasets_arg(sp)
     sp.set_defaults(func=cmd_compare)
-
-    for name, fn, help_ in (
-        ("fig3", cmd_fig3, "DGL GCN L2 miss rates"),
-        ("table4", cmd_table4, "active-block starvation"),
-        ("table5", cmd_table5, "SAGE-LSTM expansion/transform shares"),
-        ("table6", cmd_table6, "GAT-layer ablation"),
-    ):
-        sp = sub.add_parser(name, help=help_)
-        add_datasets_arg(sp)
-        sp.set_defaults(func=fn)
 
     sp = sub.add_parser("tune", help="run the online tuner")
     sp.add_argument("--dataset", choices=DATASET_NAMES, required=True)

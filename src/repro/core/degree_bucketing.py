@@ -11,7 +11,8 @@ tensor.  This fixes load imbalance *within* a bucket but pays
 
 It is the natural ablation partner for neighbor grouping — same goal,
 different trade-off — and is included as the extra design-choice
-ablation DESIGN.md §6 calls for (`benchmarks/test_bucketing_ablation`).
+ablation DESIGN.md §6 calls for (claim ``bucketing_ablation`` of
+:mod:`repro.bench.claims`).
 """
 
 from __future__ import annotations

@@ -329,17 +329,18 @@ def _list_schedule_reference(
     if b <= slots:
         starts = np.zeros(b)
         return starts, durations.copy()
-    heap = [(0.0, s) for s in range(slots)]
-    heapq.heapify(heap)
+    # Only the free times matter, not which slot frees: a heap of them,
+    # whose minimum is replaced by the block's end.
+    heap = [0.0] * slots
     starts = np.empty(b)
     ends = np.empty(b)
-    push, pop = heapq.heappush, heapq.heappop
+    replace = heapq.heapreplace
     for i in range(b):
-        free_at, slot = pop(heap)
+        free_at = heap[0]
         starts[i] = free_at
         end = free_at + durations[i]
         ends[i] = end
-        push(heap, (end, slot))
+        replace(heap, end)
     return starts, ends
 
 

@@ -65,17 +65,21 @@ class TestNeuGraph:
 class TestCLI:
     def test_parser_builds(self):
         parser = build_parser()
-        args = parser.parse_args(["datasets"])
-        assert args.command == "datasets"
+        args = parser.parse_args(["paper", "table3"])
+        assert args.command == "paper"
 
-    def test_datasets_command(self, capsys):
-        assert main(["datasets", "--datasets", "ddi"]) == 0
+    def test_paper_table3_command(self, capsys):
+        assert main(["paper", "table3"]) == 0
         out = capsys.readouterr().out
-        assert "ddi" in out and "density" in out
+        assert "ddi" in out and "dens" in out
+
+    def test_paper_unknown_id_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["paper", "fig99"])
 
     def test_unknown_dataset_rejected(self):
         with pytest.raises(SystemExit):
-            main(["datasets", "--datasets", "cora"])
+            main(["compare", "--datasets", "cora"])
 
     def test_compare_command(self, capsys):
         assert main([
@@ -85,8 +89,8 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "dgl" in out and "ours" in out
 
-    def test_fig3_command(self, capsys):
-        assert main(["fig3", "--datasets", "ddi"]) == 0
+    def test_paper_fig3_command(self, capsys):
+        assert main(["paper", "fig3"]) == 0
         assert "miss%" in capsys.readouterr().out
 
     def test_tune_command(self, capsys):
