@@ -67,6 +67,17 @@ __all__ = [
 GCN_LAST_LAYER_FEAT = 32
 #: Feature length of the GAT layer used for Fig. 10a / Table 6.
 GAT_LAYER_FEAT = 32
+#: §5.2 minibatches: k-hop samples of this dataset, one per iteration.
+SAMPLED_DATASET = "products"
+SAMPLED_ITERATIONS = 3
+SAMPLE_BATCH = 512
+SAMPLE_FANOUTS = (10, 10)
+#: Per-launch dispatch overhead (s) of the bucketing ablation.
+BUCKET_DISPATCH = 25e-6
+#: Cache-model validation: datasets, trace prefix and cache capacities.
+CACHE_DATASETS = ("arxiv", "collab", "ddi", "protein", "products")
+CACHE_TRACE_LEN = 6_000
+CACHE_CAPACITIES = (64, 256, 1024)
 
 
 # ----------------------------------------------------------------------
@@ -463,10 +474,6 @@ def table6_gat_ablation(
 # ----------------------------------------------------------------------
 
 def sampled_minibatch_speedups(
-    dataset: str = "products",
-    iterations: int = 3,
-    batch_size: int = 512,
-    fanouts: Tuple[int, ...] = (10, 10),
     config: Optional[GPUConfig] = None,
 ) -> Dict[str, Dict[str, float]]:
     """§5.2: DGL vs online-only ours on a fresh k-hop sample per
@@ -477,15 +484,16 @@ def sampled_minibatch_speedups(
     locality-aware schedule cannot amortize and is switched off.
     """
     config = config or bench_config()
-    parent = load_dataset(dataset)
+    parent = load_dataset(SAMPLED_DATASET)
     model = GCNConfig(dims=(64, 32, 16))
     dgl = DGLLike()
     online_only = OursRuntime(OursOptions(locality_scheduling=False))
     rng = np.random.default_rng(0)
     out = {}
-    for it in range(iterations):
-        seeds = rng.choice(parent.num_nodes, size=batch_size, replace=False)
-        sub = khop_sampled_subgraph(parent, seeds, fanouts, seed=it).graph
+    for it in range(SAMPLED_ITERATIONS):
+        seeds = rng.choice(parent.num_nodes, size=SAMPLE_BATCH, replace=False)
+        sub = khop_sampled_subgraph(parent, seeds, SAMPLE_FANOUTS,
+                                    seed=it).graph
         out[f"iter{it}"] = {
             "nodes": sub.num_nodes,
             "edges": sub.num_edges,
@@ -498,7 +506,6 @@ def sampled_minibatch_speedups(
 def bucketing_ablation(
     datasets: List[str] = DATASET_NAMES,
     config: Optional[GPUConfig] = None,
-    dispatch: float = 25e-6,
 ) -> Dict[str, Dict[str, float]]:
     """Degree bucketing vs neighbor grouping on the GCN last-layer
     aggregation (times in ms).
@@ -520,7 +527,7 @@ def bucketing_ablation(
         buckets = degree_buckets(g)
         bucketed = simulate_kernels(
             bucketed_aggregation_kernels(g, feat, config, buckets),
-            config, dispatch_overhead=dispatch,
+            config, dispatch_overhead=BUCKET_DISPATCH,
         )
         ng = simulate_kernel(
             aggregation_kernel(
@@ -530,9 +537,9 @@ def bucketing_ablation(
             config,
         )
         out[name] = {
-            "base": (base.time + dispatch) * 1e3,
+            "base": (base.time + BUCKET_DISPATCH) * 1e3,
             "bucketed": bucketed.total_time * 1e3,
-            "ng": (ng.time + dispatch) * 1e3,
+            "ng": (ng.time + BUCKET_DISPATCH) * 1e3,
             "waste": buckets.padding_waste(g),
             "buckets": buckets.num_buckets,
         }
@@ -540,10 +547,7 @@ def bucketing_ablation(
 
 
 def cache_model_validation(
-    datasets: Tuple[str, ...] = ("arxiv", "collab", "ddi", "protein",
-                                 "products"),
-    capacities: Tuple[int, ...] = (64, 256, 1024),
-    trace_len: int = 6_000,
+    datasets: Tuple[str, ...] = CACHE_DATASETS,
 ) -> Dict[str, Dict[int, Tuple[float, float]]]:
     """The window (working-set) cache model vs exact LRU.
 
@@ -553,11 +557,13 @@ def cache_model_validation(
     """
     out = {}
     for name in datasets:
-        trace = load_dataset(name).indices[:trace_len].astype(np.int64)
+        trace = load_dataset(name).indices[:CACHE_TRACE_LEN].astype(
+            np.int64
+        )
         out[name] = {
             cap: (float(lru_hits(trace, cap).mean()),
                   float(window_hits(trace, cap).mean()))
-            for cap in capacities
+            for cap in CACHE_CAPACITIES
         }
     return out
 

@@ -6,6 +6,7 @@ claim exactly once and agree with each other.
 """
 
 import collections
+import dataclasses
 import os
 
 from repro.bench.claims import (
@@ -17,8 +18,10 @@ from repro.bench.claims import (
     run,
     write_claim_block,
 )
+from repro.bench.experiments import Fig7Cell
 from repro.bench.harness import RESULTS_DIR
 from repro.cli import main
+from repro.graph.datasets import DATASET_NAMES
 
 
 def _read(path):
@@ -63,6 +66,29 @@ class TestRuns:
         assert run(experiment, k=1)() is run(experiment, k=1)()
         run(experiment, k=2)()
         assert calls == [1, 2]
+
+
+class TestOOMCells:
+    def test_time_checks_fail_on_oom_instead_of_raising(self):
+        # DGL and ours both run out of memory on arxiv: every check that
+        # compares their times must report arxiv, not raise.
+        times = {"dgl": 2.0, "pyg": 3.0, "roc": 3.0, "ours": 1.0}
+        grid = {model: {f: {d: Fig7Cell(None if d == "arxiv" else t)
+                            for d in DATASET_NAMES}
+                        for f, t in times.items()}
+                for model in ("gcn", "gat", "sage_lstm")}
+        oom = run(lambda: grid)
+        failed = {
+            cid: dict(dataclasses.replace(CLAIMS[cid], experiment=oom)
+                      .evaluate()[1])
+            for cid in ("fig7_gcn", "fig7_gat", "fig7_sage_lstm")
+        }
+        assert failed["fig7_gcn"]["dgl_never_oom"] == ("arxiv",)
+        for cid in failed:
+            assert failed[cid]["ours_beats_dgl"] == ("arxiv",), cid
+        assert "roc_slower_than_dgl_where_it_runs" not in failed["fig7_gcn"]
+        assert "arxiv" in failed["fig7_gat"]["gat_gap_exceeds_gcn_gap"]
+        assert "avg_speedup_1.15_to_1.8x" in failed["fig7_sage_lstm"]
 
 
 class TestBlocks:
