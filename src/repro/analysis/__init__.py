@@ -59,7 +59,7 @@ stop short of full fusion on purpose.
 Entry points: ``python -m repro lint`` (CI sweep, with ``--fail-on``,
 ``--baseline``, ``--sarif``), ``python -m repro plan lint`` for saved
 artifacts, and the opt-in ``OursOptions(verify_plans=True)`` /
-``REPRO_VERIFY_PLANS=1`` hook that verifies every plan the runtime
+``REPRO_STRICT=1`` hook that verifies every plan the runtime
 lowers.
 """
 

@@ -252,6 +252,23 @@ def _speedup(grid, model, d):
     return float("nan") if dgl is None or ours is None else dgl / ours
 
 
+def _mean_speedups(grid, paper):
+    """Per model and baseline: ours' mean speed-up over the datasets
+    where both run, the paper's average and how many datasets."""
+    rows = []
+    for model, baselines in paper.items():
+        for fname, want in baselines.items():
+            ratios = [
+                _ms(grid, model, fname, d) / _ms(grid, model, "ours", d)
+                for d in DATASET_NAMES
+                if _ms(grid, model, fname, d) is not None
+                and _ms(grid, model, "ours", d) is not None
+            ]
+            rows.append([model, fname, float(np.mean(ratios)), want,
+                         len(ratios)])
+    return rows
+
+
 def _oom_set(grid, model, fname):
     return {d for d, cell in grid[model][fname].items()
             if cell.supported and cell.time_ms is None}
@@ -441,6 +458,13 @@ _claim(
             _speedup(g, "sage_lstm", d) for d in DATASET_NAMES
         ) / len(DATASET_NAMES) < 1.8),
     ),
+)
+_claim(
+    "fig7_speedups", "fig7_speedups", _FIG7,
+    "Fig. 7 / §5.1 — mean speed-up of ours over each baseline where both "
+    "run (ours | paper)",
+    ("model", "over", "ours", "paper", "datasets"), _mean_speedups,
+    paper=pe.OVERALL_SPEEDUP, checks=(),
 )
 _claim(
     "fig8", "fig8_ng_balance", run(ex.fig8_ng_balance),

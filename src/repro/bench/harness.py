@@ -13,13 +13,12 @@ from typing import Dict, Optional, Sequence
 
 from ..frameworks.ours import OursOptions, OursRuntime
 from ..gpusim.config import V100_SCALED, GPUConfig
-from ..perf import env_flag
+from ..perf import runtime
 
 __all__ = [
     "bench_config",
     "sweep_config",
     "cached_runtime",
-    "verify_plans_default",
     "format_table",
     "write_result",
     "RESULTS_DIR",
@@ -49,28 +48,18 @@ def sweep_config() -> GPUConfig:
     return V100_SCALED.replace(cache_trace_limit=400_000)
 
 
-def verify_plans_default() -> bool:
-    """Whether benchmark runtimes statically verify every lowered plan.
-
-    Opt-in via ``REPRO_VERIFY_PLANS=1``; off by default so perf runs
-    skip the overhead.  CI sets no ``REPRO_*`` switch: its lint job
-    verifies the shipped model x dataset x config grid with
-    ``repro lint`` instead.
-    """
-    return env_flag("REPRO_VERIFY_PLANS", False)
-
-
 def cached_runtime(options: Optional[OursOptions] = None) -> OursRuntime:
     """Shared OursRuntime per option set.
 
     All runtimes resolve their offline analysis through
     :func:`~repro.core.pipeline.shared_schedule`, so a graph is
     MinHash-clustered once per process no matter how many ablation
-    variants run on it.  When no explicit options are given, plan
-    verification follows :func:`verify_plans_default`.
+    variants run on it.  When no explicit options are given, every
+    lowered plan is statically verified under ``runtime().strict``
+    (``REPRO_STRICT=1``); off by default so perf runs skip the overhead.
     """
     if options is None:
-        options = OursOptions(verify_plans=verify_plans_default())
+        options = OursOptions(verify_plans=runtime().strict)
     if options not in _RUNTIMES:
         _RUNTIMES[options] = OursRuntime(options)
     return _RUNTIMES[options]

@@ -27,19 +27,19 @@ import glob
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .bench import bench_config, claims, format_table
 from .core import cluster_sizes, shared_schedule, tune
-from .frameworks import NotSupported, all_frameworks
+from .frameworks import Framework, NotSupported, all_frameworks
 from .gpusim.memory import SimulatedOOM
 from .graph import DATASET_NAMES, load_dataset
 
 __all__ = ["main", "build_parser"]
 
 
-def _dataset_list(args) -> List[str]:
-    names = args.datasets or DATASET_NAMES
+def _dataset_list(names: Optional[List[str]]) -> List[str]:
+    names = names or DATASET_NAMES
     for n in names:
         if n not in DATASET_NAMES:
             raise SystemExit(
@@ -48,15 +48,26 @@ def _dataset_list(args) -> List[str]:
     return names
 
 
+def _frameworks(names: Sequence[str] = ()) -> Dict[str, Framework]:
+    """Every registered framework; exits on an unknown name in ``names``."""
+    frameworks = all_frameworks()
+    for f in names:
+        if f not in frameworks:
+            raise SystemExit(
+                f"unknown framework {f!r}; choose from {list(frameworks)}"
+            )
+    return frameworks
+
+
 def cmd_compare(args) -> int:
     sim = bench_config()
-    frameworks = all_frameworks()
+    frameworks = _frameworks(args.frameworks or ())
     if args.frameworks:
         frameworks = {
             k: v for k, v in frameworks.items() if k in args.frameworks
         }
     rows = []
-    for name in _dataset_list(args):
+    for name in _dataset_list(args.datasets):
         g = load_dataset(name)
         row = [name]
         for fw in frameworks.values():
@@ -97,13 +108,47 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _write_sarif(path: str, report) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(report.to_sarif(), fh, indent=2)
-        fh.write("\n")
+def _baseline(args) -> list:
+    """The ``--baseline`` suppression entries (none without the flag)."""
+    if not args.baseline:
+        return []
+    from .analysis import load_baseline
+
+    try:
+        return load_baseline(args.baseline)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot load baseline: {exc}") from exc
+
+
+def _finish_report(args, report, out, entries=()) -> int:
+    """The shared tail of every command that lints: suppress the
+    baseline ``entries``, write ``--sarif``, print the report and gate.
+
+    The text report goes to ``out``, or nowhere when ``out`` is None
+    (the caller printed its own lines); under ``--json`` the report's
+    JSON goes to stdout alone.  Returns the exit code ``--fail-on``
+    gives: errors always gate, warnings only under ``--fail-on
+    warning``, info findings never.
+    """
+    suppressed = 0
+    if entries:
+        report, suppressed = report.apply_baseline(entries)
+    if getattr(args, "sarif", None):
+        parent = os.path.dirname(args.sarif)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(args.sarif, "w") as fh:
+            json.dump(report.to_sarif(), fh, indent=2)
+            fh.write("\n")
+    if out is not None and getattr(args, "json", False):
+        print(report.to_json())
+    elif out is not None:
+        print(report.format(verbose=getattr(args, "verbose", False)),
+              file=out)
+        if suppressed:
+            print(f"({suppressed} baselined finding(s) suppressed)",
+                  file=out)
+    return 0 if report.gate(args.fail_on) else 1
 
 
 def cmd_lint(args) -> int:
@@ -113,7 +158,6 @@ def cmd_lint(args) -> int:
         MODEL_CHAINS,
         explain_code,
         lint_shipped,
-        load_baseline,
     )
     from .analysis.findings import prune_baseline, unused_baseline_entries
 
@@ -136,16 +180,12 @@ def cmd_lint(args) -> int:
     if args.prune_baseline and not args.baseline:
         raise SystemExit("--prune-baseline requires --baseline PATH")
 
-    # --model/--dataset/--fusion are repeatable singular filters; the
-    # legacy plural spellings (--models/--datasets) merge with them.
-    models = (args.models or []) + (args.model or [])
-    models = models or list(MODEL_CHAINS)
+    models = args.model or list(MODEL_CHAINS)
     for m in models:
         if m not in MODEL_CHAINS:
             raise SystemExit(
                 f"unknown model {m!r}; choose from {list(MODEL_CHAINS)}"
             )
-    args.datasets = (args.datasets or []) + (args.dataset or []) or None
     fusion_names = [name for name, _, _ in FUSION_CONFIGS]
     fusions = args.fusion or None
     for f in fusions or []:
@@ -153,29 +193,16 @@ def cmd_lint(args) -> int:
             raise SystemExit(
                 f"unknown fusion config {f!r}; choose from {fusion_names}"
             )
-    report = lint_shipped(_dataset_list(args), models, fusions=fusions)
-    entries = []
-    suppressed = 0
-    if args.baseline:
-        try:
-            entries = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot load baseline: {exc}") from exc
+    report = lint_shipped(_dataset_list(args.dataset), models,
+                          fusions=fusions)
+    entries = _baseline(args)
     all_findings = list(report.findings)  # pre-suppression, for hygiene
     unused = unused_baseline_entries(entries, all_findings)
-    if entries:
-        report, suppressed = report.apply_baseline(entries)
-    if args.sarif:
-        _write_sarif(args.sarif, report)
+    status = _finish_report(args, report, sys.stdout, entries)
     # Under --json, stdout holds the JSON document alone; the hygiene
     # notes below go to stderr.
     note = sys.stderr if args.json else sys.stdout
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.format(verbose=args.verbose))
-        if suppressed:
-            print(f"({suppressed} baselined finding(s) suppressed)")
+    if not args.json:
         for entry in unused:
             print(f"[STALE  ] baseline entry matches no finding: "
                   f"{json.dumps(entry, sort_keys=True)}")
@@ -191,9 +218,7 @@ def cmd_lint(args) -> int:
               f"{'y' if len(unused) == 1 else 'ies'}; prune with "
               f"--prune-baseline", file=note)
         return 1
-    # Exit-code contract: errors always gate; warnings only under
-    # --fail-on warning; info findings never gate.
-    return 0 if report.gate(args.fail_on) else 1
+    return status
 
 
 # ----------------------------------------------------------------------
@@ -214,21 +239,15 @@ def cmd_plan_compile(args) -> int:
     from .core.persistence import save_plan
 
     sim = bench_config()
-    frameworks = all_frameworks()
+    frameworks = _frameworks(args.frameworks or ())
     if args.frameworks:
-        for f in args.frameworks:
-            if f not in frameworks:
-                raise SystemExit(
-                    f"unknown framework {f!r}; choose from "
-                    f"{list(frameworks)}"
-                )
         frameworks = {
             k: v for k, v in frameworks.items() if k in args.frameworks
         }
     models = args.models or ["gcn", "gat", "sage_lstm"]
     os.makedirs(args.out, exist_ok=True)
     written = 0
-    for name in _dataset_list(args):
+    for name in _dataset_list(args.datasets):
         g = load_dataset(name)
         for fname, fw in frameworks.items():
             for model in models:
@@ -265,17 +284,12 @@ def cmd_plan_show(args) -> int:
 
 def cmd_plan_lint(args) -> int:
     """Run the static analysis passes over saved plan artifacts."""
-    from .analysis import INFO, AnalysisReport, lint_plan, load_baseline
+    from .analysis import INFO, AnalysisReport, lint_plan
     from .core.persistence import load_plan
 
     ok = True
     merged = AnalysisReport(label="plan-lint")
-    entries = []
-    if args.baseline:
-        try:
-            entries = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot load baseline: {exc}") from exc
+    entries = _baseline(args)
     for path in _plan_paths(args):
         plan = load_plan(path)
         if plan is None:
@@ -289,9 +303,7 @@ def cmd_plan_lint(args) -> int:
         for f in report.findings:
             if args.verbose or f.severity != INFO:
                 print(f"{path}: {f.format()}")
-    if args.sarif:
-        _write_sarif(args.sarif, merged)
-    if not merged.gate(args.fail_on):
+    if _finish_report(args, merged, None):
         ok = False
     print(f"plan lint: {merged.checked} layer lowering(s) checked, "
           f"{'ok' if ok else 'FINDINGS'}")
@@ -349,13 +361,7 @@ def cmd_shard_run(args) -> int:
     from .analysis.findings import AnalysisReport
     from .shard import LinkConfig, run_sharded
 
-    frameworks = all_frameworks()
-    if args.framework not in frameworks:
-        raise SystemExit(
-            f"unknown framework {args.framework!r}; choose from "
-            f"{list(frameworks)}"
-        )
-    fw = frameworks[args.framework]
+    fw = _frameworks([args.framework])[args.framework]
     g = load_dataset(args.dataset)
     sim = bench_config()
     link = LinkConfig(
@@ -408,15 +414,10 @@ def cmd_shard_run(args) -> int:
             f"{args.method}{args.parts}"
         ),
     )
-    if lint:
-        print(report.format())
-    if args.sarif:
-        _write_sarif(args.sarif, report)
-    return 0 if report.gate(args.fail_on) else 1
+    return _finish_report(args, report, sys.stdout if lint else None)
 
 
 def cmd_shard_lint(args) -> int:
-    from .analysis.findings import load_baseline
     from .analysis.shardlint import lint_shard
     from .shard import DeviceConfig, LinkConfig, partition_graph
 
@@ -432,13 +433,7 @@ def cmd_shard_lint(args) -> int:
     if not args.no_plans:
         from .gpusim.multidev import build_shard_streams
 
-        frameworks = all_frameworks()
-        if args.framework not in frameworks:
-            raise SystemExit(
-                f"unknown framework {args.framework!r}; choose from "
-                f"{list(frameworks)}"
-            )
-        fw = frameworks[args.framework]
+        fw = _frameworks([args.framework])[args.framework]
         try:
             plans = [
                 fw.compile(
@@ -465,24 +460,10 @@ def cmd_shard_lint(args) -> int:
         imbalance_threshold=args.imbalance_threshold,
         blowup_threshold=args.blowup_threshold,
     )
-    suppressed = 0
-    if args.baseline:
-        try:
-            entries = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot load baseline: {exc}") from exc
-        report, suppressed = report.apply_baseline(entries)
-    if args.sarif:
-        _write_sarif(args.sarif, report)
+    entries = _baseline(args)
     if note:  # to stderr under --json: stdout holds the JSON alone
         print(f"note: {note}", file=sys.stderr if args.json else sys.stdout)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.format(verbose=args.verbose))
-        if suppressed:
-            print(f"({suppressed} baselined finding(s) suppressed)")
-    return 0 if report.gate(args.fail_on) else 1
+    return _finish_report(args, report, sys.stdout, entries)
 
 
 def cmd_shard_choose(args) -> int:
@@ -549,20 +530,15 @@ def cmd_serve_replay(args) -> int:
     )
 
     out = sys.stderr if args.json else sys.stdout  # JSON alone on stdout
-    frameworks = all_frameworks()
     tenant_fws = args.frameworks or ["dgl", "ours", "pyg"]
-    for f in tenant_fws:
-        if f not in frameworks:
-            raise SystemExit(
-                f"unknown framework {f!r}; choose from {list(frameworks)}"
-            )
+    frameworks = _frameworks(tenant_fws)
     tenants = tuple(
         (f"tenant-{chr(ord('a') + i)}", tenant_fws[i % len(tenant_fws)])
         for i in range(args.tenants)
     )
     spec = TraceSpec(
         num_requests=args.requests,
-        datasets=tuple(_dataset_list(args)),
+        datasets=tuple(_dataset_list(args.datasets)),
         models=tuple(args.models or ["gcn", "gat"]),
         tenants=tenants,
         pool_per_dataset=args.pool,
@@ -633,10 +609,7 @@ def cmd_serve_replay(args) -> int:
             f"({infos} info, {len(merged.findings) - infos} gating)",
             file=out,
         )
-        if args.sarif:
-            _write_sarif(args.sarif, merged)
-        if not merged.gate(args.fail_on):
-            status = 1
+        status = _finish_report(args, merged, None)
     return status
 
 
@@ -695,9 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="statically verify every shipped fusion plan and lowering",
     )
-    add_datasets_arg(sp)
-    sp.add_argument("--models", nargs="*", default=None,
-                    help="subset of model chains (default: all)")
     sp.add_argument("--model", action="append", default=None,
                     help="filter to one model chain (repeatable)")
     sp.add_argument("--dataset", action="append", default=None,

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..gpusim import _native
 from ..graph.csr import CSRGraph, sorted_unique
-from ..perf import fastpath_enabled
+from ..perf import runtime
 
 __all__ = [
     "MinHashSignature",
@@ -68,7 +68,7 @@ def minhash_signatures(
     n = graph.num_nodes
     nonempty = graph.degrees > 0
     empty = ~nonempty
-    if fastpath_enabled() and _native.available():
+    if runtime().fastpath and _native.available():
         rows = _native.minhash_rows(graph.indptr, graph.indices, a, b)
         if rows is not None:
             return MinHashSignature(rows=rows, empty=empty)
@@ -135,7 +135,7 @@ def lsh_candidate_pairs(
         rng.integers(1, _MERSENNE_P, size=rows, dtype=np.int64)
         for _ in range(bands)
     ])
-    native = fastpath_enabled() and _native.available()
+    native = runtime().fastpath and _native.available()
     packed = None
     if native:
         sig_rows = np.ascontiguousarray(sig.rows, dtype=np.int64)

@@ -39,7 +39,7 @@ from ..gpusim.kernel import KernelSpec
 from ..gpusim.memo import LRUCache
 from ..gpusim.metrics import KernelStats
 from ..graph.csr import CSRGraph
-from ..perf import PERF, memo_enabled
+from ..perf import PERF, runtime
 from .compgraph import FusionPlan
 from .grouping import GroupingPlan
 from .lowering import ExecLayout
@@ -319,52 +319,35 @@ def plan_nbytes(plan: CompiledPlan) -> int:
 class PlanCache:
     """Content-addressed plan store: in-process LRU + optional disk tier.
 
-    The in-memory tier follows the global memoization switch
-    (:func:`repro.perf.configure`); the disk tier activates when a directory is
-    configured (``REPRO_PLAN_CACHE_DIR`` or :meth:`set_disk_dir`).
-    Artifacts are one ``plan_<key>.npz`` file each, written atomically
-    by :func:`repro.core.persistence.save_plan`.  The disk tier degrades
-    to a warning: a damaged artifact is a miss and the plan recompiles;
-    an unwritable directory keeps the plan in memory only.
+    Both tiers follow ``runtime().memo``; the disk tier is on when
+    ``runtime().plan_cache_dir`` names a directory
+    (``REPRO_PLAN_CACHE_DIR``).  Artifacts are one ``plan_<key>.npz``
+    file each, written atomically by
+    :func:`repro.core.persistence.save_plan`.  The disk tier degrades to
+    a warning: a damaged artifact is a miss and the plan recompiles; an
+    unwritable directory keeps the plan in memory only.
 
-    The in-memory tier is a :class:`~repro.gpusim.memo.LRUCache` named
-    ``plan_cache``: unbounded by default, LRU once a capacity is set per
-    constructor or :meth:`set_capacity`.  The byte budget uses
-    :func:`plan_nbytes` and always keeps the most recent plan, so a
-    single oversized plan still caches; a zero entry budget admits
-    nothing.  Hits, misses and evictions of the memory tier count in
-    :data:`repro.perf.PERF` as ``plan_cache_{hit,miss,evict}``; a plan
-    loaded from disk adds ``plan_cache_disk_hit`` to its memory-tier
-    miss.  :meth:`stats` summarizes them.
+    The in-memory tier is an unbounded
+    :class:`~repro.gpusim.memo.LRUCache` named ``plan_cache``.  Hits and
+    misses of the memory tier count in :data:`repro.perf.PERF` as
+    ``plan_cache_{hit,miss}``; a plan loaded from disk adds
+    ``plan_cache_disk_hit`` to its memory-tier miss.  :meth:`stats`
+    summarizes them.
     """
 
-    def __init__(self, disk_dir: Optional[str] = None,
-                 max_entries: Optional[int] = None,
-                 max_bytes: Optional[int] = None) -> None:
-        self._mem = LRUCache(max_entries=max_entries, max_bytes=max_bytes,
-                             name="plan_cache")
-        self._disk_dir = disk_dir
+    def __init__(self) -> None:
+        self._mem = LRUCache(max_entries=None, name="plan_cache")
 
     @property
     def disk_dir(self) -> Optional[str]:
-        return self._disk_dir or os.environ.get("REPRO_PLAN_CACHE_DIR")
-
-    def set_disk_dir(self, path: Optional[str]) -> None:
-        self._disk_dir = path
+        return runtime().plan_cache_dir
 
     def disk_path(self, key: str) -> str:
         return os.path.join(self.disk_dir, f"plan_{key}.npz")
 
-    def set_capacity(self, max_entries: Optional[int] = None,
-                     max_bytes: Optional[int] = None) -> None:
-        """Bound the in-memory tier; ``None`` means unbounded."""
-        self._mem.max_entries = max_entries
-        self._mem.max_bytes = max_bytes
-        self._mem.trim()
-
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[CompiledPlan]:
-        if not memo_enabled():
+        if not runtime().memo:
             return None
         plan = self._mem.get(key)
         if plan is None and self.disk_dir:
@@ -385,7 +368,7 @@ class PlanCache:
         self._mem.put(plan.plan_id, plan, nbytes=plan_nbytes(plan))
 
     def put(self, plan: CompiledPlan) -> None:
-        if not memo_enabled():
+        if not runtime().memo:
             return
         self._admit(plan)
         if self.disk_dir:
@@ -421,17 +404,14 @@ class PlanCache:
         them the disk tier served.
         """
         n = {k: PERF.counts.get(f"plan_cache_{k}", 0)
-             for k in ("hit", "disk_hit", "miss", "evict")}
+             for k in ("hit", "disk_hit", "miss")}
         lookups = n["hit"] + n["miss"]
         return {
             "entries": len(self._mem),
             "nbytes": self._mem.nbytes,
-            "max_entries": self._mem.max_entries,
-            "max_bytes": self._mem.max_bytes,
             "hits": n["hit"],
             "disk_hits": n["disk_hit"],
             "misses": n["miss"],
-            "evictions": n["evict"],
             "hit_rate": (
                 (n["hit"] + n["disk_hit"]) / lookups if lookups else 0.0
             ),

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..gpusim import _native
-from ..perf import fastpath_enabled
+from ..perf import runtime
 from .minhash import (
     MinHashSignature,
     lsh_candidate_pairs,
@@ -129,7 +129,7 @@ def _merge_pairs(
     sig_rows = np.ascontiguousarray(sig.rows, dtype=np.int64)
     empty = sig.empty
     num_hashes = sig_rows.shape[1]
-    if fastpath_enabled() and _native.available():
+    if runtime().fastpath and _native.available():
         # The merge is a sequential pop-loop — the native port mirrors
         # it operation for operation (same double comparisons, same
         # count/num_hashes division), so the partition is identical.

@@ -35,7 +35,7 @@ from ..gpusim.executor import kernel_time
 from ..gpusim.memo import LRUCache, array_digest
 from ..gpusim.occupancy import LaunchConfig, SMResources, blocks_per_sm
 from ..graph.csr import CSRGraph
-from ..perf import memo_enabled
+from ..perf import runtime
 from .grouping import identity_grouping, neighbor_grouping
 from .lowering import ExecLayout, aggregation_kernel
 
@@ -139,7 +139,7 @@ _GROUPING_CACHE = LRUCache(max_entries=256, name="grouping_cache")
 
 
 def _cached_grouping(graph: CSRGraph, bound: int):
-    if not memo_enabled():
+    if not runtime().memo:
         return neighbor_grouping(graph, bound)
     key = (graph.fingerprint, bound)
     plan = _GROUPING_CACHE.get(key)
@@ -163,7 +163,7 @@ def tune(
 ) -> TuningResult:
     """Online multi-round search for the aggregation configuration."""
     key = None
-    if memo_enabled():
+    if runtime().memo:
         key = (
             graph.fingerprint,
             feat_len,

@@ -71,7 +71,7 @@ class OursOptions:
     #: runtime lowers and raise :class:`PlanVerificationError` on any
     #: error finding.  Off by default — verification is pure overhead on
     #: a known-good pipeline; the benchmark harness enables it under
-    #: ``REPRO_VERIFY_PLANS=1``.
+    #: ``REPRO_STRICT=1``.
     verify_plans: bool = False
 
     @property

@@ -31,8 +31,9 @@ and, on a mismatch, warns once and declines for the rest of the process.
 the guide table only picks where each exact forward scan starts.
 
 Everything degrades gracefully: no compiler, a failed build, or
-``REPRO_NATIVE=0`` leaves each call site on its reference
-implementation, the one ``configure(fastpath=False)`` selects.
+``REPRO_NATIVE=0`` (``perf.override(native=False)``) leaves each call
+site on its reference implementation, the one
+``override(fastpath=False)`` selects.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import tempfile
 
 import numpy as np
 
-from ..perf import env_flag
+from ..perf import runtime
 
 __all__ = [
     "available",
@@ -742,8 +743,6 @@ def _load() -> "ctypes.CDLL | None":
     if _TRIED:
         return _LIB
     _TRIED = True
-    if not env_flag("REPRO_NATIVE", True):
-        return None
     try:
         _LIB = _build()
     except Exception as exc:
@@ -757,8 +756,8 @@ def _load() -> "ctypes.CDLL | None":
 
 
 def available() -> bool:
-    """True when the compiled scheduler is importable on this host."""
-    return _load() is not None
+    """True when the native lane is on and its library builds here."""
+    return runtime().native and _load() is not None
 
 
 def greedy_schedule(
@@ -1046,9 +1045,9 @@ def choice_rows(
     tail-shuffle branch (``d > 10000 and k > d // 50``).
     """
     global _CHOICE_OK
-    lib = _load()
-    if lib is None:
+    if not available():
         return None
+    lib = _load()
     if _CHOICE_OK is None:
         _CHOICE_OK = _choice_self_check(lib)
     if not _CHOICE_OK:
@@ -1080,9 +1079,9 @@ def weighted_search(cdf: np.ndarray, u: np.ndarray) -> "np.ndarray | None":
     searches) when there is no native lane or a ``u`` lies outside
     ``[0, 1)``.
     """
-    lib = _load()
-    if lib is None:
+    if not available():
         return None
+    lib = _load()
     found = _guide_search(
         lib,
         np.ascontiguousarray(cdf, dtype=np.float64),

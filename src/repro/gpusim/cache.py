@@ -20,7 +20,7 @@ Two models:
   wavelet tree built level-by-level in numpy (O(n log n) work, ~log n
   vectorized passes); the original per-access Fenwick sweep is kept as
   :func:`_reuse_distances_reference` for validation and runs when
-  fast paths are disabled (``repro.perf.configure(fastpath=False)``).
+  fast paths are disabled (``repro.perf.override(fastpath=False)``).
 
 Both return a boolean hit mask aligned with the access stream; first
 touches (compulsory misses) are always misses.
@@ -37,7 +37,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..perf import fastpath_enabled
+from ..perf import runtime
 from . import _native
 
 __all__ = [
@@ -59,14 +59,14 @@ def previous_occurrence(stream: np.ndarray) -> np.ndarray:
 
     Returns ``int64[n]`` with ``-1`` where the access is a first touch.
     Natively one last-seen-position pass; otherwise (no C compiler,
-    ``REPRO_NATIVE=0``, or ``configure(fastpath=False)``) accesses are
+    ``REPRO_NATIVE=0``, or ``override(fastpath=False)``) accesses are
     grouped per row in stream order by a stable argsort.
     """
     stream = np.asarray(stream)
     n = stream.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if fastpath_enabled() and stream.dtype.kind in "iu" and (
+    if runtime().fastpath and stream.dtype.kind in "iu" and (
         _native.available()
     ):
         lo = int(stream.min())
@@ -110,7 +110,7 @@ def estimate_distinct_in_window(
     # each probe is a strided view, never a materialized gather.  Counts
     # are exact integers either way, so the native probe is identical.
     if (
-        fastpath_enabled()
+        runtime().fastpath
         and prev.dtype == np.int32
         and prev.flags.c_contiguous
         and _native.available()
@@ -160,7 +160,7 @@ def effective_window(
     n = prev.shape[0]
     if n == 0:
         return 0
-    if fastpath_enabled() and n <= np.iinfo(np.int32).max:
+    if runtime().fastpath and n <= np.iinfo(np.int32).max:
         # Positions fit in int32: probe a narrow copy (comparisons and
         # counts are dtype-independent, so estimates are bit-identical),
         # half the memory traffic for both the numpy and native probes.
@@ -191,7 +191,7 @@ def effective_window(
 def _native_window_lane(prev: np.ndarray) -> bool:
     """Whether the compiled window pass takes this ``prev`` array."""
     return (
-        fastpath_enabled()
+        runtime().fastpath
         and prev.dtype == np.int64
         and prev.flags.c_contiguous
         and _native.available()
@@ -374,7 +374,7 @@ def reuse_distances(stream: np.ndarray) -> np.ndarray:
     the previous access to the same row); ``-1`` marks first touches.
     """
     stream = np.asarray(stream)
-    if not fastpath_enabled():
+    if not runtime().fastpath:
         return _reuse_distances_reference(stream)
     if stream.shape[0] == 0:
         return np.full(0, -1, dtype=np.int64)

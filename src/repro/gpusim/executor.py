@@ -45,7 +45,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from ..perf import PERF, fastpath_enabled, memo_enabled
+from ..perf import PERF, runtime
 from .cache import (
     effective_window,
     hit_mask,
@@ -117,7 +117,7 @@ def _cold_stream_plan(
     """Stream analysis from scratch: one native tick sweep when the
     lane is up, else the issue permutation then a previous-occurrence
     pass over the permuted stream (identical results)."""
-    if fastpath_enabled() and _native.available():
+    if runtime().fastpath and _native.available():
         swept = _native.stream_plan(row_ptr, row_ids, num_slots)
         if swept is not None:
             return StreamPlan(perm=swept[0], prev=swept[1])
@@ -139,7 +139,7 @@ def _stream_plan(
     long-lived parent arrays may pass a precomputed ``key`` so repeat
     lookups never re-hash sliced views.
     """
-    if memo_enabled():
+    if runtime().memo:
         if key is None:
             key = (array_digest(row_ptr), array_digest(row_ids), num_slots)
         plan = STREAM_CACHE.get(key)
@@ -173,7 +173,7 @@ def _plan_window(plan: StreamPlan, capacity: int) -> int:
     window = plan.windows.get(capacity)
     if window is None:
         prev = plan.prev
-        if fastpath_enabled() and prev.shape[0] <= np.iinfo(np.int32).max:
+        if runtime().fastpath and prev.shape[0] <= np.iinfo(np.int32).max:
             # The window searches at each probed capacity share one
             # narrow copy (estimates are dtype-independent).
             if plan.prev32 is None:
@@ -224,7 +224,7 @@ def _row_hit_counts(
     row_ptr = kernel.row_ptr
     row_ids = kernel.row_ids
     slots = config.total_block_slots
-    use_plan = fastpath_enabled() or memo_enabled()
+    use_plan = runtime().fastpath or runtime().memo
     if row_ids.shape[0] > limit:
         # Sample a contiguous block prefix: hit *rates* are stationary in
         # block order, so a window estimates the full-stream rate
@@ -239,7 +239,7 @@ def _row_hit_counts(
             # are identity-cached) plus the cut, not by the fresh prefix
             # views — repeat lookups then cost zero hashing.
             key = None
-            if memo_enabled():
+            if runtime().memo:
                 key = (
                     "prefix",
                     array_digest(row_ptr),
@@ -264,7 +264,7 @@ def _row_hit_counts(
         hits_sorted = hit_mask(row_ids[perm], capacity, config.cache_model)
     hits = np.empty_like(hits_sorted)
     hits[perm] = hits_sorted
-    if fastpath_enabled():
+    if runtime().fastpath:
         # Per-block hit counts as prefix-sum differences: one cumsum
         # pass, empty blocks fall out as zero-width differences.  The
         # sums are exact integers, identical to the reduceat below.
@@ -360,7 +360,7 @@ def _list_schedule(
         waves = np.arange(b, dtype=np.int64) // slots
         starts = waves * dmax
         return starts.astype(np.float64), starts + durations
-    if not (fastpath_enabled() and _native.available()):
+    if not (runtime().fastpath and _native.available()):
         return _list_schedule_reference(durations, slots)
     # One compiled heap loop over every block: a binary min-heap pops the
     # same multiset minima whatever its internal layout, and the C loop
@@ -456,7 +456,7 @@ def simulate_kernel(
     share one frozen stat, renamed through ``replace`` when a caller's
     name differs.
     """
-    if not memo_enabled():
+    if not runtime().memo:
         return _simulate_kernel_cold(kernel, config, dispatch_overhead)
     key = kernel_fingerprint(kernel, config, dispatch_overhead)
     cached = KERNEL_MEMO.get(key)
@@ -517,7 +517,7 @@ def simulate_plan(plan, config: GPUConfig | None = None) -> RunReport:
     defaults to the configuration the plan was compiled for.
     """
     cfg = config if config is not None else plan.gpu_config
-    if not memo_enabled():
+    if not runtime().memo:
         return simulate_kernels(
             plan.kernels, cfg, label=plan.label,
             peak_mem_bytes=plan.peak_mem_bytes,

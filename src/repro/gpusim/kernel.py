@@ -25,18 +25,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..perf import env_flag, memo_enabled
+from ..perf import runtime
 from .memo import REORDER_CACHE, array_digest
 
-__all__ = ["KernelDataflow", "KernelSpec", "strict_mode"]
-
-
-def strict_mode() -> bool:
-    """Opt-in deep validation of kernel specs (``REPRO_STRICT=1``).
-
-    Off by default: the checks scan every per-block array, which is real
-    work on hot lowering paths that build thousands of kernels."""
-    return env_flag("REPRO_STRICT", False)
+__all__ = ["KernelDataflow", "KernelSpec"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,11 +133,14 @@ class KernelSpec:
                     f"{self.name}: block_center has "
                     f"{self.block_center.shape[0]} entries for {b} blocks"
                 )
-        if strict_mode():
+        if runtime().strict:
             self.validate_strict()
 
     def validate_strict(self) -> None:
-        """Deep structural validation (see :func:`strict_mode`)."""
+        """Deep structural validation, run on construction under
+        ``runtime().strict`` (``REPRO_STRICT=1``).  Off by default: the
+        checks scan every per-block array, which is real work on hot
+        lowering paths that build thousands of kernels."""
         name = self.name
         if self.row_ptr is not None:
             if self.row_ptr[0] != 0:
@@ -230,7 +225,7 @@ class KernelSpec:
         else:
             row_ptr = row_ids = None
             key = None
-            if memo_enabled():
+            if runtime().memo:
                 # The ragged gather below is the most expensive lowering
                 # step on large graphs, and layouts re-apply the same
                 # permutation to the same stream once per feature length

@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from ..perf import fastpath_enabled
+from ..perf import runtime
 
 __all__ = ["KernelStats", "RunReport", "occupancy_below"]
 
@@ -33,7 +33,7 @@ def occupancy_below(
     """
     if starts.size == 0:
         return {f: 0.0 for f in fractions}
-    if fastpath_enabled():
+    if runtime().fastpath:
         # Scheduler starts are emitted (almost) sorted, so sorting the
         # two halves and scattering the end events into the merged
         # timeline beats a stable argsort of the 2n concatenation.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpusim import _native
-from ..perf import fastpath_enabled
+from ..perf import runtime
 from .csr import CSRGraph, coo_to_csr, sorted_unique
 
 __all__ = [
@@ -42,12 +42,12 @@ def _weighted_draw(
     cumulative sum, one ``rng.random(size)``, a right-sided search),
     with the search made by the native guide-table kernel where there
     is one and by ``searchsorted`` otherwise (and always under
-    ``configure(fastpath=False)``).
+    ``override(fastpath=False)``).
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
     u = rng.random(size)
-    if fastpath_enabled():
+    if runtime().fastpath:
         idx = _native.weighted_search(cdf, u)
         if idx is not None:
             return idx

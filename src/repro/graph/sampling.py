@@ -27,7 +27,7 @@ from typing import Tuple
 import numpy as np
 
 from ..gpusim import _native
-from ..perf import fastpath_enabled
+from ..perf import runtime
 from .csr import CSRGraph, coo_to_csr, sorted_unique
 
 __all__ = [
@@ -108,7 +108,7 @@ def khop_sampled_subgraph(
         if sampled.size:
             draws = _native.choice_rows(
                 rng, deg[sampled], fanout
-            ) if fastpath_enabled() else None
+            ) if runtime().fastpath else None
             if draws is None:
                 draws = np.concatenate([
                     rng.choice(d, fanout, replace=False)

@@ -8,75 +8,104 @@ against the same disease one level up.  It provides:
   seconds, schedule seconds, ...) and counters (memo hits/misses).  The
   executor reports a per-:class:`~repro.gpusim.metrics.RunReport` delta
   under ``report.extra["perf"]``.
-* fast-path / memoization switches — every vectorized hot path keeps its
-  reference implementation; :func:`configure` selects between them (both
-  on by default), and the equivalence tests assert both modes are
-  bit-identical.
-* :func:`env_flag` — the one parser for the package's boolean
-  ``REPRO_*`` environment switches.
+* :class:`RuntimeConfig` — the package's one runtime configuration:
+  the native lane, the vectorized fast paths, the memo tiers, strict
+  checking and the plan cache's disk directory.  :func:`runtime` reads
+  it (resolved from the ``REPRO_*`` environment on first use) and
+  :func:`override` changes it for a block.  Every fast path keeps its
+  reference implementation and every axis preserves the simulated
+  numbers; ``tests/test_invariants.py`` asserts that across one grid.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import time
-from typing import Dict, Optional
+from typing import Dict, Iterator, Mapping, Optional
 
 from .latency import LatencyHistogram, percentile
 
 __all__ = [
     "PerfRegistry",
     "PERF",
-    "configure",
-    "env_flag",
-    "fastpath_enabled",
-    "memo_enabled",
+    "RuntimeConfig",
+    "runtime",
+    "override",
     "LatencyHistogram",
     "percentile",
 ]
 
 
-def env_flag(name: str, default: bool) -> bool:
-    """A boolean environment switch; unset means ``default``.
-
-    ``0``/``false``/``no``/``off`` (any case) and the empty string mean
-    off; any other value means on.
-    """
-    raw = os.environ.get(name)
+def _flag(environ: Mapping[str, str], name: str, default: bool) -> bool:
+    """``0``/``false``/``no``/``off`` (any case) and the empty string
+    mean off; any other value means on; unset means ``default``."""
+    raw = environ.get(name)
     if raw is None:
         return default
     return raw.strip().lower() not in ("0", "false", "no", "off", "")
 
 
-#: Module state for the switches; both on unless :func:`configure`d off.
-_FASTPATH = True
-_MEMO = True
+@dataclasses.dataclass(frozen=True)
+class RuntimeConfig:
+    """How the package runs.  No field changes a simulated number.
 
-
-def fastpath_enabled() -> bool:
-    """Whether vectorized fast paths replace reference implementations."""
-    return _FASTPATH
-
-
-def memo_enabled() -> bool:
-    """Whether content-addressed kernel/stream memoization is active."""
-    return _MEMO
-
-
-def configure(
-    fastpath: Optional[bool] = None,
-    memo: Optional[bool] = None,
-) -> None:
-    """Override the performance switches at runtime.
-
-    ``None`` leaves a switch unchanged.
+    * ``native`` — use the compiled C kernels when a C compiler is
+      present (``REPRO_NATIVE``, default on);
+    * ``fastpath`` — vectorized paths instead of the reference loops;
+    * ``memo`` — the content-addressed memo tiers and the plan cache;
+    * ``strict`` — deep-validate every ``KernelSpec`` and statically
+      verify every plan the benchmark runtimes lower
+      (``REPRO_STRICT``, default off);
+    * ``plan_cache_dir`` — the plan cache's disk tier, off when None
+      (``REPRO_PLAN_CACHE_DIR``).
     """
-    global _FASTPATH, _MEMO
-    if fastpath is not None:
-        _FASTPATH = bool(fastpath)
-    if memo is not None:
-        _MEMO = bool(memo)
+
+    native: bool = True
+    fastpath: bool = True
+    memo: bool = True
+    strict: bool = False
+    plan_cache_dir: Optional[str] = None
+
+    @classmethod
+    def from_env(
+        cls, environ: Optional[Mapping[str, str]] = None
+    ) -> "RuntimeConfig":
+        """The configuration the ``REPRO_*`` variables select; the one
+        place the package reads them."""
+        env = os.environ if environ is None else environ
+        return cls(
+            native=_flag(env, "REPRO_NATIVE", True),
+            strict=_flag(env, "REPRO_STRICT", False),
+            plan_cache_dir=env.get("REPRO_PLAN_CACHE_DIR") or None,
+        )
+
+
+#: The current configuration; resolved by the first :func:`runtime` call.
+#: A plain module global: the package starts no threads.
+_RUNTIME: Optional[RuntimeConfig] = None
+
+
+def runtime() -> RuntimeConfig:
+    """The current configuration (from the environment on first use)."""
+    global _RUNTIME
+    if _RUNTIME is None:
+        _RUNTIME = RuntimeConfig.from_env()
+    return _RUNTIME
+
+
+@contextlib.contextmanager
+def override(**fields: object) -> Iterator[RuntimeConfig]:
+    """Run a block under :func:`runtime` with ``fields`` replaced;
+    the previous configuration comes back on exit."""
+    global _RUNTIME
+    previous = runtime()
+    _RUNTIME = dataclasses.replace(previous, **fields)
+    try:
+        yield _RUNTIME
+    finally:
+        _RUNTIME = previous
 
 
 class PerfRegistry:

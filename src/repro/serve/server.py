@@ -2,9 +2,8 @@
 
 The server owns the pipeline's stateful stages: it queues admitted
 requests, resolves each compatibility batch to a plan through the
-process-wide content-addressed :data:`~repro.core.plan.PLAN_CACHE`
-(unbounded unless :meth:`~repro.core.plan.PlanCache.set_capacity`
-bounds it), executes every batch exactly once, and fans bit-identical
+process-wide content-addressed (unbounded)
+:data:`~repro.core.plan.PLAN_CACHE`, executes every batch exactly once, and fans bit-identical
 results back to each member request while per-tenant latency
 histograms accumulate.  A batch whose compilation raises
 :class:`~repro.frameworks.base.NotSupported` or
@@ -357,7 +356,7 @@ class PlanServer:
         """Pre-resolve hot plans into the cache (the warm-start pool).
 
         ``specs`` is an iterable of ``(framework-or-name, model_name,
-        graph)``.  With a disk tier configured
+        graph)``.  With the disk tier on
         (``REPRO_PLAN_CACHE_DIR``), a fresh serving process warms
         entirely from disk artifacts — no staged pipeline runs.
         Returns ``(plan_id, cache_hit)`` per spec.

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import perf
 from repro.analysis import (
     CODES,
     PlanVerificationError,
@@ -45,7 +46,7 @@ from repro.core import (
 )
 from repro.core.adapter import _consumes_reduced
 from repro.gpusim import V100
-from repro.gpusim.kernel import KernelSpec, strict_mode
+from repro.gpusim.kernel import KernelSpec
 from repro.graph import small_dataset
 
 
@@ -364,17 +365,23 @@ class TestDriver:
 
     @pytest.mark.parametrize("value", ["false", "off", "no"])
     def test_verify_plans_off_spellings_are_off(self, monkeypatch, value):
-        from repro.bench.harness import verify_plans_default
+        """Plan verification follows ``REPRO_STRICT``: off spellings
+        leave the benchmark runtimes unverified, on verifies them."""
+        from repro.bench import harness
 
-        monkeypatch.setenv("REPRO_VERIFY_PLANS", value)
-        assert not verify_plans_default()
+        monkeypatch.setattr(harness, "_RUNTIMES", {})
+        monkeypatch.setenv("REPRO_STRICT", value)
+        with perf.override(strict=perf.RuntimeConfig.from_env().strict):
+            assert not harness.cached_runtime().options.verify_plans
+        with perf.override(strict=True):
+            assert harness.cached_runtime().options.verify_plans
 
     def test_lint_cli_exits_zero_and_emits_json(self, g, capsys):
         import json
 
         from repro.cli import main
 
-        rc = main(["lint", "--datasets", "citation", "--models", "gcn",
+        rc = main(["lint", "--dataset", "citation", "--model", "gcn",
                    "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
@@ -605,17 +612,22 @@ class TestAdapterRegressions:
 class TestStrictKernelSpec:
     def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_STRICT", raising=False)
-        assert not strict_mode()
+        assert not perf.RuntimeConfig.from_env().strict
         # Lenient mode accepts what strict rejects.
-        KernelSpec("k", block_flops=np.array([1.0, -1.0]))
-
-    def test_strict_rejects_negative_flops(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT", "1")
-        with pytest.raises(ValueError, match="negative block_flops"):
+        with perf.override(strict=False):
             KernelSpec("k", block_flops=np.array([1.0, -1.0]))
 
-    def test_strict_rejects_bad_row_ptr(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT", "1")
+    def test_strict_rejects_negative_flops(self):
+        with perf.override(strict=True), \
+                pytest.raises(ValueError, match="negative block_flops"):
+            KernelSpec("k", block_flops=np.array([1.0, -1.0]))
+
+    @pytest.fixture
+    def strict(self):
+        with perf.override(strict=True):
+            yield
+
+    def test_strict_rejects_bad_row_ptr(self, strict):
         with pytest.raises(ValueError, match="not monotonic"):
             KernelSpec(
                 "k", block_flops=np.ones(2),
@@ -632,30 +644,30 @@ class TestStrictKernelSpec:
                 row_ptr=np.array([0, 2]), row_ids=np.array([1, -4]),
             )
 
-    def test_strict_rejects_nonfinite_stream(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT", "1")
+    def test_strict_rejects_nonfinite_stream(self, strict):
         with pytest.raises(ValueError, match="non-finite stream_bytes"):
             KernelSpec("k", block_flops=np.ones(1),
                        stream_bytes=np.array([np.inf]))
 
     def test_strict_zero_is_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_STRICT", "0")
-        assert not strict_mode()
+        assert not perf.RuntimeConfig.from_env().strict
+        monkeypatch.setenv("REPRO_STRICT", "1")
+        assert perf.RuntimeConfig.from_env().strict
 
     @pytest.mark.parametrize("value", ["false", "off", "no", "FALSE", ""])
     def test_strict_off_spellings_are_off(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_STRICT", value)
-        assert not strict_mode()
-        KernelSpec("k", block_flops=np.array([1.0, -1.0]))
+        with perf.override(strict=perf.RuntimeConfig.from_env().strict):
+            KernelSpec("k", block_flops=np.array([1.0, -1.0]))
 
-    def test_block_center_length_checked_always(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STRICT", raising=False)
-        with pytest.raises(ValueError, match="block_center"):
+    def test_block_center_length_checked_always(self):
+        with perf.override(strict=False), \
+                pytest.raises(ValueError, match="block_center"):
             KernelSpec("k", block_flops=np.ones(2),
                        block_center=np.array([0]))
 
-    def test_shipped_lowering_survives_strict(self, monkeypatch, g):
-        monkeypatch.setenv("REPRO_STRICT", "1")
+    def test_shipped_lowering_survives_strict(self, strict, g):
         ops = gat_attention_ops()
         plan = plan_fusion(ops, allow_adapter=True, allow_linear=True,
                            grouped=True)

@@ -81,6 +81,17 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["compare", "--datasets", "cora"])
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--frameworks", "bogus", "--datasets", "ddi"],
+        ["plan", "compile", "--frameworks", "bogus", "--datasets", "ddi"],
+        ["shard", "run", "--dataset", "ddi", "--framework", "bogus"],
+        ["shard", "lint", "--dataset", "ddi", "--framework", "bogus"],
+        ["serve", "replay", "--frameworks", "bogus"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_unknown_framework_rejected(self, argv):
+        with pytest.raises(SystemExit, match="unknown framework 'bogus'"):
+            main(argv)
+
     def test_compare_command(self, capsys):
         assert main([
             "compare", "--model", "gcn", "--datasets", "ddi",

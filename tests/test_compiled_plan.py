@@ -57,11 +57,9 @@ def _clean_state():
     """Cold caches and zeroed stage counters around every test."""
     clear_caches()
     reset_stage_counts()
-    perf.configure(fastpath=True, memo=True)
     yield
     clear_caches()
     reset_stage_counts()
-    perf.configure(fastpath=True, memo=True)
 
 
 @pytest.fixture(scope="module")
@@ -129,21 +127,22 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("fw_name,model", _supported_cases())
     def test_framework_model_matrix(self, fw_name, model, g, tmp_path):
-        perf.configure(memo=False)  # force both executions to simulate
         fw = all_frameworks()[fw_name]
-        try:
-            plan = fw.compile(model, g, V100_SCALED)
-        except NotSupported:
-            pytest.skip(f"{fw_name} does not lower {model}")
-        self._roundtrip(fw, plan, tmp_path)
+        # memo off forces both executions to simulate
+        with perf.override(memo=False):
+            try:
+                plan = fw.compile(model, g, V100_SCALED)
+            except NotSupported:
+                pytest.skip(f"{fw_name} does not lower {model}")
+            self._roundtrip(fw, plan, tmp_path)
 
     @pytest.mark.parametrize("fusion", sorted(FUSION_OPTIONS))
     @pytest.mark.parametrize("model", ["gcn", "gat"])
     def test_fusion_configs(self, fusion, model, g, tmp_path):
-        perf.configure(memo=False)
-        fw = OursRuntime(FUSION_OPTIONS[fusion])
-        plan = fw.compile(model, g, V100_SCALED)
-        self._roundtrip(fw, plan, tmp_path)
+        with perf.override(memo=False):
+            fw = OursRuntime(FUSION_OPTIONS[fusion])
+            plan = fw.compile(model, g, V100_SCALED)
+            self._roundtrip(fw, plan, tmp_path)
 
     @staticmethod
     def _roundtrip(fw, plan, tmp_path):
@@ -500,7 +499,6 @@ class TestCompileOnce:
     """The same (graph, model, config) runs the staged pipeline once."""
 
     def test_stage_counters_frozen_on_second_run(self, g):
-        perf.configure(memo=True)
         fw = OursRuntime()
         first = fw.run_gcn(g, GCNConfig(), V100_SCALED)
         counts = stage_counts()
@@ -516,7 +514,6 @@ class TestCompileOnce:
         )
 
     def test_cache_shared_across_runtime_instances(self, g):
-        perf.configure(memo=True)
         OursRuntime().run_gcn(g, GCNConfig(), V100_SCALED)
         counts = stage_counts()
         res = OursRuntime().run_gcn(g, GCNConfig(), V100_SCALED)
@@ -524,7 +521,6 @@ class TestCompileOnce:
         assert res.report.extra["perf"]["plan"]["cache_hit"] is True
 
     def test_different_options_compile_separately(self, g):
-        perf.configure(memo=True)
         OursRuntime(FUSION_OPTIONS["linear"]).run_gcn(
             g, GCNConfig(), V100_SCALED
         )
@@ -536,12 +532,12 @@ class TestCompileOnce:
         assert stage_counts() != counts
 
     def test_memo_disabled_recompiles(self, g):
-        perf.configure(memo=False)
-        fw = OursRuntime()
-        fw.run_gcn(g, GCNConfig(), V100_SCALED)
-        counts = stage_counts()
-        fw.run_gcn(g, GCNConfig(), V100_SCALED)
-        assert stage_counts() != counts
+        with perf.override(memo=False):
+            fw = OursRuntime()
+            fw.run_gcn(g, GCNConfig(), V100_SCALED)
+            counts = stage_counts()
+            fw.run_gcn(g, GCNConfig(), V100_SCALED)
+            assert stage_counts() != counts
 
 
 class TestPlanCarriedStats:
@@ -629,13 +625,10 @@ def _memo_snapshot():
 
 def _reference_stats(kernels, dispatch_overhead):
     """The same kernels simulated cold, with every memo tier off."""
-    perf.configure(memo=False)
-    try:
+    with perf.override(memo=False):
         report = simulate_kernels(
             kernels, V100_SCALED, dispatch_overhead=dispatch_overhead
         )
-    finally:
-        perf.configure(memo=True)
     return [dataclasses.asdict(s) for s in report.kernels]
 
 
@@ -791,13 +784,13 @@ class TestLoaderWarnings:
         assert "corrupt plan artifact" in self.caplog.text
 
     def test_mismatched_plan_id_warns(self, g, tmp_path):
-        perf.configure(memo=False)
-        plan = OursRuntime().compile("gcn", g, V100_SCALED)
-        path = str(tmp_path / "plan.npz")
-        save_plan(path, plan)
-        assert load_plan(path, expect_id="0" * 32) is None
-        assert "mismatched plan artifact" in self.caplog.text
-        assert plan.plan_id in self.caplog.text
+        with perf.override(memo=False):
+            plan = OursRuntime().compile("gcn", g, V100_SCALED)
+            path = str(tmp_path / "plan.npz")
+            save_plan(path, plan)
+            assert load_plan(path, expect_id="0" * 32) is None
+            assert "mismatched plan artifact" in self.caplog.text
+            assert plan.plan_id in self.caplog.text
 
 
 class TestLintFilters:
@@ -821,47 +814,47 @@ class TestLintFilters:
 
 class TestLintPlan:
     def test_compiled_plan_passes(self, g):
-        perf.configure(memo=False)
-        plan = OursRuntime().compile("gat", g, V100_SCALED)
-        report = lint_plan(plan, graph=g)
-        assert report.ok, report.format()
-        assert report.checked > 0
+        with perf.override(memo=False):
+            plan = OursRuntime().compile("gat", g, V100_SCALED)
+            report = lint_plan(plan, graph=g)
+            assert report.ok, report.format()
+            assert report.checked > 0
 
     def test_survives_serialization(self, g, tmp_path):
-        perf.configure(memo=False)
-        plan = OursRuntime().compile("gcn", g, V100_SCALED)
-        path = str(tmp_path / "plan.npz")
-        save_plan(path, plan)
-        live = lint_plan(plan, graph=g)
-        offline = lint_plan(load_plan(path), graph=g)
-        assert offline.checked == live.checked
-        assert offline.ok == live.ok
+        with perf.override(memo=False):
+            plan = OursRuntime().compile("gcn", g, V100_SCALED)
+            path = str(tmp_path / "plan.npz")
+            save_plan(path, plan)
+            live = lint_plan(plan, graph=g)
+            offline = lint_plan(load_plan(path), graph=g)
+            assert offline.checked == live.checked
+            assert offline.ok == live.ok
 
     def test_wrong_graph_is_error(self, g):
-        perf.configure(memo=False)
-        plan = OursRuntime().compile("gcn", g, V100_SCALED)
-        other = power_law_graph(512, 8.0, seed=123)
-        report = lint_plan(plan, graph=other)
-        assert not report.ok
-        assert any("fingerprint" in f.message for f in report.findings)
+        with perf.override(memo=False):
+            plan = OursRuntime().compile("gcn", g, V100_SCALED)
+            other = power_law_graph(512, 8.0, seed=123)
+            report = lint_plan(plan, graph=other)
+            assert not report.ok
+            assert any("fingerprint" in f.message for f in report.findings)
 
     def test_unshipped_graph_needs_explicit_graph(self, g):
-        perf.configure(memo=False)
-        plan = OursRuntime().compile("gcn", g, V100_SCALED)
-        report = lint_plan(plan)  # small_dataset isn't a shipped name
-        assert not report.ok
-        assert any(
-            "not a shipped dataset" in f.message for f in report.findings
-        )
+        with perf.override(memo=False):
+            plan = OursRuntime().compile("gcn", g, V100_SCALED)
+            report = lint_plan(plan)  # small_dataset isn't a shipped name
+            assert not report.ok
+            assert any(
+                "not a shipped dataset" in f.message for f in report.findings
+            )
 
 
 class TestPlanShowCLI:
     def _saved(self, g, tmp_path):
-        perf.configure(memo=False)
-        plan = OursRuntime().compile("gcn", g, V100_SCALED)
-        path = str(tmp_path / f"plan_{plan.plan_id}.npz")
-        save_plan(path, plan)
-        return plan, path
+        with perf.override(memo=False):
+            plan = OursRuntime().compile("gcn", g, V100_SCALED)
+            path = str(tmp_path / f"plan_{plan.plan_id}.npz")
+            save_plan(path, plan)
+            return plan, path
 
     def test_show_prints_schema_summary(self, g, tmp_path, capsys):
         from repro.cli import main

@@ -26,7 +26,7 @@ from repro.graph import (
     small_dataset,
 )
 from repro.graph import generators
-from repro.perf import configure
+from repro.perf import override
 
 DATASET_FINGERPRINTS = {
     "arxiv": "e1f3fb6e7056b31b",
@@ -134,17 +134,19 @@ GENERATOR_FINGERPRINTS = {
 }
 
 
-@pytest.fixture(params=["default", "numpy", "reference"])
-def lane(request, monkeypatch):
+_LANES = {
+    "default": {},
+    "numpy": {"native": False},
+    "reference": {"fastpath": False},
+}
+
+
+@pytest.fixture(params=list(_LANES))
+def lane(request):
     """The default lane, the numpy lane (no native library) and the
-    reference lane (``configure(fastpath=False)``)."""
-    if request.param == "numpy":
-        monkeypatch.setattr(_native, "_LIB", None)
-        monkeypatch.setattr(_native, "_TRIED", True)
-    elif request.param == "reference":
-        configure(fastpath=False)
-    yield request.param
-    configure(fastpath=True)
+    reference lane (``override(fastpath=False)``)."""
+    with override(**_LANES[request.param]):
+        yield request.param
 
 
 def test_generator_grid_is_pinned():

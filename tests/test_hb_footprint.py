@@ -423,7 +423,7 @@ class TestRegistry:
                                                  capsys):
         from repro.cli import main
 
-        argv = ["lint", "--datasets", "citation", "--models", "gcn",
+        argv = ["lint", "--dataset", "citation", "--model", "gcn",
                 "--fusion", "adapter"]
         assert main(argv) == 0           # warnings exit 0 by default
         capsys.readouterr()
@@ -440,7 +440,7 @@ class TestRegistry:
         baseline.write_text(json.dumps(
             {"suppress": [{"code": "", "where": "*everywhere*"}]}
         ))
-        rc = main(["lint", "--datasets", "citation", "--models", "gcn",
+        rc = main(["lint", "--dataset", "citation", "--model", "gcn",
                    "--fusion", "adapter", "--fail-on", "warning",
                    "--baseline", str(baseline)])
         out = capsys.readouterr().out
@@ -451,7 +451,7 @@ class TestRegistry:
         from repro.cli import main
 
         sarif_path = tmp_path / "out" / "lint.sarif"
-        rc = main(["lint", "--datasets", "citation", "--models", "gcn",
+        rc = main(["lint", "--dataset", "citation", "--model", "gcn",
                    "--fusion", "linear", "--sarif", str(sarif_path)])
         assert rc == 0
         payload = json.loads(sarif_path.read_text())

@@ -7,7 +7,6 @@ the whole module degrades to trivially-passing skips when no C compiler
 is available, mirroring the library's own graceful fallback.
 """
 
-import contextlib
 import heapq
 import logging
 import tempfile
@@ -30,17 +29,11 @@ from repro.core.minhash import (
 from repro.core.scheduling import locality_aware_schedule
 from repro.graph import coo_to_csr, khop_sampled_subgraph, load_dataset
 from repro.graph.csr import sorted_unique
-from repro.perf import configure
+from repro.perf import RuntimeConfig, override
 
 needs_native = pytest.mark.skipif(
     not _native.available(), reason="no C compiler / native lane disabled"
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_perf():
-    yield
-    configure(fastpath=True, memo=True)
 
 
 def _ragged(rng, n_blocks=400, lo=1, hi=40):
@@ -48,17 +41,6 @@ def _ragged(rng, n_blocks=400, lo=1, hi=40):
     row_ptr = np.zeros(n_blocks + 1, dtype=np.int64)
     np.cumsum(lengths, out=row_ptr[1:])
     return row_ptr
-
-
-@contextlib.contextmanager
-def _no_native():
-    """The native lane switched off for the duration of the block."""
-    saved = _native._LIB, _native._TRIED
-    _native._LIB, _native._TRIED = None, True
-    try:
-        yield
-    finally:
-        _native._LIB, _native._TRIED = saved
 
 
 @st.composite
@@ -114,9 +96,8 @@ class TestNativeBitIdentity:
     def test_prev_occurrence(self):
         rng = np.random.default_rng(0)
         stream = rng.integers(0, 500, size=20_000)
-        configure(fastpath=False)
-        ref = previous_occurrence(stream)
-        configure(fastpath=True)
+        with override(fastpath=False):
+            ref = previous_occurrence(stream)
         fast = previous_occurrence(stream)
         direct = _native.prev_occurrence(
             np.ascontiguousarray(stream, dtype=np.int64), 500
@@ -144,10 +125,9 @@ class TestNativeBitIdentity:
             n = int(row_ptr[-1])
             row_ids = rng.integers(0, max(n // 4, 1), size=n)
             for slots in (1, 7, 160):
-                configure(fastpath=False)
-                perm = ex.interleaved_order(row_ptr, slots)
-                prev = previous_occurrence(row_ids[perm])
-                configure(fastpath=True)
+                with override(fastpath=False):
+                    perm = ex.interleaved_order(row_ptr, slots)
+                    prev = previous_occurrence(row_ids[perm])
                 got = _native.stream_plan(row_ptr, row_ids, slots)
                 assert got is not None, (name, slots)
                 assert np.array_equal(got[0], perm), (name, slots)
@@ -163,10 +143,10 @@ class TestNativeBitIdentity:
         cut_block = int(np.searchsorted(row_ptr, limit, side="right")) - 1
         sub_ptr = row_ptr[: cut_block + 1]
         sub_ids = row_ids[: int(row_ptr[cut_block])]
-        configure(fastpath=False, memo=False)
-        ref = ex._stream_plan(sub_ptr, sub_ids, 160)
-        configure(fastpath=True, memo=False)
-        fast = ex._stream_plan(sub_ptr, sub_ids, 160)
+        with override(fastpath=False, memo=False):
+            ref = ex._stream_plan(sub_ptr, sub_ids, 160)
+        with override(memo=False):
+            fast = ex._stream_plan(sub_ptr, sub_ids, 160)
         assert np.array_equal(ref.perm, fast.perm)
         assert np.array_equal(ref.prev, fast.prev)
 
@@ -182,8 +162,8 @@ class TestNativeBitIdentity:
         assert _native.stream_plan(falling, ids, 7) is None
         assert _native.stream_plan(row_ptr, ids[:-1], 7) is None
         assert _native.stream_plan(row_ptr, ids, 0) is None
-        configure(memo=False)
-        plan = ex._stream_plan(row_ptr, big, 7)  # the reference answers
+        with override(memo=False):
+            plan = ex._stream_plan(row_ptr, big, 7)  # the reference answers
         assert np.array_equal(plan.perm, ex.interleaved_order(row_ptr, 7))
 
     def test_list_schedule_matches_reference(self):
@@ -239,9 +219,8 @@ class TestNativeBitIdentity:
         stream = rng.integers(0, 200, size=5_000)
         prev = previous_occurrence(stream)
         for capacity in (16, 64, 256):
-            configure(fastpath=False)
-            ref = window_hits_from_prev(prev, capacity)
-            configure(fastpath=True)
+            with override(fastpath=False):
+                ref = window_hits_from_prev(prev, capacity)
             fast = window_hits_from_prev(prev, capacity)
             assert np.array_equal(ref, fast)
 
@@ -287,9 +266,8 @@ class TestNativeBitIdentity:
     def test_merge_pairs_partition_identical(self):
         graphs = [load_dataset("ddi"), load_dataset("arxiv"), _khop_sample()]
         for g in graphs:
-            configure(fastpath=False)
-            ref = locality_aware_schedule(g)
-            configure(fastpath=True)
+            with override(fastpath=False):
+                ref = locality_aware_schedule(g)
             fast = locality_aware_schedule(g)
             assert np.array_equal(ref.order, fast.order), g.name
             assert np.array_equal(ref.cluster_id, fast.cluster_id), g.name
@@ -301,7 +279,7 @@ class TestNativeBitIdentity:
     @settings(max_examples=60, deadline=None)
     def test_minhash_rows_match_reference(self, g, num_hashes, seed):
         native = minhash_signatures(g, num_hashes=num_hashes, seed=seed)
-        with _no_native():
+        with override(native=False):
             ref = minhash_signatures(g, num_hashes=num_hashes, seed=seed)
         assert _same_bits(native.rows, ref.rows)
         assert np.array_equal(native.empty, ref.empty)
@@ -335,7 +313,7 @@ class TestNativeBitIdentity:
         pairs, sims = lsh_candidate_pairs(
             sig, bands=bands, pair_window=pair_window, seed=seed + 1
         )
-        with _no_native():
+        with override(native=False):
             ref_pairs, ref_sims = lsh_candidate_pairs(
                 sig, bands=bands, pair_window=pair_window, seed=seed + 1
             )
@@ -440,7 +418,7 @@ class TestChoiceRows:
             np.random.default_rng(0), hub.degrees[seeds], 300
         ) is None
         got = khop_sampled_subgraph(hub, seeds, (300,), seed=9)
-        with _no_native():
+        with override(native=False):
             ref = khop_sampled_subgraph(hub, seeds, (300,), seed=9)
         assert got.graph.degrees[:2].tolist() == [300, 300]
         assert np.array_equal(got.node_map, ref.node_map)
@@ -525,12 +503,12 @@ class TestGuideSearch:
         assert _native.weighted_search(cdf, np.array([0.5, bad])) is None
 
     def test_no_native_lane_declines(self):
-        with _no_native():
+        with override(native=False):
             assert _native.weighted_search(_cdf([1.0]), np.zeros(3)) is None
 
 
 class TestNativeDisabled:
-    def test_repro_native_0_falls_back(self, monkeypatch):
+    def test_repro_native_0_falls_back(self):
         """With the native lane forced off, the reference paths carry
         the same results — the accelerator is an implementation
         detail."""
@@ -541,8 +519,8 @@ class TestNativeDisabled:
         with_native_order = ex.interleaved_order(row_ptr, 13)
         with_native_mask = window_hits_from_prev(with_native_prev, 64)
         row_ids = rng.integers(0, 500, size=int(row_ptr[-1]))
-        configure(memo=False)
-        with_native_plan = ex._stream_plan(row_ptr, row_ids, 13)
+        with override(memo=False):
+            with_native_plan = ex._stream_plan(row_ptr, row_ids, 13)
         durations = np.concatenate(
             [np.full(200, 1.5), rng.random(300) * 3.0]
         )
@@ -554,69 +532,72 @@ class TestNativeDisabled:
         arxiv = load_dataset("arxiv")
         khop_args = (arxiv, np.arange(0, 640, 10), (10, 10), 0)
         with_native_khop = khop_sampled_subgraph(*khop_args)
-        monkeypatch.setattr(_native, "_LIB", None)
-        monkeypatch.setattr(_native, "_TRIED", True)
-        assert not _native.available()
-        assert np.array_equal(
-            with_native_prev, previous_occurrence(stream)
-        )
-        assert np.array_equal(
-            with_native_order, ex.interleaved_order(row_ptr, 13)
-        )
-        assert np.array_equal(
-            with_native_mask,
-            window_hits_from_prev(with_native_prev, 64),
-        )
-        plan = ex._stream_plan(row_ptr, row_ids, 13)
-        assert np.array_equal(with_native_plan.perm, plan.perm)
-        assert np.array_equal(with_native_plan.prev, plan.prev)
-        for a, b in zip(with_native_sched, ex._list_schedule(durations, 13)):
-            assert np.array_equal(a, b)
-        sig = minhash_signatures(g)
-        assert np.array_equal(with_native_sig.rows, sig.rows)
-        assert np.array_equal(with_native_sig.empty, sig.empty)
-        for a, b in zip(with_native_pairs, lsh_candidate_pairs(sig)):
-            assert _same_bits(a, b)
-        schedule = locality_aware_schedule(g)
-        assert np.array_equal(with_native_schedule.order, schedule.order)
-        assert np.array_equal(
-            with_native_schedule.cluster_id, schedule.cluster_id
-        )
-        assert (with_native_schedule.num_candidate_pairs
-                == schedule.num_candidate_pairs)
-        khop = khop_sampled_subgraph(*khop_args)
-        assert np.array_equal(with_native_khop.node_map, khop.node_map)
-        assert np.array_equal(with_native_khop.graph.indptr, khop.graph.indptr)
-        assert np.array_equal(
-            with_native_khop.graph.indices, khop.graph.indices
-        )
+        with override(native=False, memo=False):
+            assert not _native.available()
+            assert np.array_equal(
+                with_native_prev, previous_occurrence(stream)
+            )
+            assert np.array_equal(
+                with_native_order, ex.interleaved_order(row_ptr, 13)
+            )
+            assert np.array_equal(
+                with_native_mask,
+                window_hits_from_prev(with_native_prev, 64),
+            )
+            plan = ex._stream_plan(row_ptr, row_ids, 13)
+            assert np.array_equal(with_native_plan.perm, plan.perm)
+            assert np.array_equal(with_native_plan.prev, plan.prev)
+            for a, b in zip(with_native_sched, ex._list_schedule(durations, 13)):
+                assert np.array_equal(a, b)
+            sig = minhash_signatures(g)
+            assert np.array_equal(with_native_sig.rows, sig.rows)
+            assert np.array_equal(with_native_sig.empty, sig.empty)
+            for a, b in zip(with_native_pairs, lsh_candidate_pairs(sig)):
+                assert _same_bits(a, b)
+            schedule = locality_aware_schedule(g)
+            assert np.array_equal(with_native_schedule.order, schedule.order)
+            assert np.array_equal(
+                with_native_schedule.cluster_id, schedule.cluster_id
+            )
+            assert (with_native_schedule.num_candidate_pairs
+                    == schedule.num_candidate_pairs)
+            khop = khop_sampled_subgraph(*khop_args)
+            assert np.array_equal(with_native_khop.node_map, khop.node_map)
+            assert np.array_equal(with_native_khop.graph.indptr, khop.graph.indptr)
+            assert np.array_equal(
+                with_native_khop.graph.indices, khop.graph.indices
+            )
 
     def test_env_var_disables_build(self, monkeypatch, caplog):
+        """``REPRO_NATIVE=0`` switches the lane off without a build
+        attempt, so without a warning."""
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        monkeypatch.setattr(_native, "_LIB", None)
-        monkeypatch.setattr(_native, "_TRIED", False)
-        with caplog.at_level(logging.WARNING, logger=_native.__name__):
+        monkeypatch.setattr(
+            _native, "_load", lambda: pytest.fail("native build attempted")
+        )
+        with override(native=RuntimeConfig.from_env().native), \
+                caplog.at_level(logging.WARNING, logger=_native.__name__):
             assert not _native.available()
+            assert _native.weighted_search(np.ones(1), np.zeros(1)) is None
         assert not caplog.records  # an explicit opt-out is not a fault
 
     @pytest.mark.parametrize("value", ["false", "off", "no"])
     def test_off_spellings_select_numpy_lane(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_NATIVE", value)
-        monkeypatch.setattr(_native, "_LIB", None)
-        monkeypatch.setattr(_native, "_TRIED", False)
-        assert not _native.available()
+        assert not RuntimeConfig.from_env().native
 
     def test_missing_compiler_warns_and_cleans_up(
         self, monkeypatch, tmp_path, caplog
     ):
         missing = str(tmp_path / "no-such-cc")
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
         monkeypatch.setenv("CC", missing)
-        # A fresh temp dir: no previously cached shared object is found.
+        # A fresh temp dir: no previously cached shared object is found,
+        # and a forgotten earlier load forces the rebuild.
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         monkeypatch.setattr(_native, "_LIB", None)
         monkeypatch.setattr(_native, "_TRIED", False)
-        with caplog.at_level(logging.WARNING, logger=_native.__name__):
+        with override(native=True), \
+                caplog.at_level(logging.WARNING, logger=_native.__name__):
             assert not _native.available()
         warnings = [
             r for r in caplog.records if r.levelno == logging.WARNING

@@ -9,8 +9,6 @@ streams, empty rows.
 """
 
 import dataclasses
-import hashlib
-import json
 import logging
 import weakref
 
@@ -18,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro import perf
-from repro.bench import fig7_overall, fig12_tuned_sweep, harness, sweep_config
-from repro.core import PLAN_CACHE, pipeline, save_plan
+from repro.core import PLAN_CACHE, save_plan
 from repro.core.grouping import neighbor_grouping
 from repro.core.lowering import ExecLayout, aggregation_kernel
 from repro.core.minhash import minhash_signatures
@@ -57,12 +54,10 @@ from repro.gpusim.memo import (
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    """Each test starts with cold caches and the default switches."""
+    """Each test starts and ends with cold caches."""
     clear_caches()
-    perf.configure(fastpath=True, memo=True)
     yield
     clear_caches()
-    perf.configure(fastpath=True, memo=True)
 
 
 # ----------------------------------------------------------------------
@@ -103,9 +98,8 @@ def test_reuse_distances_edge_cases():
 
 def test_reuse_distances_dispatch_respects_fastpath_flag():
     stream = np.array([1, 2, 1, 3, 2, 1])
-    perf.configure(fastpath=False)
-    slow = reuse_distances(stream)
-    perf.configure(fastpath=True)
+    with perf.override(fastpath=False):
+        slow = reuse_distances(stream)
     fast = reuse_distances(stream)
     assert np.array_equal(slow, fast)
 
@@ -130,9 +124,8 @@ def test_list_schedule_dispatch_and_trivial_paths():
     assert np.array_equal(s, np.zeros(3)) and np.array_equal(e, d)
     s0, e0 = _list_schedule(np.empty(0), slots=4)
     assert s0.size == 0 and e0.size == 0
-    perf.configure(fastpath=False)
-    ref = _list_schedule(np.array([1.0, 5.0, 2.0, 2.0, 1.0]), 2)
-    perf.configure(fastpath=True)
+    with perf.override(fastpath=False):
+        ref = _list_schedule(np.array([1.0, 5.0, 2.0, 2.0, 1.0]), 2)
     fast = _list_schedule(np.array([1.0, 5.0, 2.0, 2.0, 1.0]), 2)
     assert np.array_equal(ref[0], fast[0])
     assert np.array_equal(ref[1], fast[1])
@@ -147,9 +140,8 @@ def test_minhash_batched_matches_reference():
         g = power_law_graph(
             1200 + 400 * seed, avg_degree=4 + 3 * seed, seed=seed
         )
-        perf.configure(fastpath=False)
-        ref = minhash_signatures(g, num_hashes=19 + seed, seed=seed)
-        perf.configure(fastpath=True)
+        with perf.override(fastpath=False):
+            ref = minhash_signatures(g, num_hashes=19 + seed, seed=seed)
         fast = minhash_signatures(g, num_hashes=19 + seed, seed=seed)
         assert np.array_equal(ref.rows, fast.rows)
         assert np.array_equal(ref.empty, fast.empty)
@@ -166,9 +158,8 @@ def _sample_kernel(seed=1, feat=64):
 
 def test_memoized_simulation_equals_cold_run():
     k = _sample_kernel()
-    perf.configure(fastpath=False, memo=False)
-    cold = simulate_kernel(k, V100_SCALED)
-    perf.configure(fastpath=True, memo=True)
+    with perf.override(fastpath=False, memo=False):
+        cold = simulate_kernel(k, V100_SCALED)
     first = simulate_kernel(k, V100_SCALED)   # miss: fills the memo
     second = simulate_kernel(k, V100_SCALED)  # hit: served from it
     for f in dataclasses.fields(cold):
@@ -179,7 +170,6 @@ def test_memoized_simulation_equals_cold_run():
 
 
 def test_memo_restores_caller_name_and_isolates_occupancy():
-    perf.configure(memo=True)
     k = _sample_kernel()
     a = simulate_kernel(k, V100_SCALED)
     renamed = dataclasses.replace(k, name="other")
@@ -194,7 +184,6 @@ def test_memo_restores_caller_name_and_isolates_occupancy():
 
 
 def test_memo_distinguishes_config_and_overhead():
-    perf.configure(memo=True)
     k = _sample_kernel()
     base = simulate_kernel(k, V100_SCALED)
     other_cfg = simulate_kernel(
@@ -273,9 +262,8 @@ def test_digest_cache_entries_falls_back_after_arrays_drop():
 
 def test_stream_cache_off_and_on_identical():
     k = _sample_kernel(seed=5)
-    perf.configure(fastpath=True, memo=False)
-    no_cache = simulate_kernel(k, V100_SCALED)
-    perf.configure(fastpath=True, memo=True)
+    with perf.override(memo=False):
+        no_cache = simulate_kernel(k, V100_SCALED)
     cached = simulate_kernel(k, V100_SCALED)
     for f in dataclasses.fields(no_cache):
         assert getattr(no_cache, f.name) == getattr(cached, f.name), f.name
@@ -292,13 +280,10 @@ _LANES = pytest.mark.parametrize(
 )
 
 
-def _set_lane(monkeypatch, fast, native):
-    if not native:
-        monkeypatch.setattr(_native, "_LIB", None)
-        monkeypatch.setattr(_native, "_TRIED", True)
-    elif not _native.available():
+def _lane(fast, native):
+    if native and not _native.available():
         pytest.skip("no C compiler / native lane disabled")
-    perf.configure(fastpath=fast, memo=fast)
+    return perf.override(native=native, fastpath=fast, memo=fast)
 
 
 @_LANES
@@ -306,109 +291,61 @@ def test_kernel_time_equals_simulated_time(monkeypatch, fast, native):
     """``kernel_time`` is ``simulate_kernel(...).time`` bit for bit over
     full and prefix-cut streams, both cache models, identity, grouped
     and reordered layouts, with and without a launch charge."""
-    _set_lane(monkeypatch, fast, native)
-    counted = []
-    if fast and native:
-        count = _native.window_hit_count
-        monkeypatch.setattr(
-            _native, "window_hit_count",
-            lambda prev, w: counted.append(w) or count(prev, w),
-        )
-    g = power_law_graph(800, avg_degree=11, seed=1)
-    grouped = neighbor_grouping(g, 16)
-    order = np.random.default_rng(0).permutation(g.num_nodes)
-    layouts = [
-        ExecLayout.default(g),
-        ExecLayout(grouping=grouped, lanes=16, packed_rows=True),
-        ExecLayout(grouping=grouped, center_order=order, packed_rows=True),
-    ]
-    prefix = g.num_edges // 3
-    configs = [
-        V100_SCALED,
-        V100_SCALED.replace(cache_trace_limit=prefix),
-        V100_SCALED.replace(cache_model="lru"),
-        V100_SCALED.replace(cache_model="lru", cache_trace_limit=prefix),
-    ]
-    for layout in layouts:
-        for config in configs:
-            for counts_launch in (True, False):
-                k = aggregation_kernel(
-                    g, 48, config, layout, counts_launch=counts_launch
-                )
-                for overhead in (0.0, 25e-6):
-                    got = kernel_time(k, config, overhead)
-                    want = simulate_kernel(k, config, overhead).time
-                    assert got.hex() == want.hex()
+    with _lane(fast, native):
+        counted = []
+        if fast and native:
+            count = _native.window_hit_count
+            monkeypatch.setattr(
+                _native, "window_hit_count",
+                lambda prev, w: counted.append(w) or count(prev, w),
+            )
+        g = power_law_graph(800, avg_degree=11, seed=1)
+        grouped = neighbor_grouping(g, 16)
+        order = np.random.default_rng(0).permutation(g.num_nodes)
+        layouts = [
+            ExecLayout.default(g),
+            ExecLayout(grouping=grouped, lanes=16, packed_rows=True),
+            ExecLayout(grouping=grouped, center_order=order, packed_rows=True),
+        ]
+        prefix = g.num_edges // 3
+        configs = [
+            V100_SCALED,
+            V100_SCALED.replace(cache_trace_limit=prefix),
+            V100_SCALED.replace(cache_model="lru"),
+            V100_SCALED.replace(cache_model="lru", cache_trace_limit=prefix),
+        ]
+        for layout in layouts:
+            for config in configs:
+                for counts_launch in (True, False):
+                    k = aggregation_kernel(
+                        g, 48, config, layout, counts_launch=counts_launch
+                    )
+                    for overhead in (0.0, 25e-6):
+                        got = kernel_time(k, config, overhead)
+                        want = simulate_kernel(k, config, overhead).time
+                        assert got.hex() == want.hex()
     # The native lane prices the window prefix cuts by count.
     assert bool(counted) == (fast and native)
 
 
 @pytest.mark.parametrize("model", ["window", "lru"])
 @_LANES
-def test_plan_hit_rate_is_the_mask_mean(monkeypatch, fast, native, model):
+def test_plan_hit_rate_is_the_mask_mean(fast, native, model):
     """The prefix-cut hit rate (a native count for the window model) is
     bit-identical to the hit mask's mean, empty stream included."""
-    _set_lane(monkeypatch, fast, native)
-    rng = np.random.default_rng(5)
-    lengths = rng.integers(0, 30, size=600)
-    row_ptr = np.zeros(601, dtype=np.int64)
-    np.cumsum(lengths, out=row_ptr[1:])
-    row_ids = rng.integers(0, 400, size=int(row_ptr[-1]))
-    for ptr, ids in ((row_ptr, row_ids), (np.zeros(4, np.int64), row_ids[:0])):
-        plan = _stream_plan(ptr, ids, 64)
-        for capacity in (8, 64, 512):
-            rate = _plan_hit_rate(plan, capacity, model)
-            hits = _plan_hits(plan, capacity, model)
-            want = float(hits.mean()) if hits.size else 0.0
-            assert rate.hex() == want.hex()
-
-
-# ----------------------------------------------------------------------
-# End to end: the quick paper grid, reference vs fast
-# ----------------------------------------------------------------------
-
-def _quick_grid_hash():
-    """Content hash of the quick Fig. 7 grid + tuned Fig. 12 sweep."""
-    grid = fig7_overall(models=("gcn", "gat"), datasets=["arxiv", "ddi"])
-    sweep = fig12_tuned_sweep(["arxiv"], [32, 64], sweep_config())
-    results = {
-        "fig7": {
-            m: {f: {d: cell.time_ms for d, cell in row.items()}
-                for f, row in frameworks.items()}
-            for m, frameworks in grid.items()
-        },
-        "fig12": {
-            d: {str(f): round(v, 9) for f, v in series.items()}
-            for d, series in sweep.items()
-        },
-    }
-    return hashlib.sha256(
-        json.dumps(results, sort_keys=True).encode()
-    ).hexdigest()[:16]
-
-
-@pytest.mark.parametrize(
-    "fast,native",
-    [(False, True), (True, True), (True, False)],
-    ids=["reference", "fast", "fast-numpy"],
-)
-def test_quick_grid_hash_in_both_modes(monkeypatch, fast, native):
-    """Reference and fast modes reproduce the pinned quick-grid hash.
-
-    Each mode starts from cold caches, the offline schedule and the
-    shared runtime's tuning included, so the reference run exercises
-    every reference implementation.  ``fast-numpy`` is the fast mode
-    on a host without a C compiler: every loop with a native kernel
-    (the list schedule, the stream analysis, MinHash and LSH) falls back
-    to its reference, while the memo tiers and the fast paths that have
-    no native kernel stay on."""
-    pipeline._SCHEDULES.clear()
-    monkeypatch.setattr(harness, "_RUNTIMES", {})
-    if not native:
-        monkeypatch.setattr(_native, "_LIB", None)
-        monkeypatch.setattr(_native, "_TRIED", True)
-    perf.configure(fastpath=fast, memo=fast)
-    assert _quick_grid_hash() == "a52a3f53968f6bd5"
+    with _lane(fast, native):
+        rng = np.random.default_rng(5)
+        lengths = rng.integers(0, 30, size=600)
+        row_ptr = np.zeros(601, dtype=np.int64)
+        np.cumsum(lengths, out=row_ptr[1:])
+        row_ids = rng.integers(0, 400, size=int(row_ptr[-1]))
+        for ptr, ids in ((row_ptr, row_ids), (np.zeros(4, np.int64), row_ids[:0])):
+            plan = _stream_plan(ptr, ids, 64)
+            for capacity in (8, 64, 512):
+                rate = _plan_hit_rate(plan, capacity, model)
+                hits = _plan_hits(plan, capacity, model)
+                want = float(hits.mean()) if hits.size else 0.0
+                assert rate.hex() == want.hex()
 
 
 # ----------------------------------------------------------------------
@@ -423,41 +360,38 @@ class TestDiskTierHardening:
     @pytest.fixture(autouse=True)
     def _plan_tier(self, caplog):
         caplog.set_level(logging.WARNING, logger="repro.core")
-        perf.configure(memo=True)
-        yield
-        PLAN_CACHE.set_disk_dir(None)
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path, caplog):
         g = small_dataset()
         fresh = DGLLike().compile("gcn", g, V100_SCALED)
         clear_caches()
-        PLAN_CACHE.set_disk_dir(str(tmp_path))
-        DGLLike().compile("gcn", g, V100_SCALED)
-        path = tmp_path / f"plan_{fresh.plan_id}.npz"
-        good = path.read_bytes()
-        cases = {
-            "truncated to 40 bytes": good[:40],
-            "truncated to half": good[:len(good) // 2],
-            "last 10 bytes cut": good[:-10],
-            "empty": b"",
-            "garbage": b"not an npz",
-        }
-        for label, damaged in cases.items():
-            path.write_bytes(damaged)
-            clear_caches()
-            caplog.clear()
-            disk_hits = perf.PERF.counts.get("plan_cache_disk_hit", 0)
-            plan = DGLLike().compile("gcn", g, V100_SCALED)
-            assert plan.plan_id == fresh.plan_id, label
-            assert [k.name for k in plan.kernels] == \
-                [k.name for k in fresh.kernels], label
-            assert [kernel_fingerprint(k, V100_SCALED, 0.0)
-                    for k in plan.kernels] == \
-                [kernel_fingerprint(k, V100_SCALED, 0.0)
-                 for k in fresh.kernels], label
-            assert perf.PERF.counts.get("plan_cache_disk_hit", 0) \
-                == disk_hits, label
-            assert str(path) in caplog.text, label
+        with perf.override(plan_cache_dir=str(tmp_path)):
+            DGLLike().compile("gcn", g, V100_SCALED)
+            path = tmp_path / f"plan_{fresh.plan_id}.npz"
+            good = path.read_bytes()
+            cases = {
+                "truncated to 40 bytes": good[:40],
+                "truncated to half": good[:len(good) // 2],
+                "last 10 bytes cut": good[:-10],
+                "empty": b"",
+                "garbage": b"not an npz",
+            }
+            for label, damaged in cases.items():
+                path.write_bytes(damaged)
+                clear_caches()
+                caplog.clear()
+                disk_hits = perf.PERF.counts.get("plan_cache_disk_hit", 0)
+                plan = DGLLike().compile("gcn", g, V100_SCALED)
+                assert plan.plan_id == fresh.plan_id, label
+                assert [k.name for k in plan.kernels] == \
+                    [k.name for k in fresh.kernels], label
+                assert [kernel_fingerprint(k, V100_SCALED, 0.0)
+                        for k in plan.kernels] == \
+                    [kernel_fingerprint(k, V100_SCALED, 0.0)
+                     for k in fresh.kernels], label
+                assert perf.PERF.counts.get("plan_cache_disk_hit", 0) \
+                    == disk_hits, label
+                assert str(path) in caplog.text, label
 
     def test_unwritable_disk_dir_keeps_plan_in_memory(self, tmp_path,
                                                       caplog):
@@ -465,15 +399,15 @@ class TestDiskTierHardening:
         # for root, unlike a chmod-revoked directory.
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("")
-        PLAN_CACHE.set_disk_dir(str(blocker))
         g = small_dataset()
-        plan = DGLLike().compile("gcn", g, V100_SCALED)
-        assert "could not persist plan" in caplog.text
-        assert str(blocker) in caplog.text
-        assert DGLLike().compile("gcn", g, V100_SCALED) is plan
-        # Only the cache swallows the error: an explicit save still fails.
-        with pytest.raises(OSError):
-            save_plan(PLAN_CACHE.disk_path(plan.plan_id), plan)
+        with perf.override(plan_cache_dir=str(blocker)):
+            plan = DGLLike().compile("gcn", g, V100_SCALED)
+            assert "could not persist plan" in caplog.text
+            assert str(blocker) in caplog.text
+            assert DGLLike().compile("gcn", g, V100_SCALED) is plan
+            # Only the cache swallows the error: an explicit save still fails.
+            with pytest.raises(OSError):
+                save_plan(PLAN_CACHE.disk_path(plan.plan_id), plan)
 
     def test_concurrent_style_tmp_names_unique(self, tmp_path):
         from repro.core.persistence import _tmp_path

@@ -5,7 +5,7 @@ admission, compatibility batching, pooled execution, fan-out — returns
 *bit-identical* simulated results to the same request run alone through
 ``execute_one`` (which is what every ``run_*`` entry point calls).
 Covered here across the framework x model x fusion matrix, plus the
-bounded plan-cache tiers, admission reason codes, per-batch failure
+plan-cache tiers, admission reason codes, per-batch failure
 isolation, batching compatibility, the fresh-process disk-tier warm
 start, and the ``repro serve replay`` CLI.
 """
@@ -55,11 +55,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _clean_state():
     clear_caches()
     reset_stage_counts()
-    perf.configure(fastpath=True, memo=True)
     yield
     clear_caches()
     reset_stage_counts()
-    perf.configure(fastpath=True, memo=True)
 
 
 @pytest.fixture(scope="module")
@@ -462,11 +460,12 @@ class TestAdmission:
 
 
 # ----------------------------------------------------------------------
-# Bounded plan-cache tiers
+# Plan-cache tiers
 # ----------------------------------------------------------------------
 
 class TestPlanCacheBounds:
-    """The plan cache's memory tier is the shared ``LRUCache``."""
+    """The plan cache's memory tier is the shared ``LRUCache``, unbounded;
+    the entry and byte bounds the other memo tiers set are the LRU's."""
 
     def _plans(self, g, n):
         fw = OursRuntime()
@@ -491,41 +490,39 @@ class TestPlanCacheBounds:
         assert delta == {"plan_cache_hit": 1, "plan_cache_miss": 1,
                          "plan_cache_disk_hit": 0}
 
-    def test_entry_capacity_evicts_lru(self, g):
-        cache = PlanCache(max_entries=2)
-        p1, p2, p3 = self._plans(g, 3)
-        evictions = PERF.counts.get("plan_cache_evict", 0)
-        cache.put(p1)
-        cache.put(p2)
-        assert cache.get(p1.plan_id) is p1   # p1 now most-recent
-        cache.put(p3)                        # evicts p2, the LRU
-        assert PERF.counts.get("plan_cache_evict", 0) == evictions + 1
-        assert cache.contains(p1.plan_id)
-        assert not cache.contains(p2.plan_id)
-        assert cache.contains(p3.plan_id)
-        assert cache.stats()["entries"] == 2
+    def test_entry_capacity_evicts_lru(self):
+        cache = LRUCache(max_entries=2, name="test_memo")
+        evictions = PERF.counts.get("test_memo_evict", 0)
+        cache.put("p1", 1)
+        cache.put("p2", 2)
+        assert cache.get("p1") == 1   # p1 now most-recent
+        cache.put("p3", 3)            # evicts p2, the LRU
+        assert PERF.counts.get("test_memo_evict", 0) == evictions + 1
+        assert cache.contains("p1")
+        assert not cache.contains("p2")
+        assert cache.contains("p3")
+        assert len(cache) == 2
 
     def test_byte_capacity_keeps_at_least_one(self, g):
         p1, p2 = self._plans(g, 2)
-        cache = PlanCache(max_bytes=1)   # smaller than any single plan
-        cache.put(p1)
-        cache.put(p2)
+        cache = LRUCache(max_bytes=1, name="test_memo")  # < any one plan
+        cache.put(p1.plan_id, p1, nbytes=plan_nbytes(p1))
+        cache.put(p2.plan_id, p2, nbytes=plan_nbytes(p2))
         # The newest entry always survives: a cache that evicted its own
         # admission would break the compile-return path.
         assert cache.contains(p2.plan_id)
         assert not cache.contains(p1.plan_id)
-        assert cache.stats()["entries"] == 1
+        assert len(cache) == 1
         assert cache.nbytes == plan_nbytes(p2)
 
-    def test_zero_entries_admits_nothing(self, g):
-        (p1,) = self._plans(g, 1)
-        cache = PlanCache(max_entries=0)
-        evictions = PERF.counts.get("plan_cache_evict", 0)
-        cache.put(p1)
-        assert not cache.contains(p1.plan_id)
+    def test_zero_entries_admits_nothing(self):
+        cache = LRUCache(max_entries=0, name="test_memo")
+        evictions = PERF.counts.get("test_memo_evict", 0)
+        cache.put("p1", 1, nbytes=8)
+        assert not cache.contains("p1")
         assert len(cache) == 0 and cache.nbytes == 0
-        assert PERF.counts.get("plan_cache_evict", 0) == evictions + 1
-        assert cache.get(p1.plan_id) is None
+        assert PERF.counts.get("test_memo_evict", 0) == evictions + 1
+        assert cache.get("p1") is None
 
     def test_nbytes_accounting(self, g):
         (p1,) = self._plans(g, 1)
@@ -541,16 +538,15 @@ class TestPlanCacheBounds:
         for p in plans:
             cache.put(p)
         assert cache.stats()["entries"] == 3
-        assert cache.stats()["max_entries"] is None
-        assert cache.stats()["max_bytes"] is None
         assert PERF.counts.get("plan_cache_evict", 0) == evictions
 
     def test_disk_load_counts_memory_miss(self, g, tmp_path):
         (p1,) = self._plans(g, 1)
-        PlanCache(disk_dir=str(tmp_path)).put(p1)
-        cache = PlanCache(disk_dir=str(tmp_path))
-        before = dict(PERF.counts)
-        loaded = cache.get(p1.plan_id)
+        with perf.override(plan_cache_dir=str(tmp_path)):
+            PlanCache().put(p1)
+            cache = PlanCache()
+            before = dict(PERF.counts)
+            loaded = cache.get(p1.plan_id)
         assert loaded is not None and loaded.plan_id == p1.plan_id
         assert cache.contains(p1.plan_id)
         delta = {k: PERF.counts.get(k, 0) - before.get(k, 0)
@@ -558,48 +554,6 @@ class TestPlanCacheBounds:
                            "plan_cache_disk_hit")}
         assert delta == {"plan_cache_hit": 0, "plan_cache_miss": 1,
                          "plan_cache_disk_hit": 1}
-
-    def test_served_pool_bounded(self, g, g2):
-        """Bounding the process-wide cache under a live server: serving
-        more distinct plans than capacity keeps the hot pool at
-        capacity, and every response stays correct."""
-        PLAN_CACHE.set_capacity(max_entries=1)
-        try:
-            server = PlanServer(sim=V100_SCALED)
-            responses = server.serve([
-                InferenceRequest("gcn", g, framework="dgl"),
-                InferenceRequest("gcn", g2, framework="dgl"),
-            ])
-            assert all(r.ok for r in responses)
-            assert PLAN_CACHE.stats()["entries"] == 1
-            assert server.stats()["plan_cache"]["entries"] == 1
-            assert PERF.counts.get("plan_cache_evict", 0) >= 1
-        finally:
-            PLAN_CACHE.set_capacity()
-
-    def test_set_capacity_shrinks_live_pool(self, g, g2):
-        """``set_capacity`` evicts at once, keeping the newest plan."""
-        server = PlanServer(sim=V100_SCALED)
-        responses = server.serve([
-            InferenceRequest("gcn", g, framework="dgl"),
-            InferenceRequest("gcn", g2, framework="dgl"),
-        ])
-        assert PLAN_CACHE.stats()["entries"] == 2
-        evictions = PERF.counts.get("plan_cache_evict", 0)
-        PLAN_CACHE.set_capacity(max_entries=1)
-        try:
-            assert PERF.counts.get("plan_cache_evict", 0) == evictions + 1
-            assert PLAN_CACHE.contains(responses[1].plan_id)
-            assert not PLAN_CACHE.contains(responses[0].plan_id)
-            again = server.serve([
-                InferenceRequest("gcn", g2, framework="dgl"),
-            ])
-            assert again[0].cache_hit
-            assert (again[0].result.time_ms
-                    == responses[1].result.time_ms)
-        finally:
-            PLAN_CACHE.set_capacity()
-        assert PLAN_CACHE.stats()["max_entries"] is None
 
     def test_lru_capacity_counts_evictions(self, g):
         cache = LRUCache(max_entries=1, name="test_memo")

@@ -371,6 +371,29 @@ class TestShardLintCLI:
         assert "note: per-partition compile raised SimulatedOOM" in \
             captured.err
 
+    def test_run_degrades_simulated_oom(self, capsys, monkeypatch):
+        """``shard run`` turns a per-partition ``SimulatedOOM`` into one
+        line on stdout and exit code 1, with no traceback."""
+        import repro.cli as cli
+        from repro.frameworks.dgl_like import DGLLike
+        from repro.gpusim import SimulatedOOM
+
+        class _OOMOnCompile(DGLLike):
+            def compile(self, model_name, graph, sim, **kwargs):
+                raise SimulatedOOM(1 << 40, 0, sim.device_mem_bytes, "stub")
+
+        monkeypatch.setattr(
+            cli, "all_frameworks", lambda: {"dgl": _OOMOnCompile()}
+        )
+        assert cli.main(["shard", "run", "--dataset", "arxiv",
+                         "--parts", "2"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("simulated OOM on 2 device(s): ")
+        assert "stub" in lines[0]
+        assert captured.err == ""
+
     def test_choose_recommends(self, capsys):
         from repro.cli import main
 

@@ -186,10 +186,8 @@ class TestTuneCache:
     @pytest.fixture(autouse=True)
     def _clean(self):
         clear_caches()
-        perf.configure(fastpath=True, memo=True)
         yield
         clear_caches()
-        perf.configure(fastpath=True, memo=True)
 
     def test_tune_leaves_no_kernel_memo_trace(self, g):
         snap = PERF.snapshot()
@@ -226,9 +224,9 @@ class TestTuneCache:
         assert len(tuner._TUNE_CACHE) == 0
 
     def test_memo_off_bypasses_it(self, g):
-        perf.configure(memo=False)
-        a = tune(g, 32, V100_SCALED, max_rounds=4)
-        b = tune(g, 32, V100_SCALED, max_rounds=4)
+        with perf.override(memo=False):
+            a = tune(g, 32, V100_SCALED, max_rounds=4)
+            b = tune(g, 32, V100_SCALED, max_rounds=4)
         assert len(tuner._TUNE_CACHE) == 0
         assert a == b
 
