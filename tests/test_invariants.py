@@ -2,9 +2,10 @@
 
 The reproduction stands in for the paper's baselines only if its
 simulated numbers do not depend on which lane computed them.  Each cell
-of the grid (framework x model on a seeded graph) gets one hash: the
-hex of the report's ``total_time``, its kernel count and its peak
-memory.  The hash must be the same
+of the grid (framework x model on a seeded graph) gets one hash over
+its report's peak memory and every :class:`KernelStats` field of every
+kernel but the display name (floats as ``float.hex``, the occupancy
+timeline as sorted pairs).  The hash must be the same
 
 * under every axis of :class:`repro.perf.RuntimeConfig`: the default,
   the reference (fast paths and memo tiers off), the native lane off,
@@ -19,6 +20,7 @@ kernel and vectorized loop against its reference) is tested next to
 the loop, in ``test_native`` and ``test_perf_equivalence``.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -49,9 +51,24 @@ CONFIGS = {
 TENANTS = ("a", "b", "c")
 
 
+def _exact(value):
+    return float.hex(value) if isinstance(value, float) else repr(value)
+
+
 def _hash(report):
-    return (f"{report.total_time.hex()}/{report.num_kernels}/"
-            f"{report.peak_mem_bytes}")
+    h = hashlib.sha256(repr(report.peak_mem_bytes).encode())
+    for stats in report.kernels:
+        for field in dataclasses.fields(stats):
+            value = getattr(stats, field.name)
+            if field.name == "name":
+                continue
+            if field.name == "occupancy":
+                value = [(_exact(f), _exact(v))
+                         for f, v in sorted(value.items())]
+            else:
+                value = _exact(value)
+            h.update(f"{field.name}={value};".encode())
+    return h.hexdigest()[:16]
 
 
 def _route_hashes(graph, fw_name, model):
