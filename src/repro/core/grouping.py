@@ -104,11 +104,24 @@ def neighbor_grouping(graph: CSRGraph, bound: int) -> GroupingPlan:
 
 
 def identity_grouping(graph: CSRGraph) -> GroupingPlan:
-    """One group per center — the ungrouped (DGL-style) task layout."""
-    n = graph.num_nodes
-    return GroupingPlan(
-        bound=max(int(graph.max_degree), 1),
-        group_ptr=graph.indptr.copy(),
-        group_center=np.arange(n, dtype=np.int64),
-        needs_atomic=np.zeros(n, dtype=bool),
-    )
+    """One group per center — the ungrouped (DGL-style) task layout.
+
+    Built once per graph instance, with read-only arrays: every default
+    layout of a graph shares it, so the content digests that key its
+    kernels (see :func:`repro.gpusim.memo.kernel_fingerprint`) are
+    computed once.
+    """
+    cached = graph.__dict__.get("_identity_grouping")
+    if cached is None:
+        n = graph.num_nodes
+        cached = GroupingPlan(
+            bound=max(int(graph.max_degree), 1),
+            group_ptr=graph.indptr.copy(),
+            group_center=np.arange(n, dtype=np.int64),
+            needs_atomic=np.zeros(n, dtype=bool),
+        )
+        for arr in (cached.group_ptr, cached.group_center,
+                    cached.needs_atomic):
+            arr.setflags(write=False)
+        object.__setattr__(graph, "_identity_grouping", cached)
+    return cached

@@ -132,8 +132,8 @@ def aggregation_kernel(
     flops_per_edge_elem: float = 2.0,
     edge_stream_bytes_per_edge: float = 4.0,
     extra_flops_per_edge: float = 0.0,
-    extra_block_flops: Optional[np.ndarray] = None,
-    extra_block_stream: Optional[np.ndarray] = None,
+    extra_block_flops: float | np.ndarray | None = None,
+    extra_block_stream: float | np.ndarray | None = None,
     compute_scale: float = 1.0,
     uncoalesced: float = 1.0,
     counts_launch: bool = True,
@@ -144,13 +144,20 @@ def aggregation_kernel(
     feature rows (cacheable), streams the CSR slice and any per-edge
     scalars, and writes one partial/full output row.  Covers DGL's SpMM
     (identity layout), our NG/LAS variants, and fused GAT aggregation
-    (via the ``extra_*`` hooks).  ``compute_scale`` models serialized
+    (via the ``extra_*`` hooks; ``extra_block_*`` add one value, or one
+    per group, to every block).  ``compute_scale`` models serialized
     hand-rolled kernels (DGL's non-cuSPARSE center-neighbor path maps a
     center to a thread loop rather than warp lanes).
     """
     g = layout.grouping
     sizes = g.group_sizes.astype(np.float64)
     waste = compute_waste(feat_len, layout.lanes) * compute_scale
+    recipe = (
+        "aggregate", graph.indices64, g.group_ptr, g.needs_atomic,
+        feat_len, waste, float(flops_per_edge_elem),
+        float(extra_flops_per_edge), float(edge_stream_bytes_per_edge),
+        extra_block_flops, extra_block_stream,
+    )
     flops = sizes * feat_len * flops_per_edge_elem * waste
     flops += sizes * extra_flops_per_edge
     if extra_block_flops is not None:
@@ -178,6 +185,7 @@ def aggregation_kernel(
         counts_launch=counts_launch,
         tag=tag,
         block_center=g.group_center,
+        recipe=recipe,
     )
     return _apply_order(kernel, layout)
 
@@ -202,24 +210,17 @@ def edge_chain_kernel(
     e = graph.num_edges
     elems_per_block = config.threads_per_block * 4
     blocks = max(1, -(-e // elems_per_block))
-    flops = np.full(blocks, flops_per_edge * e / blocks)
-    stream = np.full(
-        blocks, (reads_per_edge + writes_per_edge) * e / blocks
-    )
-    atomics = None
+    stream = (reads_per_edge + writes_per_edge) * e / blocks
+    atomics = 0
     if seg_reduce:
         stream = stream + 4.0 * e / blocks  # structure (dst ids)
         # One atomic per block-local segment tail; amortized ~1 per
         # distinct center in the block plus one remainder.
         per_block_centers = max(1.0, graph.num_nodes / blocks)
-        atomics = np.full(blocks, int(per_block_centers) + 1, dtype=np.int64)
-    return KernelSpec(
-        name=name,
-        block_flops=flops,
-        stream_bytes=stream,
-        atomics=atomics,
-        counts_launch=counts_launch,
-        tag="edge",
+        atomics = int(per_block_centers) + 1
+    return KernelSpec.filled(
+        name, blocks, flops_per_edge * e / blocks, stream, atomics,
+        counts_launch=counts_launch, tag="edge",
     )
 
 
@@ -246,6 +247,7 @@ def scalar_segment_reduce_kernel(
         counts_launch=counts_launch,
         tag="graph",
         block_center=np.arange(graph.num_nodes, dtype=np.int64),
+        recipe=("segment_reduce", graph.indptr),
     )
 
 
@@ -341,6 +343,7 @@ def edge_expansion_kernel(
         stream_bytes=stream,
         counts_launch=counts_launch,
         tag="graph",
+        recipe=("expand", graph.indices64, edges_per_block, feat_len),
     )
 
 
@@ -361,21 +364,24 @@ def scatter_reduce_kernel(
     elems = e * feat_len
     elems_per_block = config.threads_per_block * 4
     blocks = max(1, -(-elems // elems_per_block))
-    stream = np.full(blocks, (elems * 4.0 + e * 4.0) / blocks)
-    atomics = np.full(
-        blocks, max(1, (e * max(1, feat_len // 4)) // blocks), dtype=np.int64
-    )
+    flops = 2.0 * elems / blocks
+    stream = (elems * 4.0 + e * 4.0) / blocks
+    per_block = max(1, (e * max(1, feat_len // 4)) // blocks)
     # Atomic adds into one hub destination serialize across all of its
     # edges: the kernel's critical path carries max_degree x F/4 vector
     # atomics regardless of how edges are chunked.
-    atomics[-1] += graph.max_degree * max(1, feat_len // 4)
+    hub = graph.max_degree * max(1, feat_len // 4)
+    atomics = np.full(blocks, per_block, dtype=np.int64)
+    atomics[-1] += hub
     return KernelSpec(
         name=name,
-        block_flops=np.full(blocks, 2.0 * elems / blocks),
-        stream_bytes=stream,
+        block_flops=np.full(blocks, flops),
+        stream_bytes=np.full(blocks, stream),
         atomics=atomics,
         counts_launch=counts_launch,
         tag="edge",
+        recipe=("scatter_reduce", e, feat_len, elems_per_block,
+                graph.max_degree),
     )
 
 
@@ -387,13 +393,16 @@ def gather_rows_kernel(
     name: str = "gather_rows",
     write_back: bool = True,
     counts_launch: bool = True,
+    rows_recipe: Optional[tuple] = None,
 ) -> KernelSpec:
     """Gather arbitrary feature rows (SAGE-LSTM expansion / sparse fetch).
 
     ``row_ids`` is the flat gather index (e.g. ``neighbor_index[:, t]``
     or the full ``[N, k]`` flattened).  With ``write_back`` the gathered
     rows are materialized (expansion); without, they feed a fused
-    consumer in registers (sparse fetching).
+    consumer in registers (sparse fetching).  ``rows_recipe`` names
+    what ``row_ids`` was built from, for a fresh index array that would
+    otherwise be hashed to key the kernel memo.
     """
     r = int(row_ids.shape[0])
     rows_per_block = max(1, config.threads_per_block // min(feat_len, 32))
@@ -405,15 +414,20 @@ def gather_rows_kernel(
     stream = sizes * 4.0  # index reads
     if write_back:
         stream = stream + sizes * feat_len * 4.0
+    row_ids = np.asarray(row_ids, dtype=np.int64)
     return KernelSpec(
         name=name,
         block_flops=np.zeros(blocks),
         row_ptr=row_ptr,
-        row_ids=np.asarray(row_ids, dtype=np.int64),
+        row_ids=row_ids,
         row_bytes=effective_row_bytes(feat_len, config, False),
         stream_bytes=stream,
         counts_launch=counts_launch,
         tag="graph",
+        recipe=(
+            "gather", row_ids if rows_recipe is None else rows_recipe,
+            rows_per_block, feat_len if write_back else None,
+        ),
     )
 
 
@@ -561,10 +575,7 @@ def lower_plan(
             post_flops = sum(
                 op.flops_per_elem for op in group.postponed
             )  # per output element (applied at group granularity)
-            gsz = layout.grouping.num_groups
-            extra_block_flops = np.full(
-                gsz, post_flops * feat_len + node_map_flops
-            )
+            extra_block_flops = float(post_flops * feat_len + node_map_flops)
             # Per-edge scalar weights are read when any edge-aligned
             # producer or the GAT weight stream feeds the aggregate.
             has_edge_weights = any(

@@ -129,6 +129,12 @@ def lower_sage_lstm(
 ) -> Tuple[List[KernelSpec], List[SagePhase]]:
     """Kernel plan + phase attribution for one SAGE-LSTM aggregation."""
     nbr = sample_neighbors(graph, k, seed=seed)
+    # Each cell fetches one column; contiguous columns spare every
+    # consumer of a fetch kernel's row stream a strided copy.
+    columns = np.ascontiguousarray(nbr.T)
+    # What the fetch kernels' fresh index columns are built from: the
+    # CSR that ``sample_neighbors`` reads, the draw count and the seed.
+    sampled = ("sampled", graph.indptr, graph.indices64, k, seed)
     n = graph.num_nodes
     kernels: List[KernelSpec] = []
     phases: List[SagePhase] = []
@@ -145,7 +151,7 @@ def lower_sage_lstm(
         add(
             gather_rows_kernel(
                 nbr.reshape(-1), feat_len, config, name="sage.expand",
-                write_back=True,
+                write_back=True, rows_recipe=sampled,
             ),
             "expansion",
         )
@@ -173,9 +179,9 @@ def lower_sage_lstm(
         # No expansion kernel; each cell's transform gathers its rows.
         for t in range(k):
             fetch = gather_rows_kernel(
-                nbr[:, t], feat_len, config,
+                columns[t], feat_len, config,
                 name=f"sage.cell{t}.spfetch", write_back=False,
-                counts_launch=False,
+                counts_launch=False, rows_recipe=(sampled, t),
             )
             add(fetch, "core")
             add(
@@ -206,9 +212,9 @@ def lower_sage_lstm(
     )
     for t in range(k):
         fetch = gather_rows_kernel(
-            nbr[:, t], 4 * hidden, config,
+            columns[t], 4 * hidden, config,
             name=f"sage.cell{t}.spfetch", write_back=False,
-            counts_launch=False,
+            counts_launch=False, rows_recipe=(sampled, t),
         )
         add(fetch, "core")
         add(

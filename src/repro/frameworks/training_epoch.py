@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..core.grouping import identity_grouping, neighbor_grouping
 from ..core.lowering import (
     ExecLayout,
@@ -99,15 +97,12 @@ def lower_gcn_backward(
             )
         else:
             # Fused: relu/norm epilogues ride the reverse aggregation.
-            extra = np.full(
-                layout.grouping.num_groups, 3.0 * f_out
-            )
             kernels.append(
                 aggregation_kernel(
                     rev, f_out, sim, layout,
                     name=f"bwd{li}.fused_rev_aggregate",
                     edge_stream_bytes_per_edge=0.0,
-                    extra_block_flops=extra,
+                    extra_block_flops=3.0 * f_out,
                     tag="fused",
                 )
             )

@@ -3,7 +3,9 @@
 A few hot loops carry a data dependency numpy cannot express: the
 earliest-free-slot list scheduler (a pop-min/push loop over slot free
 times), the tick sweep that turns a block layout into its issue order,
-last-seen tables and, for locality-aware scheduling, the MinHash
+the merge of a schedule's sorted start and end events into its
+occupancy timeline, last-seen tables and, for locality-aware
+scheduling, the MinHash
 per-row minima (reduced in place, where numpy gathers per edge), the
 LSH bucket grouping (a hash map instead of one argsort per band), the
 pair similarities and the pair-merging heap.  One more loop is cheap
@@ -57,6 +59,7 @@ __all__ = [
     "lsh_pairs",
     "merge_pairs",
     "minhash_rows",
+    "occupancy_merge",
     "pair_similarity",
     "prev_occurrence",
     "stream_plan",
@@ -95,6 +98,31 @@ void greedy_schedule(const double* dur, long n, double* heap, long k,
         heap[0] = e;               /* replace-top == pop + push */
         sift_down(heap, k, 0);
     }
+}
+
+/* Occupancy timeline of a block schedule: one merge of the ascending
+ * starts s[0..n) and ascending ends e[0..n) into event order, every
+ * start before every end at equal times -- the order the reference's
+ * stable argsort of concat(starts, ends) gives.  Writes each event's
+ * span to the next event (t[k+1] - t[k], the last event's t - t) and
+ * the active block count after it. */
+void occupancy_merge(const double* s, const double* e, long n,
+                     double* span, long* active) {
+    long i = 0, j = 0, k, a = 0, m = 2 * n;
+    double t = 0.0, prev = 0.0;
+    for (k = 0; k < m; ++k) {
+        if (i < n && (j >= n || s[i] <= e[j])) {
+            t = s[i++];
+            ++a;
+        } else {
+            t = e[j++];
+            --a;
+        }
+        if (k) span[k - 1] = t - prev;
+        active[k] = a;
+        prev = t;
+    }
+    if (m) span[m - 1] = t - t;
 }
 
 /* Previous occurrence of each value in a bounded-int stream: one pass
@@ -735,6 +763,9 @@ def _build() -> "ctypes.CDLL | None":
     fn = lib.guide_search
     fn.restype = ctypes.c_int
     fn.argtypes = [vp, lg, vp, lg, vp, lg, vp]
+    fn = lib.occupancy_merge
+    fn.restype = None
+    fn.argtypes = [vp, vp, lg, vp, vp]
     return lib
 
 
@@ -779,6 +810,36 @@ def greedy_schedule(
         heap.ctypes.data, heap.shape[0],
         starts.ctypes.data, ends.ctypes.data,
     )
+
+
+def occupancy_merge(
+    starts: np.ndarray, ends: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray] | None":
+    """Event spans and active block counts of a schedule's timeline.
+
+    Equal, element for element, to the reference in
+    :func:`repro.gpusim.metrics.occupancy_below`: ``np.diff(times,
+    append=times[-1])`` and the running ``+1``/``-1`` count over the
+    stable argsort of ``concat(starts, ends)``.  Greedy schedules emit
+    non-decreasing starts, so only the ends are sorted first.  Returns
+    None (the reference takes over) unless ``starts`` and ``ends`` are
+    non-empty 1-D arrays of one length.
+    """
+    if starts.ndim != 1 or starts.shape != ends.shape or not starts.size:
+        return None
+    if not np.all(starts[1:] >= starts[:-1]):
+        starts = np.sort(starts)
+    ends = np.sort(ends)
+    starts = np.ascontiguousarray(starts, dtype=np.float64)
+    ends = np.ascontiguousarray(ends, dtype=np.float64)
+    n = starts.shape[0]
+    span = np.empty(2 * n)
+    active = np.empty(2 * n, dtype=np.int64)
+    _load().occupancy_merge(
+        starts.ctypes.data, ends.ctypes.data, n,
+        span.ctypes.data, active.ctypes.data,
+    )
+    return span, active
 
 
 def estimate_first_touch(

@@ -22,13 +22,18 @@ Performance layer (see DESIGN.md "Performance architecture"):
 * the list scheduler is one compiled heap loop (:mod:`._native`);
 * a cold stream analysis (issue permutation + previous-occurrence
   array) is one compiled tick sweep;
-* without a C compiler (or under ``REPRO_NATIVE=0``) both fall back to
-  their references: the ``heapq`` scheduler, and a ``lexsort`` issue
-  order followed by a stable-argsort previous-occurrence pass;
-* stream analyses (issue permutation + previous-occurrence array) and
-  whole :class:`KernelStats` are memoized content-addressed in
-  :mod:`repro.gpusim.memo`, so ablation variants stop re-simulating
-  shared kernels and tuner rounds share stream analyses;
+* the occupancy timeline is one compiled merge of sorted starts and
+  ends (:func:`~repro.gpusim.metrics.occupancy_below`);
+* without a C compiler (or under ``REPRO_NATIVE=0``) each falls back to
+  its reference: the ``heapq`` scheduler, a ``lexsort`` issue order
+  followed by a stable-argsort previous-occurrence pass, and a stable
+  argsort of the concatenated events;
+* stream analyses (issue permutation + previous-occurrence array) are
+  memoized content-addressed and whole :class:`KernelStats` by recipe
+  or content in :mod:`repro.gpusim.memo`, so ablation variants stop
+  re-simulating shared kernels and tuner rounds share stream analyses;
+  a kernel lowered by a builder is keyed by its recipe, so neither a
+  memo hit nor a miss hashes the arrays lowering just built;
 * :func:`kernel_time` prices a kernel through the same stages but
   returns its time alone (no statistics, no memo entry), for the
   tuner's rounds;
@@ -451,23 +456,38 @@ def simulate_kernel(
     computation-graph op through the framework runtime, fused runtimes
     pay it once per fused kernel.
 
-    Results are memoized content-addressed (see :mod:`repro.gpusim.memo`):
-    two kernels with identical pricing inputs, row streams and config
-    share one frozen stat, renamed through ``replace`` when a caller's
-    name differs.
+    Results are memoized (see :mod:`repro.gpusim.memo`): two kernels
+    with the same recipe, or without one the same pricing arrays, and
+    the same scalars and config share one frozen stat, renamed through
+    ``replace`` when a caller's name differs.  Under
+    ``runtime().strict`` a recipe-keyed lookup also fingerprints the
+    arrays and raises ``RuntimeError`` when a hit was stored for
+    different ones: a recipe that misses an input fails loudly instead
+    of aliasing two kernels.
     """
     if not runtime().memo:
         return _simulate_kernel_cold(kernel, config, dispatch_overhead)
     key = kernel_fingerprint(kernel, config, dispatch_overhead)
+    content = None
+    if runtime().strict and kernel.recipe is not None:
+        content = kernel_fingerprint(
+            kernel, config, dispatch_overhead, by_content=True
+        )
     cached = KERNEL_MEMO.get(key)
     if cached is not None:
+        stats, stored = cached
+        if content is not None and stored is not None and content != stored:
+            raise RuntimeError(
+                f"kernel memo: the recipe of {kernel.name!r} aliases a "
+                f"kernel with different pricing arrays"
+            )
         PERF.count("kernel_memo_hit")
-        if cached.name == kernel.name:
-            return cached
-        return dataclasses.replace(cached, name=kernel.name)
+        if stats.name == kernel.name:
+            return stats
+        return dataclasses.replace(stats, name=kernel.name)
     PERF.count("kernel_memo_miss")
     stats = _simulate_kernel_cold(kernel, config, dispatch_overhead)
-    KERNEL_MEMO.put(key, stats)
+    KERNEL_MEMO.put(key, (stats, content))
     return stats
 
 

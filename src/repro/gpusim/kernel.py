@@ -30,6 +30,10 @@ from .memo import REORDER_CACHE, array_digest
 
 __all__ = ["KernelDataflow", "KernelSpec"]
 
+_PRICING_ARRAYS = frozenset(
+    ("block_flops", "row_ptr", "row_ids", "stream_bytes", "atomics")
+)
+
 
 @dataclasses.dataclass(frozen=True)
 class KernelDataflow:
@@ -102,8 +106,28 @@ class KernelSpec:
     #: ``lower_plan`` path).  Analysis-only, excluded from the memo
     #: fingerprint like ``block_center``.
     dataflow: Optional[KernelDataflow] = None
+    #: What the lowering builder made the five pricing arrays
+    #: (``block_flops``, ``row_ptr``, ``row_ids``, ``stream_bytes``,
+    #: ``atomics``) from: a tuple of scalars, digests, long-lived input
+    #: arrays and nested recipes.  Equal recipes build equal arrays, so the
+    #: kernel memo keys by it instead of hashing the arrays (see
+    #: :func:`repro.gpusim.memo.kernel_fingerprint`).  None for kernels
+    #: built outside the lowering builders; assigning any pricing array
+    #: after construction resets it to None.  ``dataclasses.replace``
+    #: carries it over, so a replace that swaps a pricing array must
+    #: pass ``recipe=None`` (``runtime().strict`` catches one that
+    #: does not).
+    recipe: Optional[tuple] = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _PRICING_ARRAYS and "recipe" in self.__dict__:
+            self.__dict__["recipe"] = None
+        object.__setattr__(self, name, value)
 
     def __post_init__(self) -> None:
+        recipe = self.recipe  # the normalizing assignments below reset it
         self.block_flops = np.asarray(self.block_flops, dtype=np.float64)
         b = self.num_blocks
         if self.stream_bytes is None:
@@ -133,6 +157,7 @@ class KernelSpec:
                     f"{self.name}: block_center has "
                     f"{self.block_center.shape[0]} entries for {b} blocks"
                 )
+        self.__dict__["recipe"] = recipe
         if runtime().strict:
             self.validate_strict()
 
@@ -204,12 +229,35 @@ class KernelSpec:
     ) -> "KernelSpec":
         """A dense kernel whose cost is spread evenly over its blocks."""
         num_blocks = max(1, int(num_blocks))
+        return cls.filled(
+            name, num_blocks, flops / num_blocks, bytes_moved / num_blocks,
+            counts_launch=counts_launch, tag=tag,
+        )
+
+    @classmethod
+    def filled(
+        cls,
+        name: str,
+        num_blocks: int,
+        flops: float,
+        stream: float,
+        atomics: int = 0,
+        *,
+        counts_launch: bool = True,
+        tag: str = "dense",
+    ) -> "KernelSpec":
+        """A kernel whose every block carries the same FLOPs, streaming
+        bytes and atomics; its recipe is the block count and the three
+        values."""
         return cls(
             name=name,
-            block_flops=np.full(num_blocks, flops / num_blocks),
-            stream_bytes=np.full(num_blocks, bytes_moved / num_blocks),
+            block_flops=np.full(num_blocks, flops),
+            stream_bytes=np.full(num_blocks, stream),
+            atomics=np.full(num_blocks, atomics, dtype=np.int64),
             counts_launch=counts_launch,
             tag=tag,
+            recipe=("filled", num_blocks, float(flops), float(stream),
+                    int(atomics)),
         )
 
     def reordered(self, block_perm: np.ndarray) -> "KernelSpec":
@@ -274,4 +322,10 @@ class KernelSpec:
             # permutation changes the issue order, not what the kernel
             # reads or publishes.
             dataflow=self.dataflow,
+            # The permutation enters by digest: holding the array would
+            # keep every planned kernel's layout permutation alive.
+            recipe=(
+                None if self.recipe is None
+                else ("reordered", self.recipe, array_digest(block_perm))
+            ),
         )

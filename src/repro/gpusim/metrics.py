@@ -16,6 +16,7 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from ..perf import runtime
+from . import _native
 
 __all__ = ["KernelStats", "RunReport", "occupancy_below"]
 
@@ -33,32 +34,11 @@ def occupancy_below(
     """
     if starts.size == 0:
         return {f: 0.0 for f in fractions}
-    if runtime().fastpath:
-        # Scheduler starts are emitted (almost) sorted, so sorting the
-        # two halves and scattering the end events into the merged
-        # timeline beats a stable argsort of the 2n concatenation.
-        # ``side="right"`` lands every end after the equal-time starts —
-        # the same tie order the concatenated stable argsort produces
-        # (all +1 deltas of a tie group before its -1s), so the active
-        # profile matches bit for bit.
-        n = starts.size
-        if np.all(starts[1:] >= starts[:-1]):
-            # Greedy pop-min schedules emit non-decreasing starts; a
-            # stable sort of a sorted array is the identity.
-            ss = starts
-        else:
-            ss = np.sort(starts, kind="stable")
-        es = np.sort(ends)
-        pos = np.searchsorted(ss, es, side="right")
-        pos += np.arange(n, dtype=pos.dtype)
-        times = np.empty(2 * n, dtype=np.float64)
-        deltas = np.ones(2 * n, dtype=np.int64)
-        is_end = np.zeros(2 * n, dtype=bool)
-        is_end[pos] = True
-        times[pos] = es
-        times[~is_end] = ss
-        deltas[pos] = -1
-        active = np.cumsum(deltas)
+    merged = None
+    if runtime().fastpath and _native.available():
+        merged = _native.occupancy_merge(starts, ends)
+    if merged is not None:
+        span, active = merged
     else:
         times = np.concatenate([starts, ends])
         deltas = np.concatenate(
@@ -67,7 +47,7 @@ def occupancy_below(
         order = np.argsort(times, kind="stable")
         times, deltas = times[order], deltas[order]
         active = np.cumsum(deltas)
-    span = np.diff(times, append=times[-1])
+        span = np.diff(times, append=times[-1])
     total = float(span.sum())
     if total <= 0.0:
         return {f: 0.0 for f in fractions}

@@ -55,8 +55,9 @@ class RuntimeConfig:
       present (``REPRO_NATIVE``, default on);
     * ``fastpath`` — vectorized paths instead of the reference loops;
     * ``memo`` — the content-addressed memo tiers and the plan cache;
-    * ``strict`` — deep-validate every ``KernelSpec`` and statically
-      verify every plan the benchmark runtimes lower
+    * ``strict`` — deep-validate every ``KernelSpec``, statically
+      verify every plan the benchmark runtimes lower and check every
+      recipe-keyed kernel-memo hit against the arrays' content
       (``REPRO_STRICT``, default off);
     * ``plan_cache_dir`` — the plan cache's disk tier, off when None
       (``REPRO_PLAN_CACHE_DIR``).
