@@ -12,10 +12,10 @@ graph+model+config fingerprints that address it.
 The address (:func:`plan_key`) is computed from the compilation *inputs*
 (framework, model config, graph fingerprint, options, GPU config), so a
 cache lookup costs one hash — no pipeline stage runs on a hit.  The
-hashed payload is one sorted-key JSON object of those inputs; its text
-before and after the graph fingerprint is encoded once per distinct
-static inputs and memoized, so a request pays for encoding its
-options and its fingerprint, not the whole object.  The
+hashed payload is one sorted-key JSON object of those inputs.  Each
+frozen config dataclass encodes its fields once and keeps the text on
+the instance, so a warm key joins cached texts around the graph
+fingerprint and hashes them; no memo table is consulted.  The
 :class:`PlanCache` keeps an in-process LRU tier (a
 :class:`~repro.gpusim.memo.LRUCache`) plus an optional on-disk tier
 (``REPRO_PLAN_CACHE_DIR``) backed by :mod:`repro.core.persistence`, so
@@ -29,6 +29,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 from typing import Dict, List, Optional, Tuple
 
@@ -181,6 +182,10 @@ class CompiledPlan:
     simulated: Optional[Tuple[KernelStats, ...]] = dataclasses.field(
         default=None, init=False, compare=False, repr=False
     )
+    #: ``total_time`` of a report of ``simulated``, carried by replays.
+    simulated_total: Optional[float] = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def num_kernels(self) -> int:
@@ -216,46 +221,20 @@ class CompiledPlan:
 #: built once instead of per call.
 _ENCODE = json.JSONEncoder(sort_keys=True, default=str).encode
 
-#: The payload text around the graph fingerprint, per distinct static
-#: input set (see :func:`plan_key`).  A process addresses a handful of
-#: (framework, options, model config, GPU config) combinations.
-_STATIC_TEXT = LRUCache(max_entries=256, name="plan_key_static")
 
-
-def _config_key(config) -> Tuple:
-    """A frozen config dataclass as a memo key: class, values and types.
-
-    ``1``, ``1.0`` and ``True`` compare and hash equal but encode
-    differently, so the key carries each field value's type (and each
-    element's type for a tuple field) beside the value.
-    """
-    values = tuple(vars(config).values())
-    return type(config), values, tuple(
-        tuple(map(type, v)) if type(v) is tuple else type(v)
-        for v in values
-    )
-
-
-def _static_text(
-    framework, model, model_config, options, gpu_config, dispatch_overhead,
-) -> Tuple[str, str]:
-    """The payload JSON before and after the graph fingerprint.
-
-    The payload is one JSON object with sorted keys, so ``"graph"``
-    splits it into the keys that sort before it and those after.
-    """
-    fields = {
-        "version": PLAN_VERSION,
-        "framework": framework,
-        "model": model,
-        "model_config": dataclasses.asdict(model_config),
-        "options": options,
-        "gpu_config": dataclasses.asdict(gpu_config),
-        "dispatch_overhead": dispatch_overhead,
-    }
-    head = _ENCODE({k: v for k, v in fields.items() if k < "graph"})
-    tail = _ENCODE({k: v for k, v in fields.items() if k > "graph"})
-    return head[:-1] + ', "graph": ', ", " + tail[1:]
+def _fields_text(value) -> str:
+    """``_ENCODE`` of a config's fields, cached per frozen instance (the
+    ``CSRGraph.fingerprint`` idiom; ``replace`` builds a new instance and
+    ``==``/``hash`` read only fields).  A dict is encoded per call."""
+    cached = getattr(value, "_plan_text", None)
+    if cached is not None:
+        return cached
+    if not dataclasses.is_dataclass(value):
+        return _ENCODE(value)
+    text = _ENCODE(dataclasses.asdict(value))
+    if value.__dataclass_params__.frozen:
+        object.__setattr__(value, "_plan_text", text)
+    return text
 
 
 def plan_key(
@@ -264,32 +243,44 @@ def plan_key(
     graph: CSRGraph,
     *,
     model_config,
-    options: Dict[str, object],
+    options,
     gpu_config: GPUConfig,
     dispatch_overhead: float,
 ) -> str:
     """Content address of a compilation, computed from its *inputs*.
 
-    ``model_config`` is the model's frozen config dataclass.  The address
-    hashes ``json.dumps`` of every input (sorted keys, ``default=str``),
-    so a fresh process derives the same key and finds the same on-disk
-    artifact.  Everything but the graph fingerprint is encoded once per
-    distinct static inputs; the memo keys on the inputs' values and
-    types, never on object identity.
+    ``model_config`` is the model's frozen config dataclass, ``options``
+    the framework's (a dict or a frozen dataclass).  The address hashes
+    ``json.dumps`` of every input (sorted keys, ``default=str``), so a
+    fresh process derives the same key and finds the same on-disk
+    artifact.  A warm key encodes only its scalars and the graph
+    fingerprint: each frozen config's text is cached on it.
     """
-    memo_key = (
-        framework, model, _config_key(model_config), _ENCODE(options),
-        _config_key(gpu_config), dispatch_overhead, type(dispatch_overhead),
-    )
-    static = _STATIC_TEXT.get(memo_key)
-    if static is None:
-        static = _static_text(
-            framework, model, model_config, options, gpu_config,
-            dispatch_overhead,
-        )
-        _STATIC_TEXT.put(memo_key, static)
-    head, tail = static
-    payload = head + json.dumps(graph.fingerprint) + tail
+    # json writes a finite float as its repr; skip the encoder's setup.
+    if type(dispatch_overhead) is float and math.isfinite(dispatch_overhead):
+        dispatch = repr(dispatch_overhead)
+    else:
+        dispatch = _ENCODE(dispatch_overhead)
+    # ``_ENCODE`` of the fields in sorted-key order (strict checks it).
+    payload = "".join((
+        '{"dispatch_overhead": ', dispatch,
+        ', "framework": ', _ENCODE(framework),
+        ', "gpu_config": ', _fields_text(gpu_config),
+        ', "graph": ', _ENCODE(graph.fingerprint),
+        ', "model": ', _ENCODE(model),
+        ', "model_config": ', _fields_text(model_config),
+        ', "options": ', _fields_text(options),
+        ', "version": ', str(PLAN_VERSION), "}",
+    ))
+    if runtime().strict and payload != _ENCODE({
+        "version": PLAN_VERSION, "framework": framework, "model": model,
+        "graph": graph.fingerprint, "dispatch_overhead": dispatch_overhead,
+        "model_config": dataclasses.asdict(model_config),
+        "gpu_config": dataclasses.asdict(gpu_config),
+        "options": (dataclasses.asdict(options)
+                    if dataclasses.is_dataclass(options) else options),
+    }):
+        raise RuntimeError("plan key: a cached config text is stale")
     return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
 
 

@@ -72,6 +72,11 @@ class NotSupported(NotImplementedError):
     """The framework does not implement this model (the paper's '×')."""
 
 
+@dataclasses.dataclass(frozen=True)
+class NoOptions:
+    """The options of a framework without switches: no fields."""
+
+
 @dataclasses.dataclass
 class ForwardResult:
     """Simulated performance report plus (optionally) the real output."""
@@ -102,6 +107,10 @@ MODEL_CONFIGS = {
     "sage_lstm": SageLSTMConfig,
 }
 
+#: One shared default config per model: frozen, so every request may
+#: hold it, and its plan-key text is encoded once per process.
+_DEFAULT_MODELS = {name: cls() for name, cls in MODEL_CONFIGS.items()}
+
 
 def record_plan(
     report: RunReport, plan: CompiledPlan, execute_seconds: float
@@ -129,6 +138,9 @@ class Framework(abc.ABC):
     name: str = "abstract"
     #: Host-side per-operator dispatch overhead, seconds.
     dispatch_overhead: float = BASELINE_DISPATCH
+    #: The framework's frozen options dataclass; its fields enter the
+    #: plan's content address.
+    options = NoOptions()
 
     # ------------------------------------------------------------------
     # Compilation (the staged pipeline; one per supported model)
@@ -161,7 +173,7 @@ class Framework(abc.ABC):
     # ------------------------------------------------------------------
     def plan_options(self) -> Dict[str, object]:
         """Framework options that enter the plan's content address."""
-        return {}
+        return dataclasses.asdict(self.options)
 
     def builder(
         self, model_name: str, graph: CSRGraph, model, sim: GPUConfig
@@ -195,11 +207,10 @@ class Framework(abc.ABC):
         """
         if model_name not in MODEL_CONFIGS:
             raise KeyError(f"unknown model {model_name!r}")
-        if model is None:
-            model = MODEL_CONFIGS[model_name]()
-        options = self.plan_options()
+        model = model if model is not None else _DEFAULT_MODELS[model_name]
+        options = self.options  # frozen: its key text is cached on it
         if shard_options:
-            options = {**options, "shard": dict(shard_options)}
+            options = {**self.plan_options(), "shard": dict(shard_options)}
         key = plan_key(
             self.name, model_name, graph,
             model_config=model,
@@ -275,8 +286,7 @@ class Framework(abc.ABC):
         if compute:
             if graph is None:
                 raise ValueError("compute=True requires the graph")
-            if model is None:
-                model = MODEL_CONFIGS[plan.model]()
+            model = model if model is not None else _DEFAULT_MODELS[plan.model]
             output = self.reference_output(
                 plan.model, graph, model, feat=feat, seed=seed
             )
@@ -361,10 +371,7 @@ class Framework(abc.ABC):
         self, model_name: str, graph: CSRGraph, sim: GPUConfig, **kwargs
     ) -> ForwardResult:
         """Dispatch by model name ('gcn', 'gat', 'sage_lstm')."""
-        if model_name == "gcn":
-            return self.run_gcn(graph, GCNConfig(), sim, **kwargs)
-        if model_name == "gat":
-            return self.run_gat(graph, GATConfig(), sim, **kwargs)
-        if model_name == "sage_lstm":
-            return self.run_sage_lstm(graph, SageLSTMConfig(), sim, **kwargs)
-        raise KeyError(f"unknown model {model_name!r}")
+        if model_name not in _DEFAULT_MODELS:
+            raise KeyError(f"unknown model {model_name!r}")
+        run = getattr(self, f"run_{model_name}")
+        return run(graph, _DEFAULT_MODELS[model_name], sim, **kwargs)

@@ -25,7 +25,7 @@ paper's amortization argument.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -92,14 +92,6 @@ class OursRuntime(Framework):
 
     def __init__(self, options: Optional[OursOptions] = None) -> None:
         self.options = options if options is not None else OursOptions()
-
-    # ------------------------------------------------------------------
-    # Plan-cache plumbing
-    # ------------------------------------------------------------------
-    def plan_options(self) -> Dict[str, object]:
-        # The options are flat and frozen: ``vars`` equals ``asdict``
-        # without its per-field deep copies (this runs per request).
-        return dict(vars(self.options))
 
     def sage_strategy(self) -> SageStrategy:
         return self.options.sage_strategy

@@ -549,6 +549,7 @@ def simulate_plan(plan, config: GPUConfig | None = None) -> RunReport:
         report = RunReport.replay(
             plan.simulated, label=plan.label,
             peak_mem_bytes=plan.peak_mem_bytes,
+            total_time=plan.simulated_total,
         )
         report.extra["perf"] = {
             "cache_model_seconds": 0.0,
@@ -559,7 +560,6 @@ def simulate_plan(plan, config: GPUConfig | None = None) -> RunReport:
             "stream_cache_hits": 0,
             "stream_cache_misses": 0,
             "plan_memo_hit": True,
-            "memo": memo_stats(),
         }
         return report
     PERF.count("plan_memo_miss")
@@ -571,4 +571,5 @@ def simulate_plan(plan, config: GPUConfig | None = None) -> RunReport:
     report.extra["perf"]["plan_memo_hit"] = False
     if own:
         plan.simulated = tuple(report.kernels)
+        plan.simulated_total = report.total_time
     return report

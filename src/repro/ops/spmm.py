@@ -8,7 +8,6 @@ framework models attach cost/trace information separately.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..graph.csr import CSRGraph
 
@@ -30,6 +29,8 @@ def spmm_scipy(
     graph: CSRGraph, feat: np.ndarray, edge_weight: np.ndarray | None = None
 ) -> np.ndarray:
     """Same product via :mod:`scipy.sparse` (cross-validation oracle)."""
+    import scipy.sparse as sp  # only here: importing it costs ~0.2 s
+
     data = (
         np.ones(graph.num_edges, dtype=np.float64)
         if edge_weight is None

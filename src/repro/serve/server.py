@@ -119,7 +119,8 @@ def _clone_result(
     """
     src = leader.report
     report = RunReport.replay(
-        src.kernels, label=src.label, peak_mem_bytes=src.peak_mem_bytes
+        src.kernels, label=src.label, peak_mem_bytes=src.peak_mem_bytes,
+        total_time=src.total_time,
     )
     record_plan(report, plan, 0.0).update(
         fanned_out=True, batch_size=batch_size

@@ -1,10 +1,15 @@
 """Tests for functional graph operators against naive references."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.graph import coo_to_csr, small_dataset
 from repro.ops import (
     broadcast_dst_to_edges,
@@ -170,3 +175,18 @@ class TestProperties:
         alpha = segment_softmax(g, e)
         nonempty = int(np.count_nonzero(g.degrees > 0))
         assert alpha.sum() == pytest.approx(nonempty, rel=1e-5)
+
+
+def test_scipy_is_imported_only_by_its_oracle():
+    """scipy costs every process ~0.2 s to import and only the
+    ``spmm_scipy`` oracle uses it, so the benchmark and serving entry
+    points must not load it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.bench, repro.serve.server; "
+         "print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.split() == ["False"]

@@ -14,6 +14,9 @@ timeline as sorted pairs).  The hash must be the same
   3-tenant served window, and a one-device ``run_sharded`` under both
   partitioning methods.
 
+A replayed or fanned-out served report carries its total time from its
+source; that float must equal the sum over its own kernels.
+
 The quick paper grid is pinned to one hash under the reference, fast
 and fast-numpy lanes.  Kernel-level reference parity (each native
 kernel and vectorized loop against its reference) is tested next to
@@ -33,6 +36,7 @@ from repro.gpusim import V100_SCALED
 from repro.gpusim.memo import clear_caches
 from repro.graph.generators import clustered_graph, power_law_graph
 from repro.serve import InferenceRequest, PlanServer, execute_one
+from repro.serve.admission import REASON_NOT_SUPPORTED
 from repro.shard import run_sharded
 
 GRAPHS = {
@@ -108,6 +112,30 @@ def test_cell_hash(graph, fw_name, model):
     finally:
         clear_caches()
     assert got == dict.fromkeys(got, got["reference"])
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("fw_name", sorted(all_frameworks()))
+def test_served_totals_are_their_kernels_sum(fw_name, model):
+    """A replayed or fanned-out report carries its total instead of
+    re-summing it; the carried float is the sum of its own kernels."""
+    clear_caches()
+    server = PlanServer(frameworks=all_frameworks(), sim=V100_SCALED)
+    windows = [server.serve([
+        InferenceRequest(model, GRAPHS["pl600"], framework=fw_name, tenant=t)
+        for t in TENANTS
+    ]) for _ in range(2)]
+    clear_caches()
+    if windows[0][0].reason == REASON_NOT_SUPPORTED:
+        pytest.skip(f"{fw_name} does not support {model}")
+    # The second window's leader replays the plan's carried stats; every
+    # follower is fanned out from its leader.
+    assert windows[1][0].result.report.extra["perf"]["plan_memo_hit"]
+    for resp in windows[0] + windows[1]:
+        assert resp.ok, resp.reason
+        report = resp.result.report
+        assert float.hex(report.total_time) == \
+            float.hex(sum(k.time for k in report.kernels))
 
 
 # ----------------------------------------------------------------------
