@@ -15,10 +15,13 @@ for a whole hop in one call on the caller's own bit generator.  And
 the graph generators' weighted draws search an unsorted stream of
 uniforms in a cumulative distribution, one binary search each;
 ``weighted_search`` does it through a guide table in expected O(1) per
-draw.  This module compiles the embedded C source below with the
-system C compiler on first use (no third-party packages, no Python
-headers — plain ``ctypes`` against a shared object) and caches the
-artifact in the system temp directory keyed by source hash.
+draw.  Last, the cache model's effective-window search is one call:
+each bisection probe stops as soon as its exact count shows the window
+overflows the cache, which a vectorized count cannot.  This module
+compiles the embedded C source below with the system C compiler on
+first use (no third-party packages, no Python headers — plain
+``ctypes`` against a shared object) and caches the artifact in the
+system temp directory keyed by the compile command and source hash.
 
 Bit-identity: the scheduler performs exactly the reference arithmetic —
 ``end = start + duration`` one IEEE double addition per block, compiled
@@ -54,7 +57,6 @@ from ..perf import runtime
 __all__ = [
     "available",
     "choice_rows",
-    "estimate_first_touch",
     "greedy_schedule",
     "lsh_pairs",
     "merge_pairs",
@@ -66,6 +68,7 @@ __all__ = [
     "weighted_search",
     "window_hit_count",
     "window_mask",
+    "window_search",
 ]
 
 _SOURCE = r"""
@@ -137,41 +140,64 @@ void prev_occurrence(const long* stream, long n, long* last, long* prev) {
     }
 }
 
-/* Strided first-touch count: number of positions i in
- * {t, t+stride, ...} < t+window with prev[i] < t.  One probe of the
- * working-set estimator (an exact integer count, so the estimate it
- * feeds matches the numpy path bit for bit).  Strided probes are
- * memory-latency bound; prefetching a few iterations ahead hides it. */
-static long count_first_touch(const int* prev, long t, long window,
-                              long stride, long n) {
-    long end = t + window, i, c = 0;
-    if (end > n) end = n;
-    for (i = t; i < end; i += stride) {
+/* ---- Effective-window search (cache.effective_window) ----
+ *
+ * The reference bisection, probe for probe: the whole stream first,
+ * then lo = max(1, cap), hi = n while hi - lo > max(16, lo / 8).  A
+ * probe of window w asks whether D(w) <= cap.  D(w) is total / 8, and
+ * total sums stride * #{i in t, t + stride, ... < t + w : prev[i] < t}
+ * over the 8 starts t = linspace(0, n - w, 8).astype(int64), i.e.
+ * (long)(j * ((n - w) / 7.0)) for j < 7 and n - w last, with
+ * stride = max(1, w / 65536) (cache._SAMPLES and cache._MAX_EVAL).
+ * total is an exact integer, so D(w) <= cap iff total <= 8 * cap, and
+ * since no count is negative a probe counts in chunks and stops as
+ * soon as its running total passes that bound.  A start equal to the
+ * one before reuses its count.  Strided probes are memory-latency
+ * bound; prefetching a few iterations ahead hides it. */
+
+#define WS_SAMPLES 8
+#define WS_MAX_EVAL 65536
+#define WS_CHUNK 4096
+
+static int ws_exceeds(const long* prev, long n, long w, long bound) {
+    long stride = w / WS_MAX_EVAL, total = 0, c = 0, last = -1, j;
+    if (stride < 1) stride = 1;
+    for (j = 0; j < WS_SAMPLES; ++j) {
+        long t = j < WS_SAMPLES - 1
+            ? (long)(j * ((n - w) / (double)(WS_SAMPLES - 1))) : n - w;
+        if (t != last) {
+            long i = t, end = t + w;
+            c = 0;
+            while (i < end) {
+                long stop = i + WS_CHUNK * stride, k = 0;
+                if (stop > end) stop = end;
+                for (; i < stop; i += stride) {
 #ifdef __GNUC__
-        if (i + 16 * stride < end)
-            __builtin_prefetch(&prev[i + 16 * stride]);
+                    if (i + 16 * stride < end)
+                        __builtin_prefetch(&prev[i + 16 * stride]);
 #endif
-        c += (prev[i] < (int)t);
+                    k += prev[i] < t;
+                }
+                c += k;
+                if (total + c * stride > bound) return 1;
+            }
+            last = t;
+        }
+        total += c * stride;
+        if (total > bound) return 1;
     }
-    return c;
+    return 0;
 }
 
-/* All sampled probes of one D(w) estimate in a single call: the
- * per-start counts are exact integers and the accumulation performs
- * the same ``total += c * stride`` IEEE double additions, in the same
- * order, as the per-start loop — so the estimate is bit-identical
- * while the foreign-call overhead is paid once instead of per start. */
-double estimate_first_touch(const int* prev, const long* starts,
-                            long nstarts, long window, long stride,
-                            long n) {
-    double total = 0.0;
-    long s;
-    for (s = 0; s < nstarts; ++s) {
-        long t = starts[s];
-        long c = count_first_touch(prev, t, window, stride, n);
-        total += (double)(c * stride);
+long window_search(const long* prev, long n, long cap) {
+    long bound = WS_SAMPLES * cap, lo = cap > 1 ? cap : 1, hi = n;
+    if (!ws_exceeds(prev, n, n, bound)) return n;
+    while (hi - lo > (lo / 8 > 16 ? lo / 8 : 16)) {
+        long mid = (lo + hi) / 2;
+        if (ws_exceeds(prev, n, mid, bound)) hi = mid;
+        else lo = mid;
     }
-    return total;
+    return lo;
 }
 
 /* Issue order + previous occurrence of one block access stream, in one
@@ -674,19 +700,23 @@ _TRIED = False
 
 
 def _build() -> "ctypes.CDLL | None":
-    tag = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    # The artifact is named by the whole compile command and the source,
+    # so a different compiler or flag never loads another's build.
+    command = [os.environ.get("CC", "cc"), "-O2", "-shared", "-fPIC"]
+    tag = hashlib.sha256(
+        "\0".join(command + [_SOURCE]).encode()
+    ).hexdigest()[:16]
     cache = os.path.join(
         tempfile.gettempdir(), f"repro_native_{tag}.so"
     )
     if not os.path.exists(cache):
-        cc = os.environ.get("CC", "cc")
         src = cache + f".{os.getpid()}.c"
         tmp = cache + f".{os.getpid()}.so"
         with open(src, "w") as f:
             f.write(_SOURCE)
         try:
             subprocess.run(
-                [cc, "-O2", "-shared", "-fPIC", src, "-o", tmp],
+                command + [src, "-o", tmp],
                 check=True,
                 capture_output=True,
                 timeout=60,
@@ -714,12 +744,6 @@ def _build() -> "ctypes.CDLL | None":
         ctypes.POINTER(ctypes.c_long), ctypes.c_long,
         ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_long),
     ]
-    fn = lib.estimate_first_touch
-    fn.restype = ctypes.c_double
-    fn.argtypes = [
-        ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_long),
-        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-    ]
     fn = lib.stream_plan
     fn.restype = ctypes.c_int
     fn.argtypes = [
@@ -735,6 +759,9 @@ def _build() -> "ctypes.CDLL | None":
         ctypes.POINTER(ctypes.c_ubyte),
     ]
     fn = lib.window_hit_count
+    fn.restype = ctypes.c_long
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long]
+    fn = lib.window_search
     fn.restype = ctypes.c_long
     fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long]
     fn = lib.merge_pairs
@@ -842,20 +869,14 @@ def occupancy_merge(
     return span, active
 
 
-def estimate_first_touch(
-    prev: np.ndarray, starts: np.ndarray, window: int, stride: int
-) -> float:
-    """Sum of ``count_nonzero(prev[t:t+window:stride] < t) * stride``
-    over all ``t`` in ``starts``, accumulated in the reference order.
+def window_search(prev: np.ndarray, capacity: int) -> int:
+    """``cache.effective_window`` of ``prev`` at ``capacity`` rows.
 
-    ``prev`` must be contiguous int32, ``starts`` contiguous int64.
+    The reference bisection in one call, every probe stopped as soon as
+    its exact count shows the window overflows.  ``prev`` must be
+    contiguous int64.
     """
-    lib = _load()
-    return lib.estimate_first_touch(
-        prev.ctypes.data_as(ctypes.POINTER(ctypes.c_int)),
-        starts.ctypes.data_as(ctypes.POINTER(ctypes.c_long)),
-        starts.shape[0], window, stride, prev.shape[0],
-    )
+    return _load().window_search(prev.ctypes.data, prev.shape[0], capacity)
 
 
 def window_mask(prev: np.ndarray, w: int) -> np.ndarray:

@@ -14,6 +14,9 @@ Two models:
   This working-set approximation of LRU is near-linear time, fully
   vectorized, and order-sensitive — the property every scheduling
   experiment relies on.  Tests validate it against the exact model.
+  The window is found by bisection; natively in one call whose probes
+  stop as soon as their exact counts overflow the cache, on the
+  reference lane by the numpy bisection of :func:`effective_window`.
 
 * :func:`lru_hits` — exact LRU via reuse (stack) distances.  The default
   implementation batch-counts distinct rows per reuse window with a
@@ -32,8 +35,6 @@ variants directly.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 
@@ -85,63 +86,40 @@ def previous_occurrence(stream: np.ndarray) -> np.ndarray:
     return prev
 
 
-def estimate_distinct_in_window(
-    prev: np.ndarray, window: int, samples: int = 8,
-    max_eval: int = 65536,
-) -> float:
+#: D(w) probe settings: sampled window starts and the most positions a
+#: probe reads per start (longer windows are strided).  The native
+#: search (``_native.window_search``) hard-codes the same two numbers.
+_SAMPLES = 8
+_MAX_EVAL = 65536
+
+
+def estimate_distinct_in_window(prev: np.ndarray, window: int) -> float:
     """Expected number of distinct rows touched in a window of ``window``
     consecutive accesses.
 
     An access at position ``i`` is the *first* touch of its row within a
     window starting at ``t`` iff ``prev[i] < t``; counting those over
     sampled (and, for long windows, strided) positions estimates the
-    working-set function D(w) of Denning's model.
+    working-set function D(w) of Denning's model.  Each probe is a
+    strided view, never a materialized gather.
     """
     n = prev.shape[0]
     window = min(window, n)
     if window <= 0:
         return 0.0
-    starts = np.linspace(0, n - window, num=samples).astype(np.int64)
-    stride = max(1, window // max_eval)
-    # ``prev`` may be any integer dtype wide enough for the stream's
-    # positions: the probes only compare elements against window starts
-    # and count, so a narrower dtype (half the memory traffic) produces
-    # bit-identical estimates.  The loop is over ``samples`` (8) starts;
-    # each probe is a strided view, never a materialized gather.  Counts
-    # are exact integers either way, so the native probe is identical.
-    if (
-        runtime().fastpath
-        and prev.dtype == np.int32
-        and prev.flags.c_contiguous
-        and _native.available()
-    ):
-        # One foreign call covers every sampled start; the native side
-        # performs the same count * stride double additions in the same
-        # order, so the estimate matches the loop below bit for bit.
-        # When the window spans the whole stream the linspace collapses
-        # to identical starts: probe once and scale.  Every term is an
-        # integer-valued double (sums < 2**53), so the regrouped
-        # accumulation is exact and therefore still bit-identical.
-        k = len(starts)
-        if k > 1 and starts[0] == starts[-1]:
-            one = _native.estimate_first_touch(
-                prev, starts[:1], window, stride
-            )
-            return (one * k) / max(k, 1)
-        total = _native.estimate_first_touch(prev, starts, window, stride)
-        return total / max(k, 1)
+    starts = np.linspace(0, n - window, num=_SAMPLES).astype(np.int64)
+    stride = max(1, window // _MAX_EVAL)
     total = 0.0
     for t in starts:
         seg = prev[t : t + window : stride]
         total += np.count_nonzero(seg < t) * stride
-    return total / max(len(starts), 1)
+    return total / _SAMPLES
 
 
 def effective_window(
     stream: np.ndarray,
     capacity_rows: int,
     prev: np.ndarray | None = None,
-    est_cache: "Dict[int, float] | None" = None,
 ) -> int:
     """Largest access-count window whose working set fits in the cache.
 
@@ -150,38 +128,27 @@ def effective_window(
     to the stream's local duplication — hot-hub streams get modest
     windows, community-ordered streams get wide ones.
 
-    ``est_cache`` optionally memoizes D(w) evaluations per window (the
-    estimator is a pure function of ``prev``); callers searching the
-    same stream at several capacities share the expensive full-stream
-    probe.
+    Every probe only asks whether D(w) <= capacity, and D(w) is an
+    exact integer count over 8, so the native search
+    (:func:`._native.window_search`) stops a probe as soon as its count
+    passes 8 x capacity: the same probes, the same window, without
+    scanning windows that overflow the cache many times over.  The
+    numpy bisection below is the reference (``fastpath=False``, no C
+    compiler, or ``REPRO_NATIVE=0``).
     """
     if prev is None:
         prev = previous_occurrence(np.asarray(stream))
     n = prev.shape[0]
     if n == 0:
         return 0
-    if runtime().fastpath and n <= np.iinfo(np.int32).max:
-        # Positions fit in int32: probe a narrow copy (comparisons and
-        # counts are dtype-independent, so estimates are bit-identical),
-        # half the memory traffic for both the numpy and native probes.
-        # ``copy=False`` keeps callers' pre-narrowed arrays as-is.
-        prev = prev.astype(np.int32, copy=False)
-
-    def estimate(w: int) -> float:
-        if est_cache is None:
-            return estimate_distinct_in_window(prev, w)
-        val = est_cache.get(w)
-        if val is None:
-            val = estimate_distinct_in_window(prev, w)
-            est_cache[w] = val
-        return val
-
-    if estimate(n) <= capacity_rows:
+    if _native_window_lane(prev):
+        return _native.window_search(prev, capacity_rows)
+    if estimate_distinct_in_window(prev, n) <= capacity_rows:
         return n
     lo, hi = max(1, capacity_rows), n
     while hi - lo > max(16, lo // 8):
         mid = (lo + hi) // 2
-        if estimate(mid) <= capacity_rows:
+        if estimate_distinct_in_window(prev, mid) <= capacity_rows:
             lo = mid
         else:
             hi = mid
@@ -189,7 +156,8 @@ def effective_window(
 
 
 def _native_window_lane(prev: np.ndarray) -> bool:
-    """Whether the compiled window pass takes this ``prev`` array."""
+    """Whether the compiled window search and passes take this ``prev``
+    array."""
     return (
         runtime().fastpath
         and prev.dtype == np.int64

@@ -177,16 +177,7 @@ def _plan_window(plan: StreamPlan, capacity: int) -> int:
     (memoized on the plan per capacity)."""
     window = plan.windows.get(capacity)
     if window is None:
-        prev = plan.prev
-        if runtime().fastpath and prev.shape[0] <= np.iinfo(np.int32).max:
-            # The window searches at each probed capacity share one
-            # narrow copy (estimates are dtype-independent).
-            if plan.prev32 is None:
-                plan.prev32 = prev.astype(np.int32)
-            prev = plan.prev32
-        window = effective_window(
-            None, capacity, prev=prev, est_cache=plan.distinct,
-        )
+        window = effective_window(None, capacity, prev=plan.prev)
         plan.windows[capacity] = window
     return window
 
@@ -543,7 +534,8 @@ def simulate_plan(plan, config: GPUConfig | None = None) -> RunReport:
             peak_mem_bytes=plan.peak_mem_bytes,
             dispatch_overhead=plan.dispatch_overhead,
         )
-    own = cfg == plan.gpu_config
+    # A served request usually passes the plan's own config object.
+    own = cfg is plan.gpu_config or cfg == plan.gpu_config
     if own and plan.simulated is not None:
         PERF.count("plan_memo_hit")
         report = RunReport.replay(

@@ -218,12 +218,6 @@ class StreamPlan:
     #: capacity -> effective window.
     windows: Dict[int, int] = dataclasses.field(default_factory=dict)
     lru_distances: Optional[np.ndarray] = None
-    #: window -> D(w) estimate; shared across the capacities probed
-    #: against the same stream (the full-stream probe dominates).
-    distinct: Dict[int, float] = dataclasses.field(default_factory=dict)
-    #: Narrow copy of ``prev`` for the window-search probes (estimates
-    #: are dtype-independent); built once per stream, not per search.
-    prev32: Optional[np.ndarray] = None
 
     @property
     def nbytes(self) -> int:

@@ -348,6 +348,28 @@ def test_plan_hit_rate_is_the_mask_mean(fast, native, model):
                 assert rate.hex() == want.hex()
 
 
+def test_stream_plan_nbytes_counts_every_array():
+    """The byte-bounded stream tier charges a cached analysis for every
+    array it holds, so no side array sits outside the budget."""
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        if isinstance(value, dict):
+            return [a for v in value.values() for a in arrays(v)]
+        return []
+
+    rng = np.random.default_rng(6)
+    row_ptr = np.arange(0, 20 * 301, 20, dtype=np.int64)
+    row_ids = rng.integers(0, 700, size=int(row_ptr[-1]))
+    plan = _stream_plan(row_ptr, row_ids, 64)
+    for model in ("window", "lru"):
+        for capacity in (8, 64, 512):
+            _plan_hits(plan, capacity, model)
+    assert plan.windows and plan.lru_distances is not None
+    held = [a for v in vars(plan).values() for a in arrays(v)]
+    assert plan.nbytes == sum(a.nbytes for a in held)
+
+
 # ----------------------------------------------------------------------
 # Plan-cache disk tier
 # ----------------------------------------------------------------------
