@@ -11,9 +11,11 @@ Datasets), we:
 2. split signatures into ``bands`` of ``rows_per_band`` rows and hash
    each band; nodes colliding in any band become *candidate pairs*.
 
-The native lane (:mod:`repro.gpusim._native`) evaluates each hash once
-per node and min-reduces every center row in place over its neighbors,
-then groups all bands' keys in one pass; it never builds a per-edge
+The native lane (:mod:`repro.gpusim._native`) works in passes of eight
+hashes: it evaluates a pass's hashes once per node into an ``N x 8``
+table and min-reduces every center row's eight entries in place over
+its neighbors, so each edge reads one cache line per pass; then it
+groups all bands' keys in one pass.  It never builds a per-edge
 intermediate.  Without it (no C compiler, or ``REPRO_NATIVE=0``) the
 references run: one universal hash per loop step, evaluated per edge
 and min-reduced with ``np.minimum.reduceat``, and one stable sort of

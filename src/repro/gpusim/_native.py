@@ -5,10 +5,14 @@ earliest-free-slot list scheduler (a pop-min/push loop over slot free
 times), the tick sweep that turns a block layout into its issue order,
 the merge of a schedule's sorted start and end events into its
 occupancy timeline, last-seen tables and, for locality-aware
-scheduling, the MinHash
-per-row minima (reduced in place, where numpy gathers per edge), the
+scheduling, the MinHash per-row minima (reduced in place, where numpy
+gathers per edge, in passes of eight hashes so each pass's table of
+hash values is ``N x 8`` and each edge reads one cache line of it), the
 LSH bucket grouping (a hash map instead of one argsort per band), the
-pair similarities and the pair-merging heap.  One more loop is cheap
+pair similarities and the pair-merging heap.  The per-block hit counts
+are one call too: the issue-order hit mask is scattered back to stream
+order and each block's range summed, where numpy makes a scatter and a
+pass per reduction.  One more loop is cheap
 per step but called once per row: the k-hop sampler's
 ``rng.choice(d, k, replace=False)`` draws, which ``choice_rows`` makes
 for a whole hop in one call on the caller's own bit generator.  And
@@ -27,7 +31,8 @@ Bit-identity: the scheduler performs exactly the reference arithmetic —
 ``end = start + duration`` one IEEE double addition per block, compiled
 without any fast-math relaxation — and a binary min-heap always pops the
 multiset minimum, so starts/ends match ``heapq`` to the last bit even
-though the heap's internal layout differs.  The other loops mirror
+though the heap's internal layout differs.  Its replace-top moves a
+hole down instead of swapping (see ``heap_place``).  The other loops mirror
 their references operation for operation (see each one's comment).
 ``choice_rows`` mirrors numpy's ``Generator.choice``, which NEP 19 lets
 numpy change, so it checks itself against ``rng.choice`` on first use
@@ -56,6 +61,7 @@ from ..perf import runtime
 
 __all__ = [
     "available",
+    "block_hit_counts",
     "choice_rows",
     "greedy_schedule",
     "lsh_pairs",
@@ -76,30 +82,38 @@ _SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-static void sift_down(double* h, long k, long i) {
-    for (;;) {
-        long l = 2 * i + 1;
-        if (l >= k) break;
-        long r = l + 1;
-        long m = (r < k && h[r] < h[l]) ? r : l;
-        if (h[m] < h[i]) {
-            double t = h[i]; h[i] = h[m]; h[m] = t;
-            i = m;
-        } else break;
+/* Replace-top of a k-entry binary min-heap: e moves down from slot i
+ * as a hole.  The comparisons are a swapping sift-down's (the smaller
+ * child, the right one only when strictly smaller, moves up while it
+ * is strictly below e), but each level moves one child and e is
+ * written once, where it stops, so the heap ends up exactly as the
+ * swapping sift leaves it, NaN and ties included.  While a node has
+ * both children the child is picked without a branch. */
+static void heap_place(double* h, long k, long i, double e) {
+    long l;
+    while ((l = 2 * i + 1) + 1 < k) {
+        long m = l + (h[l + 1] < h[l]);
+        if (!(h[m] < e)) break;
+        h[i] = h[m];
+        i = m;
     }
+    if (l + 1 == k && h[l] < e) {      /* a lone last child */
+        h[i] = h[l];
+        i = l;
+    }
+    h[i] = e;
 }
 
 void greedy_schedule(const double* dur, long n, double* heap, long k,
                      double* starts, double* ends) {
     long i;
-    for (i = k / 2 - 1; i >= 0; --i) sift_down(heap, k, i);
+    for (i = k / 2 - 1; i >= 0; --i) heap_place(heap, k, i, heap[i]);
     for (i = 0; i < n; ++i) {
         double s = heap[0];
         double e = s + dur[i];
         starts[i] = s;
         ends[i] = e;
-        heap[0] = e;               /* replace-top == pop + push */
-        sift_down(heap, k, 0);
+        heap_place(heap, k, 0, e);  /* replace-top == pop + push */
     }
 }
 
@@ -226,8 +240,8 @@ int stream_plan(const long* row_ptr, long nb, const long* row_ids,
     }
     for (b = 0; b < nb; ++b) {
         start[b] = (long)heap[0];
-        heap[0] += (double)(row_ptr[b + 1] - row_ptr[b]);
-        sift_down(heap, k, 0);
+        heap_place(heap, k, 0,
+                   heap[0] + (double)(row_ptr[b + 1] - row_ptr[b]));
     }
     for (t = 0; out < n; ++t) {
         m = 0;
@@ -270,6 +284,28 @@ long window_hit_count(const long* prev, long n, long w) {
         count += prev[i] >= t;
     }
     return count;
+}
+
+/* Per-block hit counts of a hit mask in issue order: hits[i] is the
+ * outcome of stream position perm[i], so the mask is scattered back to
+ * stream order in scratch, then each block's range [row_ptr[b],
+ * row_ptr[b + 1]) is summed.  The sums are exact integers, as the
+ * reference's reduceat gives.  Returns -1 on a perm entry outside
+ * [0, n). */
+int block_hit_counts(const unsigned char* hits, const long* perm, long n,
+                     const long* row_ptr, long nb, unsigned char* scratch,
+                     double* counts) {
+    long i, b;
+    for (i = 0; i < n; ++i) {
+        if ((unsigned long)perm[i] >= (unsigned long)n) return -1;
+        scratch[perm[i]] = hits[i];
+    }
+    for (b = 0; b < nb; ++b) {
+        long c = 0;
+        for (i = row_ptr[b]; i < row_ptr[b + 1]; ++i) c += scratch[i];
+        counts[b] = (double)c;
+    }
+    return 0;
 }
 
 /* ---- Priority-queue pair merging (locality-aware scheduling) ----
@@ -439,51 +475,64 @@ static long mh_mod(unsigned long x) {
 }
 
 /* Signature rows: sig[i, h] = min over neighbors u of row i of
- * (a[h] * u + b[h]) mod P.  Each hash is evaluated once per node into
- * table[u, h], then each center row is min-reduced in place over its
- * neighbors' table rows, so no per-edge intermediate is ever built.
- * Rows with no neighbors keep the caller's INT64_MAX fill.  Returns -1
- * on a neighbor id outside [0, n). */
+ * (a[h] * u + b[h]) mod P, in passes of MH_BLOCK hashes.  A pass
+ * evaluates its hashes once per node into the n x MH_BLOCK table
+ * (table[u, h - h0], one 64-byte line per node), then min-reduces each
+ * center row's slice of the pass in place over its neighbors, so no
+ * per-edge intermediate is ever built and each edge touches one line
+ * per pass.  Rows with no neighbors keep the caller's INT64_MAX fill.
+ * Returns -1 on a neighbor id outside [0, n) or an allocation
+ * failure. */
+
+#define MH_BLOCK 8
+
 int minhash_rows(const long* indptr, const int* indices, long n,
-                 const long* a, const long* b, long nh, long* table,
-                 long* sig) {
-    long i, j, h;
+                 const long* a, const long* b, long nh, long* sig) {
+    long i, j, h, h0;
+    long* table;
     for (j = 0; j < indptr[n]; ++j)
         if (indices[j] < 0 || indices[j] >= n) return -1;
-    for (i = 0; i < n; ++i) {
-        long* t = table + i * nh;
-        for (h = 0; h < nh; ++h)
-            t[h] = mh_mod((unsigned long)i * (unsigned long)a[h]
-                          + (unsigned long)b[h]);
-    }
-    /* Eight running minima at a time stay in registers (branch-free
-     * selects); each neighbor contributes one cache line of its row. */
-    for (i = 0; i < n; ++i) {
-        long* s = sig + i * nh;
-        long lo = indptr[i], hi = indptr[i + 1];
-        if (lo == hi) continue;
-        for (h = 0; h + 8 <= nh; h += 8) {
-            long m0 = s[h], m1 = s[h + 1], m2 = s[h + 2], m3 = s[h + 3];
-            long m4 = s[h + 4], m5 = s[h + 5], m6 = s[h + 6], m7 = s[h + 7];
-            for (j = lo; j < hi; ++j) {
-                const long* t = table + (long)indices[j] * nh + h;
-                m0 = t[0] < m0 ? t[0] : m0; m1 = t[1] < m1 ? t[1] : m1;
-                m2 = t[2] < m2 ? t[2] : m2; m3 = t[3] < m3 ? t[3] : m3;
-                m4 = t[4] < m4 ? t[4] : m4; m5 = t[5] < m5 ? t[5] : m5;
-                m6 = t[6] < m6 ? t[6] : m6; m7 = t[7] < m7 ? t[7] : m7;
-            }
-            s[h] = m0; s[h + 1] = m1; s[h + 2] = m2; s[h + 3] = m3;
-            s[h + 4] = m4; s[h + 5] = m5; s[h + 6] = m6; s[h + 7] = m7;
+    table = aligned_alloc(64, (n ? n : 1) * MH_BLOCK * sizeof(long));
+    if (!table) return -1;
+    for (h0 = 0; h0 < nh; h0 += MH_BLOCK) {
+        long w = nh - h0 < MH_BLOCK ? nh - h0 : MH_BLOCK;
+        for (i = 0; i < n; ++i) {
+            long* t = table + i * MH_BLOCK;
+            for (h = 0; h < w; ++h)
+                t[h] = mh_mod((unsigned long)i * (unsigned long)a[h0 + h]
+                              + (unsigned long)b[h0 + h]);
         }
-        for (; h < nh; ++h) {
-            long m = s[h];
-            for (j = lo; j < hi; ++j) {
-                long v = table[(long)indices[j] * nh + h];
-                m = v < m ? v : m;
+        for (i = 0; i < n; ++i) {
+            long* s = sig + i * nh + h0;
+            long lo = indptr[i], hi = indptr[i + 1];
+            if (lo == hi) continue;
+            if (w == MH_BLOCK) {
+                /* Eight running minima stay in registers (branch-free
+                 * selects). */
+                long m0 = s[0], m1 = s[1], m2 = s[2], m3 = s[3];
+                long m4 = s[4], m5 = s[5], m6 = s[6], m7 = s[7];
+                for (j = lo; j < hi; ++j) {
+                    const long* t = table + (long)indices[j] * MH_BLOCK;
+                    m0 = t[0] < m0 ? t[0] : m0; m1 = t[1] < m1 ? t[1] : m1;
+                    m2 = t[2] < m2 ? t[2] : m2; m3 = t[3] < m3 ? t[3] : m3;
+                    m4 = t[4] < m4 ? t[4] : m4; m5 = t[5] < m5 ? t[5] : m5;
+                    m6 = t[6] < m6 ? t[6] : m6; m7 = t[7] < m7 ? t[7] : m7;
+                }
+                s[0] = m0; s[1] = m1; s[2] = m2; s[3] = m3;
+                s[4] = m4; s[5] = m5; s[6] = m6; s[7] = m7;
+                continue;
             }
-            s[h] = m;
+            for (h = 0; h < w; ++h) {
+                long m = s[h];
+                for (j = lo; j < hi; ++j) {
+                    long v = table[(long)indices[j] * MH_BLOCK + h];
+                    m = v < m ? v : m;
+                }
+                s[h] = m;
+            }
         }
     }
+    free(table);
     return 0;
 }
 
@@ -777,7 +826,7 @@ def _build() -> "ctypes.CDLL | None":
     vp, lg = ctypes.c_void_p, ctypes.c_long
     fn = lib.minhash_rows
     fn.restype = ctypes.c_int
-    fn.argtypes = [vp, vp, lg, vp, vp, lg, vp, vp]
+    fn.argtypes = [vp, vp, lg, vp, vp, lg, vp]
     fn = lib.lsh_pairs
     fn.restype = ctypes.c_long
     fn.argtypes = [vp, lg, lg, lg, lg, vp, vp, lg, vp]
@@ -793,6 +842,9 @@ def _build() -> "ctypes.CDLL | None":
     fn = lib.occupancy_merge
     fn.restype = None
     fn.argtypes = [vp, vp, lg, vp, vp]
+    fn = lib.block_hit_counts
+    fn.restype = ctypes.c_int
+    fn.argtypes = [vp, vp, lg, vp, lg, vp, vp]
     return lib
 
 
@@ -899,6 +951,37 @@ def window_hit_count(prev: np.ndarray, w: int) -> int:
     return _load().window_hit_count(prev.ctypes.data, prev.shape[0], w)
 
 
+def block_hit_counts(
+    hits_sorted: np.ndarray, perm: np.ndarray, row_ptr: np.ndarray
+) -> "np.ndarray | None":
+    """Per-block hit counts of a hit mask given in issue order.
+
+    ``hits_sorted[i]`` is the outcome of stream position ``perm[i]``;
+    the result is float64 ``counts[b]``, the exact number of hits in
+    ``[row_ptr[b], row_ptr[b + 1])``, equal to scattering the mask back
+    (``hits[perm] = hits_sorted``) and summing each block with
+    ``np.add.reduceat``.  Returns None (the reference takes over, and
+    raises where it would) unless ``perm`` has the mask's length with
+    entries in ``[0, n)`` and ``row_ptr`` rises from 0 to ``n``.
+    """
+    n = hits_sorted.shape[0]
+    if perm.shape != (n,) or row_ptr[0] != 0 or row_ptr[-1] != n or (
+        np.diff(row_ptr) < 0
+    ).any():
+        return None
+    hits = np.ascontiguousarray(hits_sorted, dtype=bool)
+    perm = np.ascontiguousarray(perm, dtype=np.int64)
+    row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
+    nb = row_ptr.shape[0] - 1
+    scratch = np.empty(n, dtype=np.uint8)
+    counts = np.empty(nb, dtype=np.float64)
+    rc = _load().block_hit_counts(
+        hits.ctypes.data, perm.ctypes.data, n, row_ptr.ctypes.data, nb,
+        scratch.ctypes.data, counts.ctypes.data,
+    )
+    return counts if rc == 0 else None
+
+
 def merge_pairs(
     negs: np.ndarray,
     us: np.ndarray,
@@ -938,18 +1021,18 @@ def minhash_rows(
 
     ``indptr`` must be contiguous int64, ``indices`` contiguous int32,
     ``a``/``b`` contiguous int64 of length H.  Rows with no neighbors
-    hold ``INT64_MAX``.  Returns None (the reference takes over, and
-    raises where it would) on a neighbor id outside ``[0, N)``.
+    hold ``INT64_MAX``.  The hashes are evaluated and reduced eight at
+    a time, through an ``N x 8`` table.  Returns None (the reference
+    takes over, and raises where it would) on a neighbor id outside
+    ``[0, N)`` or an allocation failure.
     """
     lib = _load()
     n = indptr.shape[0] - 1
     nh = a.shape[0]
-    table = np.empty((n, nh), dtype=np.int64)
     sig = np.full((n, nh), np.iinfo(np.int64).max, dtype=np.int64)
     rc = lib.minhash_rows(
         indptr.ctypes.data, indices.ctypes.data, n,
-        a.ctypes.data, b.ctypes.data, nh,
-        table.ctypes.data, sig.ctypes.data,
+        a.ctypes.data, b.ctypes.data, nh, sig.ctypes.data,
     )
     return sig if rc == 0 else None
 

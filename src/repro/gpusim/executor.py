@@ -22,12 +22,15 @@ Performance layer (see DESIGN.md "Performance architecture"):
 * the list scheduler is one compiled heap loop (:mod:`._native`);
 * a cold stream analysis (issue permutation + previous-occurrence
   array) is one compiled tick sweep;
+* per-block hit counts are one compiled scatter-and-sum of the
+  issue-order hit mask;
 * the occupancy timeline is one compiled merge of sorted starts and
   ends (:func:`~repro.gpusim.metrics.occupancy_below`);
 * without a C compiler (or under ``REPRO_NATIVE=0``) each falls back to
   its reference: the ``heapq`` scheduler, a ``lexsort`` issue order
-  followed by a stable-argsort previous-occurrence pass, and a stable
-  argsort of the concatenated events;
+  followed by a stable-argsort previous-occurrence pass, a scatter and
+  ``np.add.reduceat`` per block, and a stable argsort of the
+  concatenated events;
 * stream analyses (issue permutation + previous-occurrence array) are
   memoized content-addressed and whole :class:`KernelStats` by recipe
   or content in :mod:`repro.gpusim.memo`, so ablation variants stop
@@ -183,9 +186,14 @@ def _plan_window(plan: StreamPlan, capacity: int) -> int:
 
 
 def _plan_hits(
-    plan: StreamPlan, capacity: int, model: str
+    plan: StreamPlan, capacity: int, model: str, key: tuple | None = None
 ) -> np.ndarray:
-    """Hit mask (in permuted order) from a cached stream analysis."""
+    """Hit mask (in permuted order) from a cached stream analysis.
+
+    The exact-LRU model attaches the stack distances to the plan; when
+    ``key`` names its ``STREAM_CACHE`` entry, the plan is re-put there
+    so the tier's byte budget charges them.
+    """
     if model == "window":
         return window_hits_from_prev(
             plan.prev, capacity, window=_plan_window(plan, capacity)
@@ -193,18 +201,22 @@ def _plan_hits(
     if model == "lru":
         if plan.lru_distances is None:
             plan.lru_distances = reuse_distances_from_prev(plan.prev)
+            if key is not None:
+                STREAM_CACHE.put(key, plan, nbytes=plan.nbytes)
         dist = plan.lru_distances
         return (dist >= 0) & (dist < capacity)
     raise ValueError(f"unknown cache model {model!r}")
 
 
-def _plan_hit_rate(plan: StreamPlan, capacity: int, model: str) -> float:
+def _plan_hit_rate(
+    plan: StreamPlan, capacity: int, model: str, key: tuple | None = None
+) -> float:
     """Overall hit rate of a cached stream analysis."""
     if model == "window":
         return window_hit_rate_from_prev(
             plan.prev, capacity, _plan_window(plan, capacity)
         )
-    hits = _plan_hits(plan, capacity, model)
+    hits = _plan_hits(plan, capacity, model, key=key)
     return float(hits.mean()) if hits.size else 0.0
 
 
@@ -244,7 +256,9 @@ def _row_hit_counts(
                     slots,
                 )
             plan = _stream_plan(sub_ptr, sub_ids, slots, key=key)
-            rate = _plan_hit_rate(plan, capacity, config.cache_model)
+            rate = _plan_hit_rate(
+                plan, capacity, config.cache_model, key=key
+            )
         else:
             perm = interleaved_order(sub_ptr, slots)
             hits_win = hit_mask(sub_ids[perm], capacity, config.cache_model)
@@ -252,32 +266,31 @@ def _row_hit_counts(
         per_block_rows = np.diff(row_ptr).astype(np.float64)
         return per_block_rows * rate, rate
     if use_plan:
-        plan = _stream_plan(row_ptr, row_ids, slots)
+        key = None
+        if runtime().memo:
+            key = (array_digest(row_ptr), array_digest(row_ids), slots)
+        plan = _stream_plan(row_ptr, row_ids, slots, key=key)
         perm = plan.perm
-        hits_sorted = _plan_hits(plan, capacity, config.cache_model)
+        hits_sorted = _plan_hits(plan, capacity, config.cache_model, key=key)
     else:
         perm = interleaved_order(row_ptr, slots)
         hits_sorted = hit_mask(row_ids[perm], capacity, config.cache_model)
+    if runtime().fastpath and _native.available():
+        # One compiled scatter-and-sum.  The counts are exact integers,
+        # so their sum over the (non-zero) access count is the mask's
+        # mean to the bit.
+        counts = _native.block_hit_counts(hits_sorted, perm, row_ptr)
+        if counts is not None:
+            return counts, float(counts.sum()) / hits_sorted.shape[0]
     hits = np.empty_like(hits_sorted)
     hits[perm] = hits_sorted
-    if runtime().fastpath:
-        # Per-block hit counts as prefix-sum differences: one cumsum
-        # pass, empty blocks fall out as zero-width differences.  The
-        # sums are exact integers, identical to the reduceat below.
-        cs = np.zeros(hits.shape[0] + 1, dtype=np.int64)
-        np.cumsum(hits, dtype=np.int64, out=cs[1:])
-        counts = (cs[row_ptr[1:]] - cs[row_ptr[:-1]]).astype(np.float64)
-    else:
-        # Aggregate hits per block. reduceat needs non-empty rows
-        # handled.
-        counts = np.zeros(b, dtype=np.float64)
-        lengths = np.diff(row_ptr)
-        nonempty = lengths > 0
-        if nonempty.any():
-            red = np.add.reduceat(
-                hits.astype(np.int64), row_ptr[:-1][nonempty]
-            )
-            counts[nonempty] = red
+    # Aggregate hits per block. reduceat needs non-empty rows handled.
+    counts = np.zeros(b, dtype=np.float64)
+    lengths = np.diff(row_ptr)
+    nonempty = lengths > 0
+    if nonempty.any():
+        red = np.add.reduceat(hits.astype(np.int64), row_ptr[:-1][nonempty])
+        counts[nonempty] = red
     rate = float(hits.mean()) if hits.size else 0.0
     return counts, rate
 

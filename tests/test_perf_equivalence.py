@@ -36,6 +36,7 @@ from repro.gpusim.executor import (
     _list_schedule,
     _plan_hit_rate,
     _plan_hits,
+    _row_hit_counts,
     _stream_plan,
     kernel_time,
     simulate_kernel,
@@ -368,6 +369,20 @@ def test_stream_plan_nbytes_counts_every_array():
     assert plan.windows and plan.lru_distances is not None
     held = [a for v in vars(plan).values() for a in arrays(v)]
     assert plan.nbytes == sum(a.nbytes for a in held)
+
+
+@pytest.mark.parametrize("limit", [1_200_000, 10_000], ids=["full", "prefix"])
+def test_lru_distances_are_charged_to_the_stream_tier(limit):
+    """The exact-LRU stack distances a plan gains after the stream tier
+    stored it count in the tier's byte budget, for a whole stream and a
+    sampled prefix alike."""
+    kernel = _sample_kernel()
+    assert (kernel.num_row_accesses > limit) == (limit == 10_000)
+    config = V100_SCALED.replace(cache_model="lru", cache_trace_limit=limit)
+    _row_hit_counts(kernel, config)
+    plans = [plan for plan, _ in STREAM_CACHE._data.values()]
+    assert len(plans) == 1 and plans[0].lru_distances is not None
+    assert STREAM_CACHE.nbytes == sum(plan.nbytes for plan in plans)
 
 
 # ----------------------------------------------------------------------
