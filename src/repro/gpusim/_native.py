@@ -21,7 +21,10 @@ uniforms in a cumulative distribution, one binary search each;
 ``weighted_search`` does it through a guide table in expected O(1) per
 draw.  Last, the cache model's effective-window search is one call:
 each bisection probe stops as soon as its exact count shows the window
-overflows the cache, which a vectorized count cannot.  This module
+overflows the cache, which a vectorized count cannot.  The stream
+analyses these kernels write and read (issue permutation, previous
+occurrences, their last-seen tables) are int32 stream positions, the
+dtype the reference lane returns too.  This module
 compiles the embedded C source below with the system C compiler on
 first use (no third-party packages, no Python headers — plain
 ``ctypes`` against a shared object) and caches the artifact in the
@@ -144,13 +147,14 @@ void occupancy_merge(const double* s, const double* e, long n,
 
 /* Previous occurrence of each value in a bounded-int stream: one pass
  * over a last-seen-position table.  The data dependency (last[v] is
- * read and rewritten at every step) is what numpy cannot express. */
-void prev_occurrence(const long* stream, long n, long* last, long* prev) {
+ * read and rewritten at every step) is what numpy cannot express.
+ * Positions are int32 (the caller keeps n below 2**31). */
+void prev_occurrence(const long* stream, long n, int* last, int* prev) {
     long i;
     for (i = 0; i < n; ++i) {
         long v = stream[i];
         prev[i] = last[v];
-        last[v] = i;
+        last[v] = (int)i;
     }
 }
 
@@ -173,7 +177,7 @@ void prev_occurrence(const long* stream, long n, long* last, long* prev) {
 #define WS_MAX_EVAL 65536
 #define WS_CHUNK 4096
 
-static int ws_exceeds(const long* prev, long n, long w, long bound) {
+static int ws_exceeds(const int* prev, long n, long w, long bound) {
     long stride = w / WS_MAX_EVAL, total = 0, c = 0, last = -1, j;
     if (stride < 1) stride = 1;
     for (j = 0; j < WS_SAMPLES; ++j) {
@@ -203,7 +207,7 @@ static int ws_exceeds(const long* prev, long n, long w, long bound) {
     return 0;
 }
 
-long window_search(const long* prev, long n, long cap) {
+long window_search(const int* prev, long n, long cap) {
     long bound = WS_SAMPLES * cap, lo = cap > 1 ? cap : 1, hi = n;
     if (!ws_exceeds(prev, n, n, bound)) return n;
     while (hi - lo > (lo / 8 > 16 ? lo / 8 : 16)) {
@@ -226,9 +230,10 @@ long window_search(const long* prev, long n, long cap) {
  * blocks are live and no tick is idle (a slot freed by the last live
  * block is where the next block starts), so perm is written
  * sequentially; prev comes from the same last-seen table as
- * prev_occurrence.  Returns -1 on allocation failure. */
+ * prev_occurrence.  perm and prev are int32 positions (the caller keeps
+ * the stream below 2**31).  Returns -1 on allocation failure. */
 int stream_plan(const long* row_ptr, long nb, const long* row_ids,
-                long k, long* last, long* perm, long* prev) {
+                long k, int* last, int* perm, int* prev) {
     long n = row_ptr[nb], b, j, t, m, out = 0, next = 0, nlive = 0;
     double* heap = calloc(k, sizeof(double));
     long* start = malloc((nb + 1) * sizeof(long));
@@ -256,9 +261,9 @@ int stream_plan(const long* row_ptr, long nb, const long* row_ids,
         for (j = 0; j < nlive; ++j) {
             long p = row_ptr[cur[j]] + t - start[cur[j]];
             long r = row_ids[p];
-            perm[out] = p;
+            perm[out] = (int)p;
             prev[out] = last[r];
-            last[r] = out++;
+            last[r] = (int)out++;
         }
     }
     free(heap); free(start); free(live);
@@ -266,7 +271,7 @@ int stream_plan(const long* row_ptr, long nb, const long* row_ids,
 }
 
 /* Windowed-LRU hit mask: hit iff prev[i] >= max(i - w, 0). */
-void window_mask(const long* prev, long n, long w, unsigned char* out) {
+void window_mask(const int* prev, long n, long w, unsigned char* out) {
     long i;
     for (i = 0; i < n; ++i) {
         long t = i - w;
@@ -276,7 +281,7 @@ void window_mask(const long* prev, long n, long w, unsigned char* out) {
 }
 
 /* The number of hits window_mask would mark, without the mask. */
-long window_hit_count(const long* prev, long n, long w) {
+long window_hit_count(const int* prev, long n, long w) {
     long i, count = 0;
     for (i = 0; i < n; ++i) {
         long t = i - w;
@@ -292,13 +297,14 @@ long window_hit_count(const long* prev, long n, long w) {
  * row_ptr[b + 1]) is summed.  The sums are exact integers, as the
  * reference's reduceat gives.  Returns -1 on a perm entry outside
  * [0, n). */
-int block_hit_counts(const unsigned char* hits, const long* perm, long n,
+int block_hit_counts(const unsigned char* hits, const int* perm, long n,
                      const long* row_ptr, long nb, unsigned char* scratch,
                      double* counts) {
     long i, b;
     for (i = 0; i < n; ++i) {
-        if ((unsigned long)perm[i] >= (unsigned long)n) return -1;
-        scratch[perm[i]] = hits[i];
+        long p = perm[i];
+        if ((unsigned long)p >= (unsigned long)n) return -1;
+        scratch[p] = hits[i];
     }
     for (b = 0; b < nb; ++b) {
         long c = 0;
@@ -787,32 +793,22 @@ def _build() -> "ctypes.CDLL | None":
         ctypes.c_void_p, ctypes.c_long,
         ctypes.c_void_p, ctypes.c_void_p,
     ]
+    vp, lg = ctypes.c_void_p, ctypes.c_long
     fn = lib.prev_occurrence
     fn.restype = None
-    fn.argtypes = [
-        ctypes.POINTER(ctypes.c_long), ctypes.c_long,
-        ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_long),
-    ]
+    fn.argtypes = [vp, lg, vp, vp]
     fn = lib.stream_plan
     fn.restype = ctypes.c_int
-    fn.argtypes = [
-        ctypes.POINTER(ctypes.c_long), ctypes.c_long,
-        ctypes.POINTER(ctypes.c_long), ctypes.c_long,
-        ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_long),
-        ctypes.POINTER(ctypes.c_long),
-    ]
+    fn.argtypes = [vp, lg, vp, lg, vp, vp, vp]
     fn = lib.window_mask
     fn.restype = None
-    fn.argtypes = [
-        ctypes.POINTER(ctypes.c_long), ctypes.c_long, ctypes.c_long,
-        ctypes.POINTER(ctypes.c_ubyte),
-    ]
+    fn.argtypes = [vp, lg, lg, vp]
     fn = lib.window_hit_count
-    fn.restype = ctypes.c_long
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long]
+    fn.restype = lg
+    fn.argtypes = [vp, lg, lg]
     fn = lib.window_search
-    fn.restype = ctypes.c_long
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long]
+    fn.restype = lg
+    fn.argtypes = [vp, lg, lg]
     fn = lib.merge_pairs
     fn.restype = ctypes.c_int
     fn.argtypes = [
@@ -823,7 +819,6 @@ def _build() -> "ctypes.CDLL | None":
         ctypes.c_double,
         ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_long),
     ]
-    vp, lg = ctypes.c_void_p, ctypes.c_long
     fn = lib.minhash_rows
     fn.restype = ctypes.c_int
     fn.argtypes = [vp, vp, lg, vp, vp, lg, vp]
@@ -892,7 +887,9 @@ def greedy_schedule(
 
 
 def occupancy_merge(
-    starts: np.ndarray, ends: np.ndarray
+    starts: np.ndarray,
+    ends: np.ndarray,
+    sorted_ends: "np.ndarray | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray] | None":
     """Event spans and active block counts of a schedule's timeline.
 
@@ -900,15 +897,16 @@ def occupancy_merge(
     :func:`repro.gpusim.metrics.occupancy_below`: ``np.diff(times,
     append=times[-1])`` and the running ``+1``/``-1`` count over the
     stable argsort of ``concat(starts, ends)``.  Greedy schedules emit
-    non-decreasing starts, so only the ends are sorted first.  Returns
-    None (the reference takes over) unless ``starts`` and ``ends`` are
-    non-empty 1-D arrays of one length.
+    non-decreasing starts, so only the ends are sorted first, unless
+    the caller passes them as ``sorted_ends`` (``np.sort(ends)`` to the
+    bit).  Returns None (the reference takes over) unless ``starts`` and
+    ``ends`` are non-empty 1-D arrays of one length.
     """
     if starts.ndim != 1 or starts.shape != ends.shape or not starts.size:
         return None
     if not np.all(starts[1:] >= starts[:-1]):
         starts = np.sort(starts)
-    ends = np.sort(ends)
+    ends = np.sort(ends) if sorted_ends is None else sorted_ends
     starts = np.ascontiguousarray(starts, dtype=np.float64)
     ends = np.ascontiguousarray(ends, dtype=np.float64)
     n = starts.shape[0]
@@ -926,27 +924,26 @@ def window_search(prev: np.ndarray, capacity: int) -> int:
 
     The reference bisection in one call, every probe stopped as soon as
     its exact count shows the window overflows.  ``prev`` must be
-    contiguous int64.
+    contiguous int32.
     """
     return _load().window_search(prev.ctypes.data, prev.shape[0], capacity)
 
 
 def window_mask(prev: np.ndarray, w: int) -> np.ndarray:
-    """Boolean hit mask ``prev >= maximum(arange(n) - w, 0)``."""
-    lib = _load()
+    """Boolean hit mask ``prev >= maximum(arange(n) - w, 0)``.
+
+    ``prev`` must be contiguous int32.
+    """
     n = prev.shape[0]
     out = np.empty(n, dtype=bool)
-    lib.window_mask(
-        prev.ctypes.data_as(ctypes.POINTER(ctypes.c_long)), n, w,
-        out.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
-    )
+    _load().window_mask(prev.ctypes.data, n, w, out.ctypes.data)
     return out
 
 
 def window_hit_count(prev: np.ndarray, w: int) -> int:
     """``count_nonzero(window_mask(prev, w))`` in one pass, no mask.
 
-    ``prev`` must be contiguous int64.
+    ``prev`` must be contiguous int32.
     """
     return _load().window_hit_count(prev.ctypes.data, prev.shape[0], w)
 
@@ -960,7 +957,8 @@ def block_hit_counts(
     the result is float64 ``counts[b]``, the exact number of hits in
     ``[row_ptr[b], row_ptr[b + 1])``, equal to scattering the mask back
     (``hits[perm] = hits_sorted``) and summing each block with
-    ``np.add.reduceat``.  Returns None (the reference takes over, and
+    ``np.add.reduceat``.  ``perm`` is read as int32, the stream
+    analyses' dtype.  Returns None (the reference takes over, and
     raises where it would) unless ``perm`` has the mask's length with
     entries in ``[0, n)`` and ``row_ptr`` rises from 0 to ``n``.
     """
@@ -970,7 +968,7 @@ def block_hit_counts(
     ).any():
         return None
     hits = np.ascontiguousarray(hits_sorted, dtype=bool)
-    perm = np.ascontiguousarray(perm, dtype=np.int64)
+    perm = np.ascontiguousarray(perm, dtype=np.int32)
     row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
     nb = row_ptr.shape[0] - 1
     scratch = np.empty(n, dtype=np.uint8)
@@ -1084,20 +1082,18 @@ def pair_similarity(
 def prev_occurrence(
     stream: np.ndarray, nvals: int
 ) -> np.ndarray:
-    """Previous-occurrence index per position (``-1`` for first touches).
+    """int32 previous-occurrence index per position (``-1`` for first
+    touches).
 
     ``stream`` must be contiguous int64 with values in ``[0, nvals)``
-    (the caller validates bounds — out-of-range values would index the
-    scratch table out of bounds).
+    and fewer than ``2**31`` positions (the caller validates both —
+    out-of-range values would index the scratch table out of bounds).
     """
-    lib = _load()
     n = stream.shape[0]
-    last = np.full(nvals, -1, dtype=np.int64)
-    prev = np.empty(n, dtype=np.int64)
-    lp = ctypes.POINTER(ctypes.c_long)
-    lib.prev_occurrence(
-        stream.ctypes.data_as(lp), n,
-        last.ctypes.data_as(lp), prev.ctypes.data_as(lp),
+    last = np.full(nvals, -1, dtype=np.int32)
+    prev = np.empty(n, dtype=np.int32)
+    _load().prev_occurrence(
+        stream.ctypes.data, n, last.ctypes.data, prev.ctypes.data
     )
     return prev
 
@@ -1105,19 +1101,20 @@ def prev_occurrence(
 def stream_plan(
     row_ptr: np.ndarray, row_ids: np.ndarray, slots: int
 ) -> "tuple[np.ndarray, np.ndarray] | None":
-    """Issue permutation and previous-occurrence array of one stream.
+    """int32 issue permutation and previous-occurrence array of one
+    stream.
 
     One C tick sweep: the block lengths are greedy-scheduled on
     ``slots`` slots and positions are emitted in (tick, offset, block)
     order, so ``perm`` equals the reference ``interleaved_order`` (a
     ``lexsort`` by tick, offset, block) and ``prev`` equals
-    ``prev_occurrence`` of ``row_ids[perm]``, exactly.  Returns None
-    (the reference takes over, and raises where it would) for
-    ``slots < 1``, a ``row_ptr`` that does not rise from 0 to at most
-    ``len(row_ids)``, row ids outside ``[0, 50_000_000]`` or not
-    integers, or an allocation failure.
+    ``prev_occurrence`` of ``row_ids[perm]``, exactly.  The caller keeps
+    the stream below ``2**31`` positions.  Returns None (the reference
+    takes over, and raises where it would) for ``slots < 1``, a
+    ``row_ptr`` that does not rise from 0 to at most ``len(row_ids)``,
+    row ids outside ``[0, 50_000_000]`` or not integers, or an
+    allocation failure.
     """
-    lib = _load()
     nb = row_ptr.shape[0] - 1
     n = int(row_ptr[-1])
     if slots < 1 or row_ptr[0] != 0 or n > row_ids.shape[0] or (
@@ -1125,23 +1122,21 @@ def stream_plan(
     ).any():
         return None
     if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
     if row_ids.dtype.kind not in "iu":
         return None
     ids = row_ids[:n]
     hi = int(ids.max())
     if int(ids.min()) < 0 or hi > 50_000_000:
         return None
-    lp = ctypes.POINTER(ctypes.c_long)
     row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
     ids = np.ascontiguousarray(ids, dtype=np.int64)
-    last = np.full(hi + 1, -1, dtype=np.int64)
-    perm = np.empty(n, dtype=np.int64)
-    prev = np.empty(n, dtype=np.int64)
-    rc = lib.stream_plan(
-        row_ptr.ctypes.data_as(lp), nb, ids.ctypes.data_as(lp), slots,
-        last.ctypes.data_as(lp), perm.ctypes.data_as(lp),
-        prev.ctypes.data_as(lp),
+    last = np.full(hi + 1, -1, dtype=np.int32)
+    perm = np.empty(n, dtype=np.int32)
+    prev = np.empty(n, dtype=np.int32)
+    rc = _load().stream_plan(
+        row_ptr.ctypes.data, nb, ids.ctypes.data, slots,
+        last.ctypes.data, perm.ctypes.data, prev.ctypes.data,
     )
     return (perm, prev) if rc == 0 else None
 

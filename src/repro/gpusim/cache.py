@@ -31,7 +31,10 @@ touches (compulsory misses) are always misses.
 Everything downstream of :func:`previous_occurrence` is a pure function
 of the ``prev`` array, so the executor caches ``prev`` per stream
 content (:mod:`repro.gpusim.memo`) and calls the ``*_from_prev``
-variants directly.
+variants directly.  Stream analyses (``prev``, the issue permutation,
+the stack distances) hold stream positions, so they are int32 in every
+lane: half the bytes of int64, for streams below ``2**31`` positions
+(:func:`check_stream_length`).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from ..perf import runtime
 from . import _native
 
 __all__ = [
+    "check_stream_length",
     "previous_occurrence",
     "window_hits",
     "window_hits_from_prev",
@@ -55,18 +59,30 @@ __all__ = [
 ]
 
 
+def check_stream_length(n: int) -> None:
+    """Raise ``ValueError`` unless a stream of ``n`` positions fits the
+    int32 positions of a stream analysis (``n < 2**31``)."""
+    if n >= 2**31:
+        raise ValueError(
+            f"a stream of {n} positions is too long: stream analyses "
+            f"hold int32 positions, so streams stay below 2**31"
+        )
+
+
 def previous_occurrence(stream: np.ndarray) -> np.ndarray:
     """For each position, the index of the previous access to the same row.
 
-    Returns ``int64[n]`` with ``-1`` where the access is a first touch.
-    Natively one last-seen-position pass; otherwise (no C compiler,
-    ``REPRO_NATIVE=0``, or ``override(fastpath=False)``) accesses are
-    grouped per row in stream order by a stable argsort.
+    Returns ``int32[n]`` with ``-1`` where the access is a first touch,
+    and raises ``ValueError`` before reading a stream of ``2**31`` or
+    more positions.  Natively one last-seen-position pass; otherwise (no
+    C compiler, ``REPRO_NATIVE=0``, or ``override(fastpath=False)``)
+    accesses are grouped per row in stream order by a stable argsort.
     """
     stream = np.asarray(stream)
     n = stream.shape[0]
+    check_stream_length(n)
     if n == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int32)
     if runtime().fastpath and stream.dtype.kind in "iu" and (
         _native.available()
     ):
@@ -80,7 +96,7 @@ def previous_occurrence(stream: np.ndarray) -> np.ndarray:
             return _native.prev_occurrence(s64, hi + 1)
     order = np.argsort(stream, kind="stable")
     sorted_rows = stream[order]
-    prev = np.full(n, -1, dtype=np.int64)
+    prev = np.full(n, -1, dtype=np.int32)
     same = sorted_rows[1:] == sorted_rows[:-1]
     prev[order[1:]] = np.where(same, order[:-1], -1)
     return prev
@@ -160,7 +176,7 @@ def _native_window_lane(prev: np.ndarray) -> bool:
     array."""
     return (
         runtime().fastpath
-        and prev.dtype == np.int64
+        and prev.dtype == np.int32
         and prev.flags.c_contiguous
         and _native.available()
     )
@@ -255,7 +271,7 @@ def _reuse_distances_reference(stream: np.ndarray) -> np.ndarray:
     n = stream.shape[0]
     prev = previous_occurrence(stream)
     fen = _Fenwick(n)
-    out = np.full(n, -1, dtype=np.int64)
+    out = np.full(n, -1, dtype=np.int32)
     for i in range(n):
         p = prev[i]
         if p >= 0:
@@ -317,11 +333,12 @@ def reuse_distances_from_prev(prev: np.ndarray) -> np.ndarray:
     ``j`` there, characterized by ``prev[j] <= prev[i]``.  With
     ``A(x, y) = #{j <= x : prev[j] <= y}`` this is
     ``A(i-1, p) - A(p, p)`` — a batch of prefix rank queries answered in
-    ~log n vectorized passes by :func:`_wavelet_rank_le`.
+    ~log n vectorized passes by :func:`_wavelet_rank_le`.  Returns
+    ``int32[n]``, like ``prev``.
     """
-    prev = np.asarray(prev, dtype=np.int64)
+    prev = np.asarray(prev)
     n = prev.shape[0]
-    out = np.full(n, -1, dtype=np.int64)
+    out = np.full(n, -1, dtype=np.int32)
     if n == 0:
         return out
     q = np.nonzero(prev >= 0)[0]
@@ -345,7 +362,7 @@ def reuse_distances(stream: np.ndarray) -> np.ndarray:
     if not runtime().fastpath:
         return _reuse_distances_reference(stream)
     if stream.shape[0] == 0:
-        return np.full(0, -1, dtype=np.int64)
+        return np.full(0, -1, dtype=np.int32)
     return reuse_distances_from_prev(previous_occurrence(stream))
 
 

@@ -25,15 +25,17 @@ Performance layer (see DESIGN.md "Performance architecture"):
 * per-block hit counts are one compiled scatter-and-sum of the
   issue-order hit mask;
 * the occupancy timeline is one compiled merge of sorted starts and
-  ends (:func:`~repro.gpusim.metrics.occupancy_below`);
+  ends (:func:`~repro.gpusim.metrics.occupancy_below`), whose ends the
+  heap loop hands over already sorted;
 * without a C compiler (or under ``REPRO_NATIVE=0``) each falls back to
   its reference: the ``heapq`` scheduler, a ``lexsort`` issue order
   followed by a stable-argsort previous-occurrence pass, a scatter and
   ``np.add.reduceat`` per block, and a stable argsort of the
   concatenated events;
-* stream analyses (issue permutation + previous-occurrence array) are
-  memoized content-addressed and whole :class:`KernelStats` by recipe
-  or content in :mod:`repro.gpusim.memo`, so ablation variants stop
+* stream analyses (issue permutation + previous-occurrence array,
+  int32 stream positions in both lanes) are memoized
+  content-addressed and whole :class:`KernelStats` by recipe or
+  content in :mod:`repro.gpusim.memo`, so ablation variants stop
   re-simulating shared kernels and tuner rounds share stream analyses;
   a kernel lowered by a builder is keyed by its recipe, so neither a
   memo hit nor a miss hashes the arrays lowering just built;
@@ -55,6 +57,7 @@ import numpy as np
 
 from ..perf import PERF, runtime
 from .cache import (
+    check_stream_length,
     effective_window,
     hit_mask,
     previous_occurrence,
@@ -97,9 +100,13 @@ def interleaved_order(
     neighbor grouping narrow the active working set (smaller blocks →
     shorter waves) and locality-aware scheduling exploit wave-mates'
     shared neighbors, exactly the synergy of paper §4.1.2.
+
+    Returns ``int32[total]``, the stream analyses' dtype; raises
+    ``ValueError`` first for a stream of ``2**31`` or more positions.
     """
-    lengths = np.diff(row_ptr)
     total = int(row_ptr[-1])
+    check_stream_length(total)
+    lengths = np.diff(row_ptr)
     # Time-aware interleave: each slot consumes one row per tick, blocks
     # claim the earliest-free slot in issue order (rows as the clock).  A
     # hub block therefore overlaps the *thousands* of short tasks that
@@ -112,7 +119,7 @@ def interleaved_order(
     )
     offset = np.arange(total, dtype=np.int64) - row_ptr[:-1][block_of]
     tick = starts[block_of] + offset
-    return np.lexsort((block_of, offset, tick))
+    return np.lexsort((block_of, offset, tick)).astype(np.int32)
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +131,10 @@ def _cold_stream_plan(
 ) -> StreamPlan:
     """Stream analysis from scratch: one native tick sweep when the
     lane is up, else the issue permutation then a previous-occurrence
-    pass over the permuted stream (identical results)."""
+    pass over the permuted stream (identical int32 results).  A stream
+    of ``2**31`` or more positions raises ``ValueError`` before either
+    lane reads it."""
+    check_stream_length(int(row_ptr[-1]))
     if runtime().fastpath and _native.available():
         swept = _native.stream_plan(row_ptr, row_ids, num_slots)
         if swept is not None:
@@ -353,34 +363,57 @@ def _list_schedule_reference(
     return starts, ends
 
 
-def _list_schedule(
-    durations: np.ndarray, slots: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Greedy earliest-free-slot schedule; returns (starts, ends)."""
+def _list_schedule_sorted(
+    durations: np.ndarray, slots: int, sort_ends: bool = True
+) -> Tuple[np.ndarray, np.ndarray, "np.ndarray | None"]:
+    """Greedy earliest-free-slot schedule; returns (starts, ends,
+    sorted ends or None).
+
+    The sorted ends come from the native heap loop alone, only when
+    ``sort_ends`` asks for them and no duration is negative or NaN.  Then every push is at least the
+    pop it replaces, so the pops (the starts) never decrease and the
+    final heap is no smaller than the last of them: ``starts + final
+    heap`` is the sorted multiset ``slots`` zeros + ends, and the first
+    ``slots`` starts are those zeros.  So ``np.sort(ends)`` is
+    ``starts[slots:]`` followed by the sorted final heap, to the bit.
+    Every other path returns None and leaves the sort to its caller.
+    """
     b = durations.shape[0]
     if b == 0:
-        return np.zeros(0), np.zeros(0)
+        return np.zeros(0), np.zeros(0), None
     if b <= slots:
         starts = np.zeros(b)
-        return starts, durations.copy()
+        return starts, durations.copy(), None
     # Fast path: (near-)uniform durations schedule round-robin exactly.
     dmin, dmax = float(durations.min()), float(durations.max())
     if dmax - dmin <= 1e-12 * max(dmax, 1e-30):
         waves = np.arange(b, dtype=np.int64) // slots
         starts = waves * dmax
-        return starts.astype(np.float64), starts + durations
+        return starts.astype(np.float64), starts + durations, None
     if not (runtime().fastpath and _native.available()):
-        return _list_schedule_reference(durations, slots)
+        return (*_list_schedule_reference(durations, slots), None)
     # One compiled heap loop over every block: a binary min-heap pops the
     # same multiset minima whatever its internal layout, and the C loop
     # runs the identical ``end = start + duration`` additions, so it is
     # bit-identical to the reference.
     starts = np.empty(b)
     ends = np.empty(b)
+    heap = np.zeros(slots)
     _native.greedy_schedule(
         np.ascontiguousarray(durations, dtype=np.float64),
-        np.zeros(slots), starts, ends,
+        heap, starts, ends,
     )
+    if not (sort_ends and dmin >= 0.0):  # not asked, negative or NaN
+        return starts, ends, None
+    heap.sort()
+    return starts, ends, np.concatenate([starts[slots:], heap])
+
+
+def _list_schedule(
+    durations: np.ndarray, slots: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Greedy earliest-free-slot schedule; returns (starts, ends)."""
+    starts, ends, _ = _list_schedule_sorted(durations, slots, False)
     return starts, ends
 
 
@@ -389,12 +422,16 @@ def _list_schedule(
 # ----------------------------------------------------------------------
 
 def _schedule(
-    durations: np.ndarray, slots: int
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """List-schedule priced blocks; returns (starts, ends, makespan)."""
+    durations: np.ndarray, slots: int, sort_ends: bool = False
+) -> Tuple[np.ndarray, np.ndarray, "np.ndarray | None", float]:
+    """List-schedule priced blocks; returns (starts, ends, sorted ends
+    or None, makespan).  Only ``sort_ends`` callers get sorted ends."""
     with PERF.stage("schedule"):
-        starts, ends = _list_schedule(durations, slots)
-    return starts, ends, float(ends.max()) if ends.size else 0.0
+        starts, ends, sorted_ends = _list_schedule_sorted(
+            durations, slots, sort_ends
+        )
+    makespan = float(ends.max()) if ends.size else 0.0
+    return starts, ends, sorted_ends, makespan
 
 
 def _launch_overhead(
@@ -419,7 +456,7 @@ def kernel_time(
     compare times, such as the tuner's rounds.
     """
     durations, _, _ = block_durations(kernel, config)
-    _, _, makespan = _schedule(durations, config.total_block_slots)
+    *_, makespan = _schedule(durations, config.total_block_slots)
     return makespan + _launch_overhead(kernel, config, dispatch_overhead)
 
 
@@ -428,12 +465,14 @@ def _simulate_kernel_cold(
 ) -> KernelStats:
     durations, hit_counts, _ = block_durations(kernel, config)
     slots = config.total_block_slots
-    starts, ends, makespan = _schedule(durations, slots)
+    starts, ends, sorted_ends, makespan = _schedule(
+        durations, slots, sort_ends=True
+    )
     balanced = float(durations.sum()) / slots
     rows = kernel.num_row_accesses
     row_hits = float(hit_counts.sum())
     miss_bytes = (rows - row_hits) * kernel.row_bytes
-    occ = occupancy_below(starts, ends, slots)
+    occ = occupancy_below(starts, ends, slots, sorted_ends=sorted_ends)
     return KernelStats(
         name=kernel.name,
         tag=kernel.tag,

@@ -210,7 +210,9 @@ class StreamPlan:
     two order-dependent quantities every cache-model evaluation needs.
     ``windows`` memoizes the effective working-set window per cache
     capacity and ``lru_distances`` the exact stack distances (both are
-    pure functions of ``prev``, so they attach here).
+    pure functions of ``prev``, so they attach here).  The three arrays
+    are int32 stream positions, so an analysis costs 8 bytes per
+    position, 12 with the stack distances.
     """
 
     perm: np.ndarray
@@ -229,13 +231,16 @@ class StreamPlan:
 
 #: Byte budgets of the three stream-side tiers.  They stay
 #: separate: on the full-size paper workloads the stream and perm tiers
-#: fill and evict, so one shared pool would grow peak memory.
-STREAM_CACHE_BYTES = 512 * 1024 * 1024
+#: fill and evict, so one shared pool would grow peak memory.  The
+#: stream and perm tiers hold int32 positions; their budgets are half
+#: of what the same entries took as int64, so they keep the same
+#: entries and evict in the same order.
+STREAM_CACHE_BYTES = 256 * 1024 * 1024
 REORDER_CACHE_BYTES = 256 * 1024 * 1024
-PERM_CACHE_BYTES = 128 * 1024 * 1024
+PERM_CACHE_BYTES = 64 * 1024 * 1024
 
-#: Stream analyses are large (two int64 arrays per stream), so the tier
-#: is bounded by bytes; 512 MiB holds a full 20-round tuner sweep on the
+#: Stream analyses are large (two int32 arrays per stream), so the tier
+#: is bounded by bytes; 256 MiB holds a full 20-round tuner sweep on the
 #: largest scaled dataset.
 STREAM_CACHE = LRUCache(
     max_entries=256,

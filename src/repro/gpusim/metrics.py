@@ -26,17 +26,21 @@ def occupancy_below(
     ends: np.ndarray,
     max_active: int,
     fractions: Tuple[float, ...] = (1.0, 0.5, 0.1),
+    *,
+    sorted_ends: Optional[np.ndarray] = None,
 ) -> Dict[float, float]:
     """Fraction of kernel time with active blocks < fraction * max_active.
 
     Computed from the block start/end events of the schedule — exactly the
-    quantity Table 4 reports from profiling counters.
+    quantity Table 4 reports from profiling counters.  A caller that
+    already holds ``np.sort(ends)`` (the native list scheduler does)
+    passes it as ``sorted_ends`` to spare the native merge its sort.
     """
     if starts.size == 0:
         return {f: 0.0 for f in fractions}
     merged = None
     if runtime().fastpath and _native.available():
-        merged = _native.occupancy_merge(starts, ends)
+        merged = _native.occupancy_merge(starts, ends, sorted_ends)
     if merged is not None:
         span, active = merged
     else:

@@ -300,8 +300,8 @@ class TestNativeBitIdentity:
         streams = [
             previous_occurrence(rng.integers(0, 200, size=5_000)),
             previous_occurrence(np.repeat(np.arange(50), 3)),  # gap 1
-            np.zeros(0, dtype=np.int64),
-            np.full(64, -1, dtype=np.int64),
+            np.zeros(0, dtype=np.int32),
+            np.full(64, -1, dtype=np.int32),
         ]
         for prev in streams:
             n = prev.shape[0]
@@ -345,6 +345,56 @@ class TestNativeBitIdentity:
                 assert np.array_equal(starts_ref, starts), k
                 assert np.array_equal(ends_ref, ends), k
                 assert np.array_equal(np.sort(heap_arr), np.sort(heap)), k
+
+    @staticmethod
+    def _sorted_end_schedules(rng):
+        """(durations, slots): random, heavy-tailed, tied (integer
+        durations 0-3, many equal ends) and mostly-zero durations, from
+        one slot to 160."""
+        for slots in (1, 2, 7, 160):
+            yield rng.random(2_000) * 10.0, slots
+            yield rng.pareto(1.1, 2_000) + 0.01, slots
+            yield rng.integers(0, 4, size=2_000).astype(np.float64), slots
+            zeros = np.zeros(2_000)
+            zeros[rng.integers(0, 2_000, size=40)] = 1.5
+            yield zeros, slots
+
+    def test_sorted_ends_are_the_sort_of_ends(self):
+        """The native heap path's sorted ends equal ``np.sort(ends)`` bit
+        for bit, and hand the occupancy merge the same timeline."""
+        rng = np.random.default_rng(15)
+        for durations, slots in self._sorted_end_schedules(rng):
+            starts, ends, sorted_ends = ex._list_schedule_sorted(
+                durations, slots
+            )
+            assert sorted_ends is not None
+            assert _same_bits(sorted_ends, np.sort(ends))
+            assert occupancy_below(
+                starts, ends, slots, sorted_ends=sorted_ends
+            ) == occupancy_below(starts, ends, slots)
+
+    def test_sorted_ends_only_from_the_heap_path(self):
+        """Fewer blocks than slots, near-uniform durations and negative
+        or NaN durations leave the sort to ``occupancy_below``."""
+        rng = np.random.default_rng(16)
+        mixed = rng.random(500)
+        negative = mixed.copy()
+        negative[7] = -0.5
+        nan = mixed.copy()
+        nan[9] = np.nan
+        for durations, slots in (
+            (mixed[:10], 16),
+            (np.full(500, 2.0), 16),
+            (1.0 + rng.normal(0, 1e-14, 500), 16),
+            (negative, 16),
+            (nan, 16),
+            (np.zeros(500), 16),
+        ):
+            *_, sorted_ends = ex._list_schedule_sorted(durations, slots)
+            assert sorted_ends is None
+        with override(native=False):
+            *_, sorted_ends = ex._list_schedule_sorted(mixed, 16)
+        assert sorted_ends is None
 
     def test_block_hit_counts_declines_what_c_cannot_take(self):
         """Malformed ``row_ptr`` or ``perm`` leaves the reference to
