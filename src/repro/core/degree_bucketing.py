@@ -111,9 +111,7 @@ def bucketed_aggregation_kernels(
         offsets = np.arange(int(row_ptr[-1]), dtype=np.int64) - np.repeat(
             row_ptr[:-1], lengths
         )
-        row_ids = graph.indices[
-            np.repeat(starts, lengths) + offsets
-        ].astype(np.int64)
+        row_ids = graph.indices[np.repeat(starts, lengths) + offsets]
         # Compute charged at the PADDED degree; padding also streams
         # zeros from the padded neighbor tensor.
         flops = np.full(members.shape[0], 2.0 * pad * feat_len)

@@ -148,11 +148,12 @@ void occupancy_merge(const double* s, const double* e, long n,
 /* Previous occurrence of each value in a bounded-int stream: one pass
  * over a last-seen-position table.  The data dependency (last[v] is
  * read and rewritten at every step) is what numpy cannot express.
- * Positions are int32 (the caller keeps n below 2**31). */
-void prev_occurrence(const long* stream, long n, int* last, int* prev) {
+ * Values (row ids) and positions are int32 (the caller keeps n below
+ * 2**31). */
+void prev_occurrence(const int* stream, long n, int* last, int* prev) {
     long i;
     for (i = 0; i < n; ++i) {
-        long v = stream[i];
+        int v = stream[i];
         prev[i] = last[v];
         last[v] = (int)i;
     }
@@ -230,9 +231,10 @@ long window_search(const int* prev, long n, long cap) {
  * blocks are live and no tick is idle (a slot freed by the last live
  * block is where the next block starts), so perm is written
  * sequentially; prev comes from the same last-seen table as
- * prev_occurrence.  perm and prev are int32 positions (the caller keeps
- * the stream below 2**31).  Returns -1 on allocation failure. */
-int stream_plan(const long* row_ptr, long nb, const long* row_ids,
+ * prev_occurrence.  row_ids are int32 node ids; perm and prev are int32
+ * positions (the caller keeps the stream below 2**31).  Returns -1 on
+ * allocation failure. */
+int stream_plan(const long* row_ptr, long nb, const int* row_ids,
                 long k, int* last, int* perm, int* prev) {
     long n = row_ptr[nb], b, j, t, m, out = 0, next = 0, nlive = 0;
     double* heap = calloc(k, sizeof(double));
@@ -260,7 +262,7 @@ int stream_plan(const long* row_ptr, long nb, const long* row_ids,
         { long* tmp = cur; cur = nxt; nxt = tmp; }
         for (j = 0; j < nlive; ++j) {
             long p = row_ptr[cur[j]] + t - start[cur[j]];
-            long r = row_ids[p];
+            int r = row_ids[p];
             perm[out] = (int)p;
             prev[out] = last[r];
             last[r] = (int)out++;
@@ -1085,10 +1087,12 @@ def prev_occurrence(
     """int32 previous-occurrence index per position (``-1`` for first
     touches).
 
-    ``stream`` must be contiguous int64 with values in ``[0, nvals)``
-    and fewer than ``2**31`` positions (the caller validates both —
-    out-of-range values would index the scratch table out of bounds).
+    ``stream`` must hold integers in ``[0, nvals)`` (read as int32, with
+    no copy when it is contiguous int32) and fewer than ``2**31``
+    positions (the caller validates both — out-of-range values would
+    index the scratch table out of bounds).
     """
+    stream = np.ascontiguousarray(stream, dtype=np.int32)
     n = stream.shape[0]
     last = np.full(nvals, -1, dtype=np.int32)
     prev = np.empty(n, dtype=np.int32)
@@ -1130,7 +1134,7 @@ def stream_plan(
     if int(ids.min()) < 0 or hi > 50_000_000:
         return None
     row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    ids = np.ascontiguousarray(ids, dtype=np.int32)
     last = np.full(hi + 1, -1, dtype=np.int32)
     perm = np.empty(n, dtype=np.int32)
     prev = np.empty(n, dtype=np.int32)

@@ -92,8 +92,7 @@ def previous_occurrence(stream: np.ndarray) -> np.ndarray:
             # Single last-seen-position pass (the textbook O(n)
             # algorithm, sequential by nature — see _native).  Values are
             # exact indices, so the output is identical by definition.
-            s64 = np.ascontiguousarray(stream, dtype=np.int64)
-            return _native.prev_occurrence(s64, hi + 1)
+            return _native.prev_occurrence(stream, hi + 1)
     order = np.argsort(stream, kind="stable")
     sorted_rows = stream[order]
     prev = np.full(n, -1, dtype=np.int32)

@@ -33,12 +33,13 @@ Performance layer (see DESIGN.md "Performance architecture"):
   ``np.add.reduceat`` per block, and a stable argsort of the
   concatenated events;
 * stream analyses (issue permutation + previous-occurrence array,
-  int32 stream positions in both lanes) are memoized
-  content-addressed and whole :class:`KernelStats` by recipe or
-  content in :mod:`repro.gpusim.memo`, so ablation variants stop
-  re-simulating shared kernels and tuner rounds share stream analyses;
-  a kernel lowered by a builder is keyed by its recipe, so neither a
-  memo hit nor a miss hashes the arrays lowering just built;
+  int32 stream positions in both lanes, over int32 row ids) are
+  memoized by the kernel's rows recipe, and whole :class:`KernelStats`
+  by its recipe, in :mod:`repro.gpusim.memo` (by content for a kernel
+  without recipes), so ablation variants stop re-simulating shared
+  kernels and tuner rounds share stream analyses; a kernel lowered by a
+  builder therefore hashes none of the arrays lowering just built,
+  whether it hits or misses;
 * :func:`kernel_time` prices a kernel through the same stages but
   returns its time alone (no statistics, no memo entry), for the
   tuner's rounds;
@@ -76,6 +77,7 @@ from .memo import (
     array_digest,
     kernel_fingerprint,
     memo_stats,
+    stream_key,
 )
 from .metrics import KernelStats, RunReport, occupancy_below
 
@@ -148,20 +150,30 @@ def _stream_plan(
     row_ids: np.ndarray,
     num_slots: int,
     key: tuple | None = None,
+    content: tuple | None = None,
 ) -> StreamPlan:
     """Issue permutation + previous-occurrence array for one stream.
 
-    Keyed by stream *content*, so every kernel sharing a block layout and
-    row stream (tuner rounds at different feature lengths, ablation
-    variants, repeated layers) reuses the analysis.  Callers holding
-    long-lived parent arrays may pass a precomputed ``key`` so repeat
-    lookups never re-hash sliced views.
+    Keyed by ``key`` (a :func:`~repro.gpusim.memo.stream_key`; the
+    stream's content when omitted), so every kernel sharing a block
+    layout and row stream (tuner rounds at different feature lengths,
+    ablation variants, repeated layers) reuses the analysis.  A
+    ``content`` key, passed under ``runtime().strict`` beside a
+    rows-recipe ``key``, is stored with the analysis; a hit stored for
+    different content raises ``RuntimeError``, so a rows recipe that
+    misses an input fails loudly instead of aliasing two streams.
     """
     if runtime().memo:
         if key is None:
             key = (array_digest(row_ptr), array_digest(row_ids), num_slots)
         plan = STREAM_CACHE.get(key)
         if plan is not None:
+            if (content is not None and plan.content is not None
+                    and content != plan.content):
+                raise RuntimeError(
+                    "stream cache: a rows recipe aliases a stream with "
+                    "different rows"
+                )
             return plan
         # The issue permutation depends only on the block layout, never
         # on the row stream, so streams that differ only in their rows
@@ -177,12 +189,10 @@ def _stream_plan(
             plan = StreamPlan(
                 perm=perm, prev=previous_occurrence(row_ids[perm])
             )
-    else:
-        key = None
-        plan = _cold_stream_plan(row_ptr, row_ids, num_slots)
-    if key is not None:
+        plan.content = content
         STREAM_CACHE.put(key, plan, nbytes=plan.nbytes)
-    return plan
+        return plan
+    return _cold_stream_plan(row_ptr, row_ids, num_slots)
 
 
 def _plan_window(plan: StreamPlan, capacity: int) -> int:
@@ -230,6 +240,26 @@ def _plan_hit_rate(
     return float(hits.mean()) if hits.size else 0.0
 
 
+def _stream_keys(
+    kernel: KernelSpec,
+    row_ptr: np.ndarray,
+    row_ids: np.ndarray,
+    slots: int,
+    cut_block: int | None = None,
+) -> Tuple[tuple | None, tuple | None]:
+    """``(key, content)`` for :func:`_stream_plan` of ``kernel``'s
+    stream, or of its first ``cut_block`` blocks (``row_ptr`` and
+    ``row_ids`` are then that prefix): the tier key, and under
+    ``runtime().strict`` the content key a rows-recipe key is checked
+    against.  Both None without the memo."""
+    if not runtime().memo:
+        return None, None
+    content = None
+    if runtime().strict and kernel.rows_recipe is not None:
+        content = (array_digest(row_ptr), array_digest(row_ids), slots)
+    return stream_key(kernel, slots, cut_block), content
+
+
 def _row_hit_counts(
     kernel: KernelSpec, config: GPUConfig
 ) -> Tuple[np.ndarray, float]:
@@ -253,19 +283,12 @@ def _row_hit_counts(
         sub_ptr = row_ptr[: cut_block + 1]
         sub_ids = row_ids[:cut]
         if use_plan:
-            # Key by the *parent* arrays (long-lived, so their digests
-            # are identity-cached) plus the cut, not by the fresh prefix
-            # views — repeat lookups then cost zero hashing.
-            key = None
-            if runtime().memo:
-                key = (
-                    "prefix",
-                    array_digest(row_ptr),
-                    array_digest(row_ids),
-                    cut_block,
-                    slots,
-                )
-            plan = _stream_plan(sub_ptr, sub_ids, slots, key=key)
+            # Key by the whole stream's recipe (or its long-lived
+            # arrays) plus the cut, never by the fresh prefix views.
+            key, content = _stream_keys(
+                kernel, sub_ptr, sub_ids, slots, cut_block
+            )
+            plan = _stream_plan(sub_ptr, sub_ids, slots, key, content)
             rate = _plan_hit_rate(
                 plan, capacity, config.cache_model, key=key
             )
@@ -276,10 +299,8 @@ def _row_hit_counts(
         per_block_rows = np.diff(row_ptr).astype(np.float64)
         return per_block_rows * rate, rate
     if use_plan:
-        key = None
-        if runtime().memo:
-            key = (array_digest(row_ptr), array_digest(row_ids), slots)
-        plan = _stream_plan(row_ptr, row_ids, slots, key=key)
+        key, content = _stream_keys(kernel, row_ptr, row_ids, slots)
+        plan = _stream_plan(row_ptr, row_ids, slots, key, content)
         perm = plan.perm
         hits_sorted = _plan_hits(plan, capacity, config.cache_model, key=key)
     else:

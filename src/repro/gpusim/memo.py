@@ -8,11 +8,15 @@ simulation's outcome and caches two tiers of work:
 
 * **stream analyses** (:data:`STREAM_CACHE`) — the interleaved issue
   permutation and previous-occurrence array of a kernel's feature-row
-  access stream, keyed by ``(row_ptr, row_ids, slot count)`` content.
-  These are the order-dependent inputs of the L2 cache model (one tick
-  sweep natively, sorts in numpy) and depend only on the stream, not on
-  pricing, so a tuner round re-run at a new feature length pays
-  nothing.
+  access stream, keyed by :func:`stream_key`: by the kernel's rows
+  recipe (what lowering built ``row_ptr`` and ``row_ids`` from) and the
+  slot count, or by the content of the two arrays for a kernel without
+  one.  These are the order-dependent inputs of the L2 cache model (one
+  tick sweep natively, sorts in numpy) and depend only on the stream,
+  not on pricing, so a tuner round re-run at a new feature length pays
+  nothing, and a cold kernel hashes none of the rows it was just built
+  with.  Under ``runtime().strict`` the executor checks every
+  rows-recipe hit against the stream's content.
 * **kernel statistics** (:data:`KERNEL_MEMO`) — the full
   :class:`~repro.gpusim.metrics.KernelStats` of a simulated kernel,
   keyed by :func:`kernel_fingerprint` over every pricing input plus the
@@ -31,8 +35,8 @@ module constants below, not environment options.
 Array fingerprints use SHA-256 over the raw bytes (the fastest hashlib
 hash on bulk input where the CPU has SHA instructions: 1.24 GB/s
 against 0.35 for BLAKE2b and 0.45 for MD5 on a 2-vCPU x86 VM).  The
-lever is hashing less, not faster: recipes key lowered kernels without
-hashing their arrays.  Arrays are treated
+lever is hashing less, not faster: recipes key lowered kernels and
+their row streams without hashing their arrays.  Arrays are treated
 as immutable once simulated (the repo-wide convention); a weakref-guarded
 identity cache makes re-hashing long-lived arrays (e.g. a graph's CSR
 ``indices``) free without ever trusting a recycled ``id()``.  Each entry
@@ -57,6 +61,7 @@ __all__ = [
     "array_digest",
     "LRUCache",
     "StreamPlan",
+    "stream_key",
     "kernel_fingerprint",
     "STREAM_CACHE",
     "KERNEL_MEMO",
@@ -220,6 +225,11 @@ class StreamPlan:
     #: capacity -> effective window.
     windows: Dict[int, int] = dataclasses.field(default_factory=dict)
     lru_distances: Optional[np.ndarray] = None
+    #: The content key ``(digest(row_ptr), digest(row_ids), slots)`` of
+    #: the stream, kept beside an analysis stored under a rows-recipe
+    #: key under ``runtime().strict`` (None otherwise), so a strict hit
+    #: can prove the recipe did not alias two different streams.
+    content: Optional[tuple] = None
 
     @property
     def nbytes(self) -> int:
@@ -241,18 +251,20 @@ PERM_CACHE_BYTES = 64 * 1024 * 1024
 
 #: Stream analyses are large (two int32 arrays per stream), so the tier
 #: is bounded by bytes; 256 MiB holds a full 20-round tuner sweep on the
-#: largest scaled dataset.
+#: largest scaled dataset.  Keys come from :func:`stream_key`.
 STREAM_CACHE = LRUCache(
     max_entries=256,
     max_bytes=STREAM_CACHE_BYTES,
     name="stream_cache",
 )
 
-#: Reordered ragged row streams, keyed by
-#: ``(row_ptr, row_ids, permutation)`` content.  Locality-aware layouts
-#: re-apply the same block permutation to the same stream once per
-#: feature length / ablation variant; the gather is the single most
-#: expensive lowering step on the large datasets.
+#: Reordered ragged row streams (int64 ``row_ptr``, int32 ``row_ids``),
+#: keyed by ``(row_ptr, row_ids, permutation)`` content.  Locality-aware
+#: layouts re-apply the same block permutation to the same stream once
+#: per feature length / ablation variant; the gather is the single most
+#: expensive lowering step on the large datasets.  The parent rows are
+#: long-lived builder inputs (a graph's ``indices``, a grouping's
+#: ``group_ptr``), so their digests are identity-cached.
 REORDER_CACHE = LRUCache(
     max_entries=64,
     max_bytes=REORDER_CACHE_BYTES,
@@ -282,6 +294,26 @@ def _recipe_text(part) -> str:
     if isinstance(part, tuple):
         return "(" + ",".join(_recipe_text(p) for p in part) + ")"
     return repr(part)
+
+
+def stream_key(kernel, slots: int, cut_block: Optional[int] = None) -> tuple:
+    """The :data:`STREAM_CACHE` key of a kernel's row stream on
+    ``slots`` block slots, or of its first ``cut_block`` blocks (the
+    sampled prefix of a stream past the trace limit).
+
+    A kernel with a :attr:`~repro.gpusim.kernel.KernelSpec.rows_recipe`
+    is keyed by the recipe's canonical text, which digests only the
+    long-lived inputs it names, never the rows lowering just built; any
+    other kernel by the content digests of ``row_ptr`` and ``row_ids``.
+    The two kinds of key never coincide.
+    """
+    if kernel.rows_recipe is not None:
+        rows = ("rows", _recipe_text(kernel.rows_recipe))
+    else:
+        rows = (array_digest(kernel.row_ptr), array_digest(kernel.row_ids))
+    if cut_block is None:
+        return (*rows, slots)
+    return ("prefix", *rows, cut_block, slots)
 
 
 def kernel_fingerprint(

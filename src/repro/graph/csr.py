@@ -122,21 +122,6 @@ class CSRGraph:
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 
-    @property
-    def indices64(self) -> np.ndarray:
-        """``indices`` widened to int64, cached per instance.
-
-        Kernel builders need 64-bit row ids; sharing one widened copy
-        keeps repeated lowering cheap and lets content-digest caches key
-        on a stable array identity.
-        """
-        cached = self.__dict__.get("_indices64")
-        if cached is None:
-            cached = self.indices.astype(np.int64)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_indices64", cached)
-        return cached
-
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.gpusim import memo
 from repro.gpusim.memo import clear_caches, kernel_fingerprint
 from repro.graph import small_dataset
 from repro.graph.csr import CSRGraph
-from repro.perf import override
+from repro.perf import PERF, override
 
 G = small_dataset()
 N = G.num_nodes
@@ -276,5 +276,137 @@ def test_forged_recipe_collision_raises_under_strict():
         with override(strict=False):
             first = simulate_kernel(honest, V100)
             assert simulate_kernel(forged, V100) is first
+    finally:
+        clear_caches()
+
+
+# ----------------------------------------------------------------------
+# Rows recipes: the stream-analysis tier's keys
+# ----------------------------------------------------------------------
+
+#: A trace limit below every stream of the cases, so a stream analysis
+#: is keyed by the ``"prefix"`` form of its rows recipe.
+PREFIX = V100.replace(cache_trace_limit=200)
+SLOTS = V100.total_block_slots
+
+
+def expand(graph=G, F=8, config=V100):
+    return edge_expansion_kernel(graph, F, config)
+
+
+#: case id -> (first kernel, second kernel) that differ in exactly one
+#: input of one rows recipe, rebuilt on every call.
+ROWS_PAIRS = {
+    "agg_rows/graph": lambda: (agg(), agg(graph=G_SOURCES)),
+    "agg_rows/group_ptr": lambda: (agg(), agg(grouping=_split_elsewhere())),
+    "agg_rows/block-perm": lambda: (agg(order=_order(1)),
+                                    agg(order=_order(2))),
+    "agg_rows/no-perm": lambda: (agg(), agg(order=_order(1))),
+    "expand_rows/graph": lambda: (expand(), expand(graph=G_SOURCES)),
+    "expand_rows/edges_per_block": lambda: (expand(F=8), expand(F=16)),
+    "gather_rows/rows": lambda: (gather(), gather(rows=np.arange(300) % 89)),
+    "gather_rows/rows_per_block": lambda: (gather(F=8), gather(F=16)),
+    "sampled/seed": lambda: (sage(), sage(seed=1)),
+    "sampled/k": lambda: (sage(), sage(k=8)),
+    "sampled/column": lambda: (sage(index=0), sage(index=4)),
+    "sampled/indptr": lambda: (sage(), sage(graph=G_HUB)),
+    "sampled/sources": lambda: (sage(), sage(graph=G_SOURCES)),
+    "sampled/rows_per_block": lambda: (sage(), sage(config=FEWER_THREADS)),
+    "sampled/expand-seed": lambda: (sage(SageStrategy.BASE),
+                                    sage(SageStrategy.BASE, seed=1)),
+}
+
+
+def _rows_content(kernel):
+    return (memo.array_digest(kernel.row_ptr),
+            memo.array_digest(kernel.row_ids))
+
+
+@pytest.mark.parametrize("case", sorted(ROWS_PAIRS))
+def test_one_rows_input_changes_the_stream_key(case):
+    a, b = ROWS_PAIRS[case]()
+    assert a.rows_recipe is not None and b.rows_recipe is not None
+    assert _rows_content(a) != _rows_content(b), "the input changes nothing"
+    for cut in (None, 1):
+        assert memo.stream_key(a, SLOTS, cut) != memo.stream_key(b, SLOTS, cut)
+    again, _ = ROWS_PAIRS[case]()
+    assert memo.stream_key(again, SLOTS) == memo.stream_key(a, SLOTS)
+
+
+@pytest.mark.parametrize("config", [V100, PREFIX], ids=["whole", "prefix"])
+@pytest.mark.parametrize("case", sorted(ROWS_PAIRS))
+def test_one_rows_input_misses_the_stream_tier(case, config):
+    """Simulated one after the other, under strict checking, the second
+    kernel of a pair misses the stream tier (and raises nothing)."""
+    a, b = ROWS_PAIRS[case]()
+    clear_caches()
+    try:
+        with override(strict=True):
+            simulate_kernel(a, config)
+            misses = PERF.counts.get("stream_cache_miss", 0)
+            simulate_kernel(b, config)
+            assert PERF.counts.get("stream_cache_miss", 0) == misses + 1
+    finally:
+        clear_caches()
+
+
+def test_pricing_inputs_share_one_stream_key():
+    """A rows recipe is the rows' own, not the kernel's: kernels that
+    differ only in pricing share one stream analysis."""
+    for a, b in (
+        (agg(F=32), agg(F=48)),
+        (agg(F=32, order=_order(1)), agg(F=64, order=_order(1))),
+        (expand(F=32), expand(F=48)),
+        (sage(SageStrategy.SPARSE_FETCH, index=0),
+         sage(SageStrategy.REDUNDANCY_BYPASS, index=1)),
+    ):
+        assert _key(a) != _key(b)
+        assert memo.stream_key(a, SLOTS) == memo.stream_key(b, SLOTS)
+
+
+def test_stream_key_hashes_no_fresh_rows():
+    kernel = agg(order=_order(3))
+    memo.stream_key(kernel, SLOTS)
+    memo.stream_key(kernel, SLOTS, 5)
+    assert id(kernel.row_ptr) not in memo._DIGESTS
+    assert id(kernel.row_ids) not in memo._DIGESTS
+
+
+def test_reassigned_rows_drop_the_rows_recipe():
+    kernel = agg()
+    kernel.block_flops = kernel.block_flops + 1.0
+    assert kernel.rows_recipe is not None
+    kernel.row_ids = kernel.row_ids[::-1].copy()
+    assert kernel.rows_recipe is None
+    assert memo.stream_key(kernel, SLOTS) == (*_rows_content(kernel), SLOTS)
+
+
+def test_reordered_derives_its_rows_recipe():
+    perm = np.arange(N)[::-1].copy()
+    base = agg()
+    assert base.reordered(perm).rows_recipe == (
+        "reordered", base.rows_recipe, memo.array_digest(perm))
+    hand = KernelSpec("hand", block_flops=np.ones(N))
+    assert hand.reordered(perm).rows_recipe is None
+
+
+@pytest.mark.parametrize("config", [V100, PREFIX], ids=["whole", "prefix"])
+def test_forged_rows_recipe_collision_raises_under_strict(config):
+    honest, forged = agg(), agg(grouping=_split_elsewhere())
+    forged.rows_recipe = honest.rows_recipe
+    clear_caches()
+    try:
+        with override(strict=True):
+            simulate_kernel(honest, config)
+            with pytest.raises(RuntimeError, match="aliases a stream"):
+                simulate_kernel(forged, config)
+        clear_caches()
+        # Without strict the rows recipe is trusted: the forgery is
+        # priced with the honest kernel's stream analysis.
+        with override(strict=False):
+            simulate_kernel(honest, config)
+            hits = PERF.counts.get("stream_cache_hit", 0)
+            simulate_kernel(forged, config)
+            assert PERF.counts.get("stream_cache_hit", 0) == hits + 1
     finally:
         clear_caches()
