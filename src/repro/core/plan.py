@@ -26,19 +26,20 @@ it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import math
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..gpusim.config import GPUConfig
 from ..gpusim.kernel import KernelSpec
 from ..gpusim.memo import LRUCache
-from ..gpusim.metrics import KernelStats
+from ..gpusim.metrics import KernelStats, ReadOnlyDict
 from ..graph.csr import CSRGraph
 from ..perf import PERF, runtime
 from .compgraph import FusionPlan
@@ -191,9 +192,17 @@ class CompiledPlan:
     def num_kernels(self) -> int:
         return len(self.kernels)
 
-    @property
+    # ``stage_seconds`` is complete when the plan is built, so its sum
+    # and its read-only view are computed once, on first use, and shared
+    # by every response served from the plan (the ``perf["plan"]`` entry
+    # of :func:`~repro.frameworks.base.record_plan`).
+    @functools.cached_property
     def compile_seconds(self) -> float:
         return float(sum(self.stage_seconds.values()))
+
+    @functools.cached_property
+    def stage_seconds_view(self) -> Mapping[str, float]:
+        return ReadOnlyDict(self.stage_seconds)
 
     def describe(self) -> str:
         """Human-readable schema summary (``repro plan show``)."""

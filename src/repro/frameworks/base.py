@@ -118,7 +118,8 @@ def record_plan(
     """Attach ``plan``'s side data and ``perf["plan"]`` entry to a report.
 
     Returns the ``perf["plan"]`` dict so callers can annotate it (cache
-    hit, batch size, fan-out).
+    hit, batch size, fan-out).  Its ``stage_seconds`` is the plan's one
+    read-only mapping, shared by every response, not a copy.
     """
     for key, value in plan.extra.items():
         report.extra.setdefault(key, value)
@@ -126,7 +127,7 @@ def record_plan(
     perf["plan"] = {
         "plan_id": plan.plan_id,
         "compile_seconds": plan.compile_seconds,
-        "stage_seconds": dict(plan.stage_seconds),
+        "stage_seconds": plan.stage_seconds_view,
         "execute_seconds": execute_seconds,
     }
     return perf["plan"]

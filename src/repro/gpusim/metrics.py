@@ -18,7 +18,7 @@ import numpy as np
 from ..perf import runtime
 from . import _native
 
-__all__ = ["KernelStats", "RunReport", "occupancy_below"]
+__all__ = ["KernelStats", "ReadOnlyDict", "RunReport", "occupancy_below"]
 
 
 def occupancy_below(
@@ -63,11 +63,12 @@ def occupancy_below(
     return out
 
 
-class _ReadOnlyDict(dict):
-    """A ``dict`` whose mutators raise ``TypeError`` (it still pickles)."""
+class ReadOnlyDict(dict):
+    """A ``dict`` whose mutators raise ``TypeError`` (it still pickles
+    and JSON-encodes as a dict)."""
 
     def _read_only(self, *args, **kwargs):
-        raise TypeError("KernelStats.occupancy is read-only")
+        raise TypeError(f"{type(self).__name__} is read-only")
 
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
@@ -96,8 +97,8 @@ class KernelStats:
 
     def __post_init__(self) -> None:
         occ = self.occupancy
-        if type(occ) is not _ReadOnlyDict:
-            object.__setattr__(self, "occupancy", _ReadOnlyDict(occ))
+        if type(occ) is not ReadOnlyDict:
+            object.__setattr__(self, "occupancy", ReadOnlyDict(occ))
 
     @property
     def time(self) -> float:
