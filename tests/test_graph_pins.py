@@ -15,6 +15,7 @@ import pytest
 from repro.gpusim import _native
 from repro.graph import (
     DATASET_NAMES,
+    DATASETS,
     clustered_graph,
     coo_to_csr,
     dense_graph,
@@ -78,10 +79,12 @@ def test_ogb_scale_graph_digest():
 
 
 # Generator settings the eight dataset recipes do not reach: shuffle off
-# and on, a degree cap, hub-only and community-only sources, and tiny
-# graphs where most draws are self-loops or duplicates (N=3 keeps all 6
-# distinct pairs; N=1 keeps no edge); and the ogb-mini graph, so every
-# lane runs it.
+# and on, a degree cap (down to one edge per node), hub-only and
+# community-only sources (hub-only unshuffled too), and tiny graphs where
+# most draws are self-loops or duplicates (N=3 keeps all 6 distinct
+# pairs; N=2 both; N=1 keeps no edge); one community spanning every node,
+# and intra-community draws never or always taken; and the ogb-mini
+# graph, so every lane runs it.
 GENERATOR_GRID = {
     "pl-plain": (power_law_graph, (400, 8.0), {"shuffle": False}),
     "pl-shuffled": (power_law_graph, (400, 8.0), {"seed": 1}),
@@ -102,12 +105,31 @@ GENERATOR_GRID = {
     ),
     "pl-tiny": (power_law_graph, (3, 5.0), {"seed": 5}),
     "pl-single-node": (power_law_graph, (1, 4.0), {"seed": 6}),
+    "pl-max-degree-1": (
+        power_law_graph, (300, 6.0), {"max_degree": 1, "seed": 11}
+    ),
+    "pl-hubs-only-plain": (
+        power_law_graph, (500, 6.0),
+        {"locality": 0.0, "shuffle": False, "seed": 12},
+    ),
+    "pl-two-nodes": (power_law_graph, (2, 3.0), {"seed": 13}),
     "clustered-tight": (
         clustered_graph, (400, 8.0), {"num_communities": 8, "seed": 7}
     ),
     "clustered-loose": (
         clustered_graph, (300, 5.0),
         {"num_communities": 64, "intra_prob": 0.5, "seed": 8},
+    ),
+    "clustered-one-community": (
+        clustered_graph, (300, 6.0), {"num_communities": 1, "seed": 14}
+    ),
+    "clustered-inter-only": (
+        clustered_graph, (300, 6.0),
+        {"num_communities": 16, "intra_prob": 0.0, "seed": 15},
+    ),
+    "clustered-intra-only": (
+        clustered_graph, (300, 6.0),
+        {"num_communities": 16, "intra_prob": 1.0, "seed": 16},
     ),
     "dense-sparse": (dense_graph, (60, 0.1), {"seed": 9}),
     "dense-half": (dense_graph, (40, 0.5), {"seed": 10}),
@@ -126,8 +148,14 @@ GENERATOR_FINGERPRINTS = {
     "pl-community-only-plain": "143ee8ff459b7ec1",
     "pl-tiny": "bd589131603c5b65",
     "pl-single-node": "374708fff7719dd5",
+    "pl-max-degree-1": "01f7d5a746cd2a25",
+    "pl-hubs-only-plain": "42a4ee501e945ab6",
+    "pl-two-nodes": "359ad77c04cfcb7e",
     "clustered-tight": "f6e72401c7abbd95",
     "clustered-loose": "c39c306916d6d336",
+    "clustered-one-community": "c4a6fc195d9a70fd",
+    "clustered-inter-only": "68e0af8396411629",
+    "clustered-intra-only": "f7835475917990e7",
     "dense-sparse": "ebb1cb4853f64666",
     "dense-half": "795eb3506743bf01",
     "ogb-mini": "14649af262792c17",
@@ -157,6 +185,14 @@ def test_generator_grid_is_pinned():
 def test_generator_fingerprint(case, lane):
     fn, args, kwargs = GENERATOR_GRID[case]
     assert fn(*args, **kwargs).fingerprint == GENERATOR_FINGERPRINTS[case]
+
+
+@pytest.mark.parametrize("name", DATASET_NAMES)
+def test_dataset_build_fingerprint(name, lane):
+    """Every dataset recipe, built fresh in each lane (``load_dataset``
+    caches per process, so it would hand every lane the first lane's
+    graph)."""
+    assert DATASETS[name].build().fingerprint == DATASET_FINGERPRINTS[name]
 
 
 @pytest.mark.parametrize("weights, size", [
