@@ -72,22 +72,47 @@ class ExecLayout:
         return ExecLayout(grouping=identity_grouping(graph))
 
     def block_permutation(self) -> Optional[np.ndarray]:
-        """Permutation of group-blocks implied by the center order.
+        """Permutation of group-blocks implied by the center order: the
+        int64 stable argsort of each group's center rank.
 
-        Memoized per instance: lowering applies the same layout to
-        every kernel of a pass, and a stable long-lived permutation
-        array also lets the content-digest identity cache skip
-        re-hashing it downstream.
+        ``center_order`` is a permutation of the centers.  Groups of one
+        center are consecutive and ``group_center`` does not decrease,
+        so the sort is the centers' group ranges laid out in issue
+        order: one ``np.repeat`` of each center's first group minus its
+        output offset, plus an ``arange``; with one group per center
+        (group ``c`` owned by center ``c``) it is the order itself.  A
+        grouping whose centers decrease, or are not all issued, takes
+        the argsort.  Memoized per instance: lowering applies the same
+        layout to every kernel of a pass, and a stable long-lived
+        permutation array also lets the content-digest identity cache
+        skip re-hashing it downstream.
         """
-        if self.center_order is None:
+        order = self.center_order
+        if order is None:
             return None
         cached = self.__dict__.get("_block_perm")
         if cached is not None:
             return cached
-        n = self.center_order.shape[0]
-        rank = np.empty(n, dtype=np.int64)
-        rank[self.center_order] = np.arange(n)
-        perm = np.argsort(rank[self.grouping.group_center], kind="stable")
+        centers = self.grouping.group_center
+        n, num_groups = order.shape[0], centers.shape[0]
+        step = np.diff(centers)
+        perm = None
+        if num_groups == n and (not n or centers[0] == 0) and (
+            step == 1
+        ).all():
+            perm = order.astype(np.int64)
+        elif not num_groups or (centers[0] >= 0 and (step >= 0).all()):
+            count = np.bincount(centers, minlength=n)
+            first = np.cumsum(count) - count
+            issued = count[order]
+            if int(issued.sum()) == num_groups:
+                offset = np.cumsum(issued) - issued
+                perm = np.repeat(first[order] - offset, issued)
+                perm += np.arange(num_groups)
+        if perm is None:
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n)
+            perm = np.argsort(rank[centers], kind="stable")
         object.__setattr__(self, "_block_perm", perm)
         return perm
 

@@ -19,7 +19,13 @@ for a whole hop in one call on the caller's own bit generator.  And
 the graph generators' weighted draws search an unsorted stream of
 uniforms in a cumulative distribution, one binary search each;
 ``weighted_search`` does it through a guide table in expected O(1) per
-draw.  Last, the cache model's effective-window search is one call:
+draw.  The same generators build their CSR in two passes around one
+numpy sort: ``edge_keys`` mixes each edge's window and alternative
+sources, relabels both ends, drops self-loops and packs
+``dst * N + src`` in one pass over the numpy draws, and
+``distinct_keys_csr`` turns the sorted keys into ``indptr`` and
+``indices`` in one more, skipping repeats.  Last, the cache model's
+effective-window search is one call:
 each bisection probe stops as soon as its exact count shows the window
 overflows the cache, which a vectorized count cannot.  The stream
 analyses these kernels write and read (issue permutation, previous
@@ -42,6 +48,11 @@ numpy change, so it checks itself against ``rng.choice`` on first use
 and, on a mismatch, warns once and declines for the rest of the process.
 ``weighted_search`` is exactly ``searchsorted(cdf, u, side="right")``:
 the guide table only picks where each exact forward scan starts.
+``edge_keys`` takes its draws from numpy and makes numpy's IEEE steps
+on them: one double multiply ``u_off * (double)width``, truncation
+toward zero (``astype(int64)``) and one ``u_pick < threshold`` compare;
+the rest is integer work, and a distinct sorted key decodes to one
+(row, source) pair, so the CSR is the numpy lane's to the bit.
 
 Everything degrades gracefully: no compiler, a failed build, or
 ``REPRO_NATIVE=0`` (``perf.override(native=False)``) leaves each call
@@ -66,6 +77,8 @@ __all__ = [
     "available",
     "block_hit_counts",
     "choice_rows",
+    "distinct_keys_csr",
+    "edge_keys",
     "greedy_schedule",
     "lsh_pairs",
     "merge_pairs",
@@ -748,6 +761,70 @@ int guide_search(const double* cdf, long n, const double* u, long m,
     }
     return 0;
 }
+
+/* ---- Edge keys and their CSR (graph generation) ----
+ *
+ * The power-law and clustered generators draw every edge's candidates
+ * in numpy and pack each kept edge as dst * n + src; one value sort
+ * orders the keys and a decode turns them into a CSR.  edge_keys is the
+ * numpy lane's mixing, relabel, self-loop mask and packing in one pass:
+ * node v owns the next deg[v] edges, and edge e's source is
+ * lo[v] + (long)(u_off[e] * (double)width[v]) when u_pick[e] < thr (one
+ * IEEE double multiply, truncated toward zero as astype(int64) does,
+ * and one compare) and alt[e] otherwise.  With a relabel array both
+ * ends are relabelled before the self-loop test, as the numpy lane
+ * relabels them before its mask.  Every chosen source is checked
+ * against [0, n) before it indexes relabel.  Returns the number of keys
+ * written, or -1 (nothing usable) on a source outside [0, n) or a
+ * product the truncation cannot take. */
+long edge_keys(const long* deg, const long* lo, const long* width, long n,
+               const double* u_pick, double thr, const double* u_off,
+               const long* alt, const long* relabel, long* keys) {
+    long v, j, e = 0, out = 0;
+    unsigned long un = (unsigned long)n;
+    for (v = 0; v < n; ++v) {
+        long d = deg[v], base = lo[v];
+        long dv = relabel ? relabel[v] : v, row = dv * n;
+        double w = (double)width[v];
+        for (j = 0; j < d; ++j, ++e) {
+            double x = u_off[e] * w;
+            long s;
+            if (!(x >= 0.0 && x < 9.0e18)) return -1;
+            s = u_pick[e] < thr ? base + (long)x : alt[e];
+            if ((unsigned long)s >= un) return -1;
+            if (relabel) s = relabel[s];
+            if (s != dv) keys[out++] = row + s;
+        }
+    }
+    return out;
+}
+
+/* CSR of the distinct keys among m sorted keys: one pass that skips
+ * repeats, moves to the next row when a key reaches the row's end
+ * (a comparison against a running (row + 1) * n, no division) and
+ * writes src = key - row * n.  indptr gets n + 1 entries, indices one
+ * per distinct key.  Returns the distinct count, or -1 on a key
+ * outside [0, n * n) or out of order. */
+long distinct_keys_csr(const long* keys, long m, long n, long* indptr,
+                       int* indices) {
+    long i, j = 0, r = 0, lim = n, prev = -1;
+    if (m && keys[0] < 0) return -1;
+    indptr[0] = 0;
+    for (i = 0; i < m; ++i) {
+        long k = keys[i];
+        if (k < prev) return -1;
+        while (k >= lim) {
+            if (++r == n) return -1;
+            indptr[r] = j;
+            lim += n;
+        }
+        indices[j] = (int)(k - (lim - n));
+        j += k != prev;                 /* a repeat is overwritten */
+        prev = k;
+    }
+    while (r < n) indptr[++r] = j;
+    return j;
+}
 """
 
 logger = logging.getLogger(__name__)
@@ -842,6 +919,12 @@ def _build() -> "ctypes.CDLL | None":
     fn = lib.block_hit_counts
     fn.restype = ctypes.c_int
     fn.argtypes = [vp, vp, lg, vp, lg, vp, vp]
+    fn = lib.edge_keys
+    fn.restype = lg
+    fn.argtypes = [vp, vp, vp, lg, vp, ctypes.c_double, vp, vp, vp, vp]
+    fn = lib.distinct_keys_csr
+    fn.restype = lg
+    fn.argtypes = [vp, lg, lg, vp, vp]
     return lib
 
 
@@ -1252,3 +1335,90 @@ def weighted_search(cdf: np.ndarray, u: np.ndarray) -> "np.ndarray | None":
         np.ascontiguousarray(u, dtype=np.float64),
     )
     return None if found is None else found[0]
+
+
+def edge_keys(
+    deg: np.ndarray,
+    lo: np.ndarray,
+    width: np.ndarray,
+    u_pick: np.ndarray,
+    threshold: float,
+    u_off: np.ndarray,
+    alt: np.ndarray,
+    relabel: "np.ndarray | None",
+) -> "np.ndarray | None":
+    """Packed ``dst * N + src`` int64 keys of a generator's kept edges,
+    in edge order.
+
+    Node ``v`` owns ``deg[v]`` consecutive edges.  Edge ``e``'s source
+    is ``lo[v] + int(u_off[e] * width[v])`` where ``u_pick[e] <
+    threshold`` and ``alt[e]`` elsewhere; ``relabel`` (or None) maps
+    both ends; self-loops are dropped.  These are the numpy lane's
+    ``where``, relabel gather, ``src != dst`` mask and key, to the bit.
+    Returns None (the numpy lane takes over) when there is no native
+    lane, the draws ``u_pick``/``u_off`` are not float64, ``deg`` has a
+    negative entry or does not sum to the draw count, a window ``[lo,
+    lo + width)`` leaves ``[0, N)``, ``relabel`` is not ``N`` ids in
+    ``[0, N)``, or an edge's chosen source lands outside ``[0, N)``.
+    """
+    if not available():
+        return None
+    n = deg.shape[0]
+    e = u_pick.shape[0]
+    if not u_pick.shape == u_off.shape == alt.shape == (e,):
+        return None
+    if u_pick.dtype != np.float64 or u_off.dtype != np.float64:
+        return None             # numpy would compare or multiply otherwise
+    if lo.shape != (n,) or width.shape != (n,) or int(deg.sum()) != e:
+        return None
+    if n and deg.min() < 0:
+        return None
+    if n and (lo.min() < 0 or width.min() < 0 or (lo + width).max() > n):
+        return None
+    if relabel is not None and (relabel.shape != (n,) or n and (
+        relabel.min() < 0 or relabel.max() >= n
+    )):
+        return None
+    deg, lo, width, alt = (
+        np.ascontiguousarray(a, dtype=np.int64)
+        for a in (deg, lo, width, alt)
+    )
+    u_pick = np.ascontiguousarray(u_pick)
+    u_off = np.ascontiguousarray(u_off)
+    if relabel is not None:
+        relabel = np.ascontiguousarray(relabel, dtype=np.int64)
+    keys = np.empty(e, dtype=np.int64)
+    count = _load().edge_keys(
+        deg.ctypes.data, lo.ctypes.data, width.ctypes.data, n,
+        u_pick.ctypes.data, float(threshold), u_off.ctypes.data,
+        alt.ctypes.data, None if relabel is None else relabel.ctypes.data,
+        keys.ctypes.data,
+    )
+    return keys[:count] if count >= 0 else None
+
+
+def distinct_keys_csr(
+    keys: np.ndarray, num_nodes: int
+) -> "tuple[np.ndarray, np.ndarray] | None":
+    """int64 ``indptr`` and int32 ``indices`` of the distinct sorted
+    ``dst * N + src`` keys.
+
+    Equal to ``sorted_unique`` of the keys, a ``searchsorted`` of the
+    row starts ``arange(N + 1) * N`` and ``key % N``.  ``indices`` is
+    its own array of exactly one entry per distinct key.  Returns None
+    when there is no native lane, ``N`` is not in ``[1, 2**31)``, or a
+    key is outside ``[0, N * N)`` or out of order.
+    """
+    if not available() or not 0 < num_nodes < 2**31:
+        return None
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    m = keys.shape[0]
+    indptr = np.empty(num_nodes + 1, dtype=np.int64)
+    indices = np.empty(m, dtype=np.int32)
+    count = _load().distinct_keys_csr(
+        keys.ctypes.data, m, num_nodes, indptr.ctypes.data,
+        indices.ctypes.data,
+    )
+    if count < 0:
+        return None
+    return indptr, indices if count == m else indices[:count].copy()

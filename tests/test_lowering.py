@@ -1,10 +1,13 @@
 """Tests for the kernel lowering layer (cost accounting + layouts)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import (
     ExecLayout,
+    GroupingPlan,
     aggregation_kernel,
     compute_waste,
     edge_chain_kernel,
@@ -14,16 +17,20 @@ from repro.core import (
     gat_attention_ops,
     gemm_kernel,
     identity_grouping,
+    load_plan,
+    locality_aware_schedule,
     lower_plan,
     neighbor_grouping,
     node_map_kernel,
     plan_fusion,
+    save_plan,
     scalar_segment_reduce_kernel,
     scatter_reduce_kernel,
     unfused_plan,
 )
+from repro.frameworks.ours import OursRuntime
 from repro.gpusim import V100
-from repro.graph import small_dataset
+from repro.graph import coo_to_csr, small_dataset
 
 
 @pytest.fixture
@@ -201,3 +208,87 @@ class TestLowerPlan:
         a = sum(k.total_flops for k in unf)
         b = sum(k.total_flops for k in fus)
         assert 0.3 * a < b < 3.0 * a
+
+
+def _argsort_permutation(layout):
+    """The stable argsort of each group's center rank."""
+    order = layout.center_order
+    rank = np.empty(order.shape[0], dtype=np.int64)
+    rank[order] = np.arange(order.shape[0])
+    return np.argsort(rank[layout.grouping.group_center], kind="stable")
+
+
+def _empty_rows_graph():
+    """A graph whose centers 0, 3 and the last have no neighbors."""
+    rng = np.random.default_rng(4)
+    src = rng.integers(0, 40, 300)
+    dst = rng.choice(np.arange(1, 39)[np.arange(1, 39) != 3], 300)
+    return coo_to_csr(src, dst, 40)
+
+
+class TestBlockPermutation:
+    """``ExecLayout.block_permutation`` equals the stable argsort of the
+    groups' center ranks, int64, for every grouping the pipeline
+    builds and for one loaded from a plan artifact."""
+
+    @staticmethod
+    def _check(layout):
+        got = layout.block_permutation()
+        want = _argsort_permutation(layout)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("graph", ["small", "empty-rows"])
+    @pytest.mark.parametrize("bound", [None, 16, 32, 1])
+    def test_matches_argsort(self, graph, bound):
+        g = small_dataset() if graph == "small" else _empty_rows_graph()
+        grouping = (
+            identity_grouping(g) if bound is None
+            else neighbor_grouping(g, bound)
+        )
+        for order in (
+            locality_aware_schedule(g).order,
+            np.random.default_rng(1).permutation(g.num_nodes),
+            np.arange(g.num_nodes)[::-1],
+        ):
+            self._check(ExecLayout(grouping, center_order=order))
+
+    def test_decreasing_centers_take_the_argsort(self):
+        g = _empty_rows_graph()
+        grouping = neighbor_grouping(g, 4)
+        shuffled = dataclasses.replace(
+            grouping, group_center=grouping.group_center[::-1].copy()
+        )
+        order = np.random.default_rng(2).permutation(g.num_nodes)
+        self._check(ExecLayout(shuffled, center_order=order))
+
+    def test_a_center_with_two_groups_and_one_with_none(self):
+        """As many groups as centers, but not one each."""
+        grouping = GroupingPlan(
+            bound=4,
+            group_ptr=np.array([0, 2, 4, 5, 9, 10]),
+            group_center=np.array([0, 0, 2, 3, 4]),
+            needs_atomic=np.array([True, True, False, False, False]),
+        )
+        for seed in range(4):
+            order = np.random.default_rng(seed).permutation(5)
+            self._check(ExecLayout(grouping, center_order=order))
+
+    def test_no_groups(self):
+        g = coo_to_csr(np.empty(0, np.int64), np.empty(0, np.int64), 0)
+        layout = ExecLayout(
+            identity_grouping(g), center_order=np.empty(0, np.int64)
+        )
+        assert layout.block_permutation().shape == (0,)
+
+    def test_layout_loaded_from_a_plan_artifact(self, tmp_path):
+        g = small_dataset()
+        plan = OursRuntime().compile("gcn", g, V100)
+        path = str(tmp_path / f"plan_{plan.plan_id}.npz")
+        save_plan(path, plan)
+        loaded = load_plan(path, expect_id=plan.plan_id)
+        layers = [
+            rec for rec in loaded.layers if rec.center_order is not None
+        ]
+        assert layers
+        for rec in layers:
+            self._check(rec.layout())

@@ -716,6 +716,155 @@ class TestGuideSearch:
             assert _native.weighted_search(_cdf([1.0]), np.zeros(3)) is None
 
 
+def _edge_inputs(seed, n=300, max_deg=12, relabel=True):
+    """One generator's per-node windows and per-edge draws."""
+    rng = np.random.default_rng(seed)
+    deg = rng.integers(0, max_deg + 1, n)
+    e = int(deg.sum())
+    lo = rng.integers(0, n, n)
+    width = np.maximum((rng.random(n) * (n - lo)).astype(np.int64), 1)
+    return dict(
+        deg=deg, lo=lo, width=width, u_pick=rng.random(e), threshold=0.75,
+        u_off=rng.random(e), alt=rng.integers(0, n, e),
+        relabel=rng.permutation(n) if relabel else None,
+    )
+
+
+def _reference_keys(deg, lo, width, u_pick, threshold, u_off, alt, relabel):
+    """The generators' numpy lane up to the packed keys."""
+    n = deg.shape[0]
+    src = np.repeat(lo, deg) + (u_off * np.repeat(width, deg)).astype(
+        np.int64
+    )
+    src = np.where(u_pick < threshold, src, alt)
+    dst = np.repeat(np.arange(n, dtype=np.int64), deg)
+    if relabel is not None:
+        src, dst = relabel[src], relabel[dst]
+    keep = src != dst
+    return dst[keep] * n + src[keep]
+
+
+@needs_native
+class TestEdgeKeys:
+    """``edge_keys`` and ``distinct_keys_csr`` against the generators'
+    numpy steps; each declines, so the numpy lane takes over, on input
+    it does not take."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("threshold", [0.0, 0.75, 1.0])
+    @pytest.mark.parametrize("relabel", [True, False])
+    def test_matches_numpy_steps(self, seed, threshold, relabel):
+        args = _edge_inputs(seed, relabel=relabel)
+        args["threshold"] = threshold
+        keys = _native.edge_keys(**args)
+        assert _same_bits(keys, _reference_keys(**args))
+        keys.sort()
+        n = args["deg"].shape[0]
+        indptr, indices = _native.distinct_keys_csr(keys, n)
+        want = sorted_unique(keys)
+        assert _same_bits(
+            indptr, want.searchsorted(np.arange(n + 1) * n)
+        )
+        assert _same_bits(indices, (want % n).astype(np.int32))
+        assert indices.base is None  # owns exactly its entries
+
+    def test_draws_at_the_edges(self):
+        """Truncation toward zero at the last double below 1.0, on wide
+        windows, and exact multiples, as ``astype(int64)`` does it; and a
+        pick draw equal to the threshold takes the alternative."""
+        n = 1_000_003
+        deg = np.zeros(n, dtype=np.int64)
+        deg[:4] = 3
+        lo = np.zeros(n, dtype=np.int64)
+        width = np.full(n, n, dtype=np.int64)
+        width[1] = 3
+        u_off = np.tile([0.0, np.nextafter(1.0, 0.0), 0.5], 4)
+        u_pick = np.repeat([0.0, np.nextafter(0.5, 0.0), 0.5], 4)
+        args = dict(
+            deg=deg, lo=lo, width=width, u_pick=u_pick, threshold=0.5,
+            u_off=u_off, alt=np.full(12, n - 1, dtype=np.int64),
+            relabel=None,
+        )
+        assert _same_bits(_native.edge_keys(**args), _reference_keys(**args))
+
+    def test_no_edges(self):
+        args = _edge_inputs(0, n=5, max_deg=0)
+        keys = _native.edge_keys(**args)
+        assert keys.shape == (0,)
+        indptr, indices = _native.distinct_keys_csr(keys, 5)
+        assert _same_bits(indptr, np.zeros(6, dtype=np.int64))
+        assert indices.shape == (0,) and indices.dtype == np.int32
+
+    def test_declines_degrees_not_summing_to_the_draws(self):
+        args = _edge_inputs(1)
+        args["deg"] = args["deg"].copy()
+        args["deg"][7] += 1
+        assert _native.edge_keys(**args) is None
+
+    def test_declines_a_negative_degree(self):
+        args = _edge_inputs(2)
+        deg = args["deg"] = args["deg"].copy()
+        deg[4] += deg[3] + 1
+        deg[3] = -1                     # the sum still matches the draws
+        assert int(deg.sum()) == args["u_pick"].shape[0]
+        assert _native.edge_keys(**args) is None
+
+    @pytest.mark.parametrize("bad", [-1, 300, 10**12])
+    @pytest.mark.parametrize("relabel", [True, False])
+    def test_declines_an_alt_source_outside_the_nodes(self, bad, relabel):
+        """Checked before the source indexes ``relabel``: 10**12 would
+        read far outside it."""
+        args = _edge_inputs(3, relabel=relabel)
+        args["alt"] = args["alt"].copy()
+        args["alt"][5] = bad
+        args["threshold"] = 0.0  # every edge takes its alt source
+        assert _native.edge_keys(**args) is None
+
+    def test_declines_draws_that_are_not_float64(self):
+        args = _edge_inputs(7)
+        args["u_pick"] = args["u_pick"].astype(np.float32)
+        assert _native.edge_keys(**args) is None
+
+    @pytest.mark.parametrize("relabel", [True, False])
+    def test_declines_a_window_source_past_the_last_node(self, relabel):
+        """An offset draw past 1.0 puts the window source outside
+        ``[0, N)``: declined before it indexes ``relabel``."""
+        args = _edge_inputs(8, relabel=relabel)
+        args["u_off"] = args["u_off"].copy()
+        args["u_off"][5] = 1e9
+        args["threshold"] = 1.0  # every edge takes its window source
+        assert _native.edge_keys(**args) is None
+
+    def test_declines_a_window_past_the_last_node(self):
+        args = _edge_inputs(4)
+        args["width"] = args["width"].copy()
+        args["width"][9] = 300 - args["lo"][9] + 1
+        assert _native.edge_keys(**args) is None
+
+    @pytest.mark.parametrize("length", [299, 301])
+    def test_declines_a_relabel_of_the_wrong_length(self, length):
+        args = _edge_inputs(5)
+        args["relabel"] = np.arange(length)
+        assert _native.edge_keys(**args) is None
+
+    @pytest.mark.parametrize("keys, n", [
+        ([3, 1], 4),          # out of order
+        ([-1, 2], 4),         # below the first row
+        ([2, 16], 4),         # past the last row
+        ([], 0),              # no node
+    ])
+    def test_distinct_keys_csr_declines(self, keys, n):
+        assert _native.distinct_keys_csr(
+            np.array(keys, dtype=np.int64), n
+        ) is None
+
+    def test_no_native_lane_declines(self):
+        args = _edge_inputs(6)
+        with override(native=False):
+            assert _native.edge_keys(**args) is None
+            assert _native.distinct_keys_csr(np.zeros(1, np.int64), 2) is None
+
+
 class TestNativeDisabled:
     def test_repro_native_0_falls_back(self):
         """With the native lane forced off, the reference paths carry
