@@ -32,6 +32,7 @@ from repro.gpusim.cache import (
     window_hits_from_prev,
 )
 from repro.gpusim.config import V100_SCALED
+from repro.gpusim.kernel import KernelSpec
 from repro.gpusim.executor import (
     _list_schedule,
     _plan_hit_rate,
@@ -291,7 +292,8 @@ def _lane(fast, native):
 def test_kernel_time_equals_simulated_time(monkeypatch, fast, native):
     """``kernel_time`` is ``simulate_kernel(...).time`` bit for bit over
     full and prefix-cut streams, both cache models, identity, grouped
-    and reordered layouts, with and without a launch charge."""
+    and reordered layouts, a uniform kernel, 160 and 162 slots, with and
+    without a launch charge."""
     with _lane(fast, native):
         counted = []
         if fast and native:
@@ -314,13 +316,21 @@ def test_kernel_time_equals_simulated_time(monkeypatch, fast, native):
             V100_SCALED.replace(cache_trace_limit=prefix),
             V100_SCALED.replace(cache_model="lru"),
             V100_SCALED.replace(cache_model="lru", cache_trace_limit=prefix),
+            V100_SCALED.replace(num_sms=81),  # slots not a power of two
         ]
-        for layout in layouts:
+        for layout in layouts + [None]:
             for config in configs:
                 for counts_launch in (True, False):
-                    k = aggregation_kernel(
-                        g, 48, config, layout, counts_launch=counts_launch
-                    )
+                    if layout is None:  # waves: one duration
+                        k = KernelSpec.filled(
+                            "fill", 1_000, 3.0e4, 512.0,
+                            counts_launch=counts_launch,
+                        )
+                    else:
+                        k = aggregation_kernel(
+                            g, 48, config, layout,
+                            counts_launch=counts_launch,
+                        )
                     for overhead in (0.0, 25e-6):
                         got = kernel_time(k, config, overhead)
                         want = simulate_kernel(k, config, overhead).time
